@@ -288,6 +288,12 @@ def run(cfg: RunConfig, out_dir=".") -> int:
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except Exception as exc:
+        # The config was accepted, so any other failure is numeric:
+        # exit 1 stays reserved for config errors.
+        print(f"numeric failure: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        return EXIT_NUMERIC
 
     doc = {
         "hypothesis_check": cfg.hypothesis_note,

@@ -65,10 +65,10 @@ class QuadratureRule:
 
 
 @lru_cache(maxsize=256)
-def _jacobi_arrays(n: int, a: float, b: float) -> tuple:
-    """Memoized node/weight arrays; root finding is the expensive part
-    and the panel-based callers request the same few rules constantly.
-    The cached arrays are frozen so shared references stay safe."""
+def _jacobi_rule(n: int, a: float, b: float) -> QuadratureRule:
+    """Memoized rule; root finding is the expensive part and the
+    panel-based callers request the same few rules constantly.  The
+    node arrays are frozen so the shared rule stays safe."""
     if a == 0.0 and b == 0.0:
         x, w = np.polynomial.legendre.leggauss(n)
         nodes = (x + 1.0) / 2.0
@@ -82,7 +82,13 @@ def _jacobi_arrays(n: int, a: float, b: float) -> tuple:
         weights = w / 2.0 ** (a + b + 1.0)
     nodes.setflags(write=False)
     weights.setflags(write=False)
-    return nodes, weights
+    return QuadratureRule(
+        kind="gauss_jacobi",
+        nodes=nodes,
+        weights=weights,
+        exponent_pair=(a, b),
+        degree=2 * n - 1,
+    )
 
 
 def gauss_jacobi_rule(n: int, a: float, b: float) -> QuadratureRule:
@@ -94,30 +100,29 @@ def gauss_jacobi_rule(n: int, a: float, b: float) -> QuadratureRule:
         Number of nodes; exact for smooth factors of degree <= 2n-1.
     a, b : float
         Endpoint exponents, both > -1.  ``a`` sits at x=0, ``b`` at x=1.
+
+    Returns
+    -------
+    QuadratureRule
+        A shared, memoized rule with read-only node and weight arrays.
     """
     if n < 1:
         raise ValueError("need at least one node")
     if a <= -1.0 or b <= -1.0:
         raise ValueError("Jacobi exponents must exceed -1")
-    nodes, weights = _jacobi_arrays(int(n), float(a), float(b))
-    return QuadratureRule(
-        kind="gauss_jacobi",
-        nodes=nodes,
-        weights=weights,
-        exponent_pair=(float(a), float(b)),
-        degree=2 * n - 1,
-    )
+    return _jacobi_rule(int(n), float(a), float(b))
 
 
+@lru_cache(maxsize=256)
 def gauss_legendre_rule(n: int) -> QuadratureRule:
-    """Plain Gauss-Legendre rule on [0, 1]."""
+    """Plain Gauss-Legendre rule on [0, 1], shared and memoized."""
     rule = gauss_jacobi_rule(n, 0.0, 0.0)
     return QuadratureRule(
         kind="gauss_legendre",
         nodes=rule.nodes,
         weights=rule.weights,
         exponent_pair=(0.0, 0.0),
-        degree=2 * n - 1,
+        degree=rule.degree,
     )
 
 

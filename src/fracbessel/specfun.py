@@ -31,6 +31,7 @@ import numpy as np
 from scipy import special as _sp
 
 from .errors import NumericError
+from .quadrature import gauss_legendre_rule
 
 __all__ = ["MLParams", "gamma", "rgamma", "bessel_j", "mittag_leffler", "ml"]
 
@@ -41,6 +42,7 @@ _EPS = float(np.finfo(float).eps)
 # for every argument the contour is actually used on.
 _LEG_BREAKS = (1.0, 3.0, 7.0, 13.0, 22.0, 34.0, 50.0, 70.0, 90.0)
 _LEG_NODES = 64
+_DIP_NODES = 24
 _ARC_NODES = 64
 
 
@@ -445,9 +447,9 @@ def _legs_integrand(a: float, b: float, r: np.ndarray, z: np.ndarray) -> np.ndar
 
 def _arc_term(a: float, b: float, eps: float, z: np.ndarray) -> np.ndarray:
     """Contribution of the radius-eps circle around the origin."""
-    xg, wg = _gauss_legendre_cached(_ARC_NODES)
-    phi = math.pi * xg
-    w = math.pi * wg
+    gl = gauss_legendre_rule(_ARC_NODES)
+    phi = math.pi * gl.nodes
+    w = math.pi * gl.weights
     e_iphi = np.exp(1j * phi)
     core = np.exp(eps * e_iphi) * np.exp(1j * phi * (1.0 + a - b))
     den = (eps ** a) * np.exp(1j * a * phi) - z[:, None]
@@ -456,17 +458,36 @@ def _arc_term(a: float, b: float, eps: float, z: np.ndarray) -> np.ndarray:
     return (eps ** (1.0 + a - b) / math.pi) * integral.real
 
 
-_GL_CACHE: dict = {}
+def _dip_panels(eps: float, r0: np.ndarray, width: np.ndarray):
+    """Gauss panels on [eps, 95] refined around each point's dip.
 
+    Panel edges sit at r0 +- {1,2,4,...,64} dip widths, merged with the
+    base break ladder, with 24-node Gauss-Legendre per panel.  Each
+    point's candidate edges fill one row; edges outside [eps, 95]
+    become NaN (legs start at the arc radius, so a dip centred below
+    eps is already inside the arc and must not spawn a panel there),
+    the row is sorted, and a panel is kept wherever hi > lo, which
+    drops duplicate edges and the NaN tail.
 
-def _gauss_legendre_cached(n: int):
-    got = _GL_CACHE.get(n)
-    if got is None:
-        x, w = np.polynomial.legendre.leggauss(n)
-        # map from [-1, 1] to [0, 1]
-        got = ((x + 1.0) / 2.0, w / 2.0)
-        _GL_CACHE[n] = got
-    return got
+    Returns the nodes and weights of all points' panels, point by
+    point and in ascending order, and the node count of each point.
+    """
+    ri, wi = r0[:, None], width[:, None]
+    steps = np.array([1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0])
+    edges = np.hstack([
+        np.full_like(ri, eps), np.full_like(ri, 95.0), ri,
+        ri - steps * wi, ri + steps * wi,
+        np.broadcast_to(_LEG_BREAKS, (ri.shape[0], len(_LEG_BREAKS))),
+    ])
+    edges[~((edges >= eps) & (edges <= 95.0))] = np.nan
+    edges.sort(axis=1)
+    lo, hi = edges[:, :-1], edges[:, 1:]
+    keep = hi > lo
+    span = (hi - lo)[keep][:, None]
+    gl = gauss_legendre_rule(_DIP_NODES)
+    nodes = lo[keep][:, None] + span * gl.nodes
+    weights = span * gl.weights
+    return nodes.ravel(), weights.ravel(), _DIP_NODES * keep.sum(axis=1)
 
 
 def _contour_block(a: float, b: float, z: np.ndarray, rtol: float) -> np.ndarray:
@@ -496,7 +517,8 @@ def _contour_block(a: float, b: float, z: np.ndarray, rtol: float) -> np.ndarray
     smooth = ~sharp
     if smooth.any():
         breaks = [eps] + [bk for bk in _LEG_BREAKS if bk > eps * 1.05]
-        xg, wg = _gauss_legendre_cached(_LEG_NODES)
+        gl = gauss_legendre_rule(_LEG_NODES)
+        xg, wg = gl.nodes, gl.weights
         nodes = np.concatenate(
             [breaks[i] + (breaks[i + 1] - breaks[i]) * xg for i in range(len(breaks) - 1)]
         )
@@ -508,33 +530,10 @@ def _contour_block(a: float, b: float, z: np.ndarray, rtol: float) -> np.ndarray
         out[smooth] = vals @ wts
 
     if sharp.any():
-        # Deterministic refinement: panel edges at r0 +- {1,2,4,...}
-        # dip widths, merged with the base break ladder, 24-node Gauss
-        # per panel, all points evaluated in one flattened pass.
+        # Deterministic refinement: each sharp point gets its own panel
+        # fan, and all points are evaluated in one flattened pass.
         idx = np.flatnonzero(sharp)
-        xg, wg = _gauss_legendre_cached(24)
-        nodes_l, wts_l, counts = [], [], []
-        for i in idx:
-            ri, wi = float(r0[i]), float(width[i])
-            # legs start at the arc radius; a dip centred below eps is
-            # already inside the arc and must not spawn a panel there
-            marks = {eps, 95.0}
-            if eps < ri < 95.0:
-                marks.add(ri)
-            for m in (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0):
-                for pt in (ri - m * wi, ri + m * wi):
-                    if eps < pt < 95.0:
-                        marks.add(pt)
-            for bk in _LEG_BREAKS:
-                if eps < bk < 95.0:
-                    marks.add(bk)
-            bks = sorted(marks)
-            for lo, hi in zip(bks[:-1], bks[1:]):
-                nodes_l.append(lo + (hi - lo) * xg)
-                wts_l.append((hi - lo) * wg)
-            counts.append(24 * (len(bks) - 1))
-        r_flat = np.concatenate(nodes_l)
-        w_flat = np.concatenate(wts_l)
+        r_flat, w_flat, counts = _dip_panels(eps, r0[idx], width[idx])
         z_flat = np.repeat(z[idx], counts)
         contrib = _legs_integrand(a, b, r_flat, z_flat) * w_flat
         starts = np.concatenate([[0], np.cumsum(counts)[:-1]])

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from fracbessel.cli import (EXIT_CONFIG, EXIT_OK, EXIT_SOLVABILITY,
-                            ConfigError, main, parse_config)
+from fracbessel.cli import (EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK,
+                            EXIT_SOLVABILITY, ConfigError, main, parse_config)
 from fracbessel.fracops import OperatorParams
 from fracbessel.solver import (Forcing, ModeRecord, ProblemSpec,
                                compute_Delta_k, eval_u, solve_modes)
@@ -288,6 +288,23 @@ class TestSolvabilityExit:
         # nothing was written: the failure precedes all artifacts
         assert not (out / "solution.csv").exists()
         assert not (out / "report.json").exists()
+
+
+class TestNumericExit:
+    def test_unexpected_failure_exits_numeric(self, tmp_path, capsys):
+        """A non-local point at xi = 0 passes the config but makes the
+        determinant-limit check raise; the run must report a numeric
+        failure with exit 3, not escape with the config code."""
+        cfg_path = write_config(
+            tmp_path / "c.json",
+            problem={"nonlocal_points": [[0.3, -0.5], [0.4, 0.0]], "N": 8},
+            flags={"verify_modes": 1})
+        rc = main(["solve", str(cfg_path), "--out-dir",
+                   str(tmp_path / "out")])
+        assert rc == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert "numeric failure: ValueError:" in err
+        assert "Traceback" not in err
 
 
 class TestSubprocessEntryPoint:

@@ -91,8 +91,11 @@ class TestGradedTrapezoid:
 
 class TestRuleValidation:
     def test_node_count(self):
+        gauss_jacobi_rule(1, 0.0, 0.0)  # a cached neighbour changes nothing
         with pytest.raises(ValueError):
             gauss_jacobi_rule(0, 0.0, 0.0)
+        with pytest.raises(ValueError):
+            gauss_legendre_rule(0)
 
     @pytest.mark.parametrize("a,b", [(-1.0, 0.0), (0.0, -1.5)])
     def test_exponent_range(self, a, b):
@@ -114,9 +117,13 @@ class TestRuleValidation:
 def test_rules_are_memoized_and_frozen():
     r1 = gauss_jacobi_rule(32, -0.3, 0.35)
     r2 = gauss_jacobi_rule(32, -0.3, 0.35)
-    assert r1.nodes is r2.nodes
-    with pytest.raises((ValueError, RuntimeError)):
-        r1.nodes[0] = 0.5
+    assert r1 is r2
+    assert gauss_legendre_rule(20) is gauss_legendre_rule(20)
+    for rule in (r1, gauss_legendre_rule(20)):
+        with pytest.raises((ValueError, RuntimeError)):
+            rule.nodes[0] = 0.5
+        with pytest.raises((ValueError, RuntimeError)):
+            rule.weights[0] = 0.5
 
 
 def test_legendre_matches_jacobi_zero_pair():

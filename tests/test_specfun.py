@@ -11,11 +11,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.special import erfcx
 
+from fracbessel import specfun
 from fracbessel.specfun import MLParams, bessel_j, gamma, mittag_leffler, ml
 
 from _ml_reference import ML_REFERENCE
@@ -236,8 +237,14 @@ class TestNegativeAxisAsymptotics:
 )
 def test_recurrence_property(a, b, z):
     lhs = float(mittag_leffler(MLParams(a, b), z))
+    assume(math.isfinite(lhs))  # past float64 range both sides are inf
     rhs = z * float(mittag_leffler(MLParams(a, b + a), z)) + 1.0 / gamma(b)
     assert abs(lhs - rhs) <= 1e-8 * max(1.0, abs(lhs))
+
+
+def test_positive_axis_overflow_is_inf():
+    # E_{1/4,1}(6) ~ 4 exp(6^4) exceeds float64 range
+    assert mittag_leffler(MLParams(0.25, 1.0), 6.0) == math.inf
 
 
 @settings(max_examples=40, deadline=None)
@@ -245,3 +252,68 @@ def test_recurrence_property(a, b, z):
 def test_exponential_property(z):
     got = float(mittag_leffler(MLParams(1.0, 1.0), z))
     assert abs(got - math.exp(z)) <= 1e-10 * max(1.0, math.exp(z))
+
+
+# ---------------------------------------------------------------------------
+# sharp-dip panel fans: the array-built fan against the per-point loop
+
+
+def _dip_panels_loop(eps, r0, width):
+    """Reference: one point at a time, edges merged through a set."""
+    x, w = np.polynomial.legendre.leggauss(24)
+    xg, wg = (x + 1.0) / 2.0, w / 2.0
+    nodes_l, wts_l, counts = [], [], []
+    for ri, wi in zip(r0.tolist(), width.tolist()):
+        marks = {eps, 95.0}
+        if eps < ri < 95.0:
+            marks.add(ri)
+        for m in (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0):
+            for pt in (ri - m * wi, ri + m * wi):
+                if eps < pt < 95.0:
+                    marks.add(pt)
+        for bk in specfun._LEG_BREAKS:
+            if eps < bk < 95.0:
+                marks.add(bk)
+        bks = sorted(marks)
+        for lo, hi in zip(bks[:-1], bks[1:]):
+            nodes_l.append(lo + (hi - lo) * xg)
+            wts_l.append((hi - lo) * wg)
+        counts.append(24 * (len(bks) - 1))
+    return np.concatenate(nodes_l), np.concatenate(wts_l), np.array(counts)
+
+
+def _assert_same_panels(eps, r0, width):
+    got = specfun._dip_panels(eps, r0, width)
+    want = _dip_panels_loop(eps, r0, width)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
+def test_dip_panels_match_loop_at_the_edges():
+    rng = np.random.default_rng(5)
+    r0 = rng.uniform(0.02, 94.9, 400)
+    width = np.exp(rng.uniform(np.log(1e-3), np.log(30.0), 400))
+    # edges on a break (7 - 4 = 3), on eps (0.4 - 0.2 with eps = 0.2)
+    # or on 95 (94 + 1), a dip hard by 95, and fans past both ends
+    r0 = np.concatenate([r0, [7.0, 13.0, 0.4, 94.0, 94.999, 50.0]])
+    width = np.concatenate([width, [1.0, 0.5, 0.2, 1.0, 0.01, 29.9]])
+    for eps in (0.2, 0.5 * float(r0.min()), 1.0):
+        keep = r0 >= 2.0 * eps  # the dispatcher keeps eps <= r0 / 2
+        _assert_same_panels(eps, r0[keep], width[keep])
+    _assert_same_panels(0.5, np.array([20.0]), np.array([3.0]))
+
+
+@pytest.mark.parametrize("a,b", [(1.35, 0.6), (1.35, 1.35), (1.35, 1.6),
+                                 (1.1, 1.0), (1.9, 1.2)])
+def test_sharp_dip_values_match_loop(a, b, monkeypatch):
+    """The evaluator with the array-built fan returns the very bits of
+    the per-point loop on seeded sharp-dip sets.  (1.9, 1.2) has no
+    dip, cos(pi alpha) > 0, so it checks the smooth legs are unmoved."""
+    rng = np.random.default_rng(17)
+    z = -np.exp(rng.uniform(np.log(0.5), np.log(200.0), 3000))
+    p = MLParams(a, b)
+    got = mittag_leffler(p, z)
+    one = mittag_leffler(p, -20.0)
+    monkeypatch.setattr(specfun, "_dip_panels", _dip_panels_loop)
+    assert np.array_equal(got, mittag_leffler(p, z))
+    assert one == mittag_leffler(p, -20.0)
