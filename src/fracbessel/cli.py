@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import NumericError, SolvabilityError
 from .fracops import OperatorParams
-from .solver import (Forcing, ProblemSpec, eval_u, eval_u_derivatives,
+from .solver import (Forcing, ProblemSpec, mode_matrix, radial_basis,
                      solve_modes)
 from .verify import verify_solution
 
@@ -249,17 +249,16 @@ def _write_solution_grid(cfg: RunConfig, sol, path: Path):
         [0.0],
         np.linspace(0.0, T, cfg.nt_pos + 1)[1:],
     ])
+    vals = mode_matrix(sol, ts)
+    u, ux, uxx = (radial_basis(sol, xs, order) @ vals for order in (0, 1, 2))
     lines = ["x,t,u,u_x,u_xx"]
-    for t in ts:
-        u = np.atleast_1d(eval_u(sol, xs, float(t)))
-        ux, uxx = eval_u_derivatives(sol, xs, float(t))
-        ux, uxx = np.atleast_1d(ux), np.atleast_1d(uxx)
+    for i, t in enumerate(ts):
         for j, x in enumerate(xs):
             if x == 0.0:
-                lines.append(f"{_fmt(x)},{_fmt(t)},{_fmt(u[j])},,")
+                lines.append(f"{_fmt(x)},{_fmt(t)},{_fmt(u[j, i])},,")
             else:
-                lines.append(f"{_fmt(x)},{_fmt(t)},{_fmt(u[j])},"
-                             f"{_fmt(ux[j])},{_fmt(uxx[j])}")
+                lines.append(f"{_fmt(x)},{_fmt(t)},{_fmt(u[j, i])},"
+                             f"{_fmt(ux[j, i])},{_fmt(uxx[j, i])}")
     path.write_text("\n".join(lines) + "\n")
 
 

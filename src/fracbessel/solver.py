@@ -17,21 +17,21 @@ operator oracles live in fracops and never feed back into this module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import SolvabilityError
 from .fracops import OperatorParams
-from .quadrature import QuadratureRule, gauss_jacobi_rule, gauss_legendre_rule
-from .specfun import MLParams, bessel_j, gamma, mittag_leffler, rgamma
-from .spectrum import (CoefficientSequence, Eigenvalue, eigenvalue_table,
-                       fourier_bessel_coeff)
+from .quadrature import gauss_jacobi_rule, gauss_legendre_rule
+from .specfun import MLParams, bessel_j, gamma, mittag_leffler
+from .spectrum import Eigenvalue, eigenvalue_table, fourier_bessel_coeff
 
 __all__ = [
     "Forcing",
     "ProblemSpec",
+    "TimeCoefficient",
     "ModeRecord",
     "SeriesSolution",
     "cauchy_solution",
@@ -39,6 +39,8 @@ __all__ = [
     "compute_Fk",
     "compute_Delta_k",
     "solve_modes",
+    "mode_matrix",
+    "radial_basis",
     "eval_u",
     "eval_u_derivatives",
 ]
@@ -194,12 +196,71 @@ class ProblemSpec:
                     "tabulated forcing grid must cover [0,1] x [-T,T]")
 
 
+@dataclass(frozen=True, eq=False)
+class TimeCoefficient:
+    """Time coefficient f_k(t) of one mode, in a form whose convolutions
+    with the Mittag-Leffler kernels have closed forms.
+
+    Builtin forcing gives f_k(t) = scale * a(t), with the coefficients
+    of a in ascending powers in ``poly``.  Tabulated forcing gives the
+    linear interpolant of ``values`` on ``t_grid``, held constant
+    outside it.  A batch of modes carries an array of scales (or one row
+    of values per mode); indexing a batch selects modes.
+    """
+
+    scale: object = 1.0
+    poly: Optional[tuple] = None
+    t_grid: Optional[np.ndarray] = None
+    values: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        if (self.poly is None) == (self.values is None):
+            raise ValueError("give either poly or t_grid and values")
+        if self.poly is not None:
+            object.__setattr__(self, "poly",
+                               tuple(float(a) for a in self.poly))
+        else:
+            object.__setattr__(self, "t_grid",
+                               np.asarray(self.t_grid, dtype=float))
+            object.__setattr__(self, "values",
+                               np.asarray(self.values, dtype=float))
+
+    def __call__(self, t):
+        if self.poly is not None:
+            return self.scale * np.polynomial.polynomial.polyval(
+                np.asarray(t, dtype=float), self.poly)
+        return np.interp(np.asarray(t, dtype=float), self.t_grid, self.values)
+
+    def __getitem__(self, sel):
+        if self.poly is not None:
+            return replace(self, scale=self.scale[sel])
+        return replace(self, values=self.values[sel])
+
+    @classmethod
+    def stack(cls, coefs) -> "TimeCoefficient":
+        """One batch from single-mode coefficients of the same forcing."""
+        first = coefs[0]
+        if not all(isinstance(c, cls) for c in coefs):
+            raise ValueError("mode time coefficients must be TimeCoefficient")
+        if first.poly is not None:
+            if any(c.poly != first.poly for c in coefs):
+                raise ValueError("modes carry different time polynomials")
+            return cls(scale=np.array([c.scale for c in coefs], dtype=float),
+                       poly=first.poly)
+        if any(not np.array_equal(c.t_grid, first.t_grid) for c in coefs):
+            raise ValueError("modes carry different time grids")
+        return cls(t_grid=first.t_grid,
+                   values=np.stack([c.values for c in coefs]))
+
+
 @dataclass(frozen=True)
 class ModeRecord:
     """Everything known about one mode k.
 
-    op is carried so that per-mode evaluators need no separate problem
-    handle; it is None only for hand-built partial records."""
+    f_k is the mode's TimeCoefficient (the determinant alone accepts any
+    callable).  op is carried so that per-mode evaluators need no
+    separate problem handle; it is None only for hand-built partial
+    records."""
 
     ev: Eigenvalue
     f_k: Callable
@@ -211,15 +272,29 @@ class ModeRecord:
     op: Optional[OperatorParams] = None
 
 
+def _frozen(values) -> np.ndarray:
+    arr = np.array(values, dtype=float)
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True)
 class SeriesSolution:
-    """Solved truncated series with per-t mode-value caching."""
+    """Solved truncated series.
+
+    The per-mode arrays lams, taus, phis and psis and the stacked time
+    coefficients ``time_coefs`` are built once from the mode records;
+    the arrays are read-only."""
 
     spec: ProblemSpec
     modes: tuple
     tail_estimate: float
-    _eigs: tuple = field(default=(), repr=False)
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    lams: np.ndarray = field(init=False, repr=False, compare=False)
+    taus: np.ndarray = field(init=False, repr=False, compare=False)
+    phis: np.ndarray = field(init=False, repr=False, compare=False)
+    psis: np.ndarray = field(init=False, repr=False, compare=False)
+    time_coefs: TimeCoefficient = field(init=False, repr=False,
+                                        compare=False)
 
     def __post_init__(self):
         ks = [m.ev.k for m in self.modes]
@@ -227,182 +302,191 @@ class SeriesSolution:
             raise ValueError("modes must be sorted by k")
         if not math.isfinite(self.tail_estimate):
             raise ValueError("tail_estimate must be finite")
-        if not self._eigs:
-            object.__setattr__(self, "_eigs", tuple(m.ev for m in self.modes))
-
-    @property
-    def lams(self) -> np.ndarray:
-        return np.array([m.ev.lam for m in self.modes])
-
-    @property
-    def taus(self) -> np.ndarray:
-        return np.array([m.tau_k for m in self.modes])
+        for name, attr in (("lams", lambda m: m.ev.lam),
+                           ("taus", lambda m: m.tau_k),
+                           ("phis", lambda m: m.phi_k),
+                           ("psis", lambda m: m.psi_k)):
+            object.__setattr__(self, name,
+                               _frozen([attr(m) for m in self.modes]))
+        object.__setattr__(self, "time_coefs",
+                           TimeCoefficient.stack([m.f_k for m in self.modes]))
 
 
 # ---------------------------------------------------------------------------
 # resolvent convolutions
 #
-# Every convolution here is int_0^W w^q E_{d,beta}(-cb w^d) f(w) dw.  In
-# the scaled variable v = cb w^d the Mittag-Leffler kernel is entire, so
-# geometric panels in v converge fast uniformly in lambda; the original
-# w (or any power substitution of it) leaves a fractional kink at the
-# upper endpoint that wrecks global rules once cb W^d is large.
+# Every convolution here is int_0^W w^{beta-1} E_{alpha,beta}(c w^alpha)
+# g(W - w) dw, where g(y) = f_k(sign * y^q) reads the time coefficient
+# backwards from t = 0 (sign -1, q = 1) or forwards in the substituted
+# variable y = t^p (sign +1, q = 1/p).  Against a power (W - w)^{gam-1}
+# the integral is exact (Kilbas-Srivastava-Trujillo 2006, sec. 1.9-1.10;
+# Podlubny 1999, eqs. 1.99-1.100):
+#
+#   int_0^W w^{beta-1} E_{alpha,beta}(c w^alpha) (W-w)^{gam-1} dw
+#       = Gamma(gam) W^{beta+gam-1} E_{alpha,beta+gam}(c W^alpha).
+#
+# Builtin forcing is a polynomial in t, so g is a sum of powers y^{mq}.
+# A tabulated f_k is piecewise linear: f_k(sign*y) = g0 + g1 y +
+# sum_j D_j (y - y_j)_+, and each hinge contributes D_j times the
+# gam = 2 term evaluated at W - y_j itself: no difference of nearly
+# equal terms arises when a kink sits next to either end of [0, W].
+# Only the forward side of tabulated forcing with p != 1 keeps a
+# quadrature, for the hinges in y^q: its panels end at every kink image
+# W - y_j and follow a ratio 4^{1/alpha} geometric ladder in w, which
+# starts _HINGE_GRADING steps below the kernel scale |c|^{-1/alpha}.
 
-_PANEL_RATIO = 4.0
+_HINGE_NODES = 16
+_HINGE_GRADING = 8
+_HINGE_DIGITS = 13.0
 
 
-def _v_grid(C: float, e: float, n: int = 24):
-    """Nodes and weights for int_0^C v^e g(v) dv with g smooth.
+def _power_kernel(alpha: float, beta: float, c, W, gam: float) -> np.ndarray:
+    """Gamma(gam) W^{beta+gam-1} E_{alpha,beta+gam}(c W^alpha)."""
+    W = np.asarray(W, dtype=float)
+    return (gamma(gam) * W ** (beta + gam - 1.0)
+            * mittag_leffler(MLParams(alpha=alpha, beta=beta + gam),
+                             c * W ** alpha))
 
-    First panel [0, min(1, C)] absorbs the v^e endpoint weight into a
-    Jacobi rule; the rest is a ratio-4 geometric ladder of Legendre
-    panels with the weight applied pointwise.
+
+def _hinges(f: TimeCoefficient, sign: float):
+    """Knots y_j > 0 and per-mode g0, g1, D_j of f_k(sign*y) written as
+    g0 + g1 y + sum_j D_j (y - y_j)_+; the last D_j makes the slope zero
+    past the grid, where f_k is held constant."""
+    tg = f.t_grid
+    vals = np.atleast_2d(f.values)
+    side = sign * tg > 0.0
+    order = np.argsort(sign * tg[side])
+    ys = (sign * tg[side])[order]
+    g0 = np.array([np.interp(0.0, tg, row) for row in vals])
+    gs = np.column_stack([g0, vals[:, side][:, order]])
+    slopes = np.diff(gs, axis=1) / np.diff(np.concatenate([[0.0], ys]))
+    slopes = np.column_stack([slopes, np.zeros(len(vals))])
+    return ys, g0, slopes[:, 0], np.diff(slopes, axis=1)
+
+
+def _hinge_quadrature(alpha, beta, c, W, knots, D, q):
+    """sum_j D_j int_0^{W-y_j} w^{beta-1} E_{alpha,beta}(c w^alpha)
+    ((W-w)^q - s_j) dw over the knot times s_j, with y_j = s_j^{1/q},
+    per mode (entries of c, rows of D) and W.
+
+    Each Legendre panel [lo, hi] gets the node count that its distance
+    to the nearer branch point (w = 0 of the kernel, w = W of y^q)
+    calls for; the first panel takes the w^{beta-1} weight exactly.
     """
-    b0 = min(1.0, C)
-    rule0 = gauss_jacobi_rule(n, e, 0.0) if e != 0.0 else gauss_legendre_rule(n)
-    vs = [b0 * rule0.nodes]
-    ws = [b0 ** (e + 1.0) * rule0.weights]
-    lo = b0
-    glr = gauss_legendre_rule(n)
-    while lo < C * (1.0 - 1e-12):
-        hi = min(C, _PANEL_RATIO * lo)
-        vv = lo + (hi - lo) * glr.nodes
-        vs.append(vv)
-        ws.append((hi - lo) * glr.weights * vv ** e)
-        lo = hi
-    return np.concatenate(vs), np.concatenate(ws)
-
-
-def _conv_batch(delta: float, beta: float, q: float, cbars: np.ndarray,
-                Ws, f_ws, *, sign: float = -1.0, n: int = 24) -> np.ndarray:
-    """Batch of convolutions int_0^{W_i} w^q E_{delta,beta}(sign*cb_i w^delta)
-    f_i(w) dw, one Mittag-Leffler call for the whole batch.
-
-    Ws may be a scalar (shared) or per-entry array; f_ws is a list of
-    vectorized callables of w.  Entries with cb_i = 0 or W_i = 0 fall
-    back to the plain power-weight integral.
-    """
-    m = len(f_ws)
-    Ws = np.broadcast_to(np.asarray(Ws, dtype=float), (m,))
-    e = (q + 1.0) / delta - 1.0
-    grids = []
-    for i in range(m):
-        C = cbars[i] * Ws[i] ** delta
-        if Ws[i] == 0.0:
-            grids.append((np.empty(0), np.empty(0)))
-        elif C == 0.0:
-            # no scaling available; plain Jacobi in w handles w^q
-            rule = gauss_jacobi_rule(n, q, 0.0) if q != 0.0 else gauss_legendre_rule(n)
-            grids.append((None, rule))
-        else:
-            grids.append(_v_grid(C, e, n))
-    flat = np.concatenate([g[0] for g in grids if g[0] is not None and len(g[0])])
-    if flat.size:
-        kern_all = mittag_leffler(MLParams(alpha=delta, beta=beta), sign * flat)
-    out = np.zeros(m)
-    pos = 0
-    rg_beta = rgamma(beta)
-    for i, (v, w) in enumerate(grids):
-        if v is None:
-            rule = w
-            wn = Ws[i] * rule.nodes
-            out[i] = (Ws[i] ** (q + 1.0) * rg_beta
-                      * float(rule.weights @ np.asarray(f_ws[i](wn), dtype=float)))
+    out = np.zeros((len(c), len(W)))
+    if not knots.size:
+        return out
+    ys = knots ** (1.0 / q)
+    jac = gauss_jacobi_rule(_HINGE_NODES, beta - 1.0, 0.0)
+    ratio = 4.0 ** (1.0 / alpha)
+    for i, ci in enumerate(c):
+        w0 = abs(ci) ** (-1.0 / alpha)
+        his = []
+        for Wj in W:
+            X = Wj - ys[0]
+            if not X > 0.0:
+                his.append(np.empty(0))
+                continue
+            steps = math.ceil(math.log(X / w0) / math.log(ratio)) \
+                if X > w0 else 0
+            ladder = w0 * ratio ** np.arange(-_HINGE_GRADING, steps)
+            his.append(np.unique(np.concatenate(
+                [[X], ladder[ladder < X], Wj - ys[ys < Wj]])))
+        owner = np.repeat(np.arange(len(W)), [h.size for h in his])
+        if not owner.size:
             continue
-        if not len(v):
-            continue
-        kern = kern_all[pos:pos + len(v)]
-        pos += len(v)
-        wn = (v / cbars[i]) ** (1.0 / delta)
-        fv = np.asarray(f_ws[i](wn), dtype=float)
-        out[i] = cbars[i] ** (-(q + 1.0) / delta) / delta * float(w @ (kern * fv))
+        hi = np.concatenate(his)
+        first = np.concatenate([[True], owner[1:] != owner[:-1]])
+        lo = np.where(first, 0.0, np.roll(hi, 1))
+        # Bernstein-ellipse parameter of each panel for its nearer
+        # branch point, and the Gauss order that reaches ~1e-13 there
+        e = np.minimum(hi + lo, 2.0 * W[owner] - hi - lo) / (hi - lo)
+        with np.errstate(divide="ignore"):
+            order = np.ceil(_HINGE_DIGITS / np.log(e + np.sqrt(e * e - 1.0)))
+        order = np.clip(order, 4, _HINGE_NODES).astype(int)
+        parts = [(hi[first][:, None] * jac.nodes,
+                  hi[first][:, None] ** beta * jac.weights, owner[first])]
+        for n in np.unique(order[~first]):
+            sel = ~first & (order == n)
+            rule = gauss_legendre_rule(int(n))
+            span = (hi - lo)[sel][:, None]
+            w = lo[sel][:, None] + span * rule.nodes
+            parts.append((w, span * rule.weights * w ** (beta - 1.0),
+                          owner[sel]))
+        w = np.concatenate([p[0].ravel() for p in parts])
+        wt = np.concatenate([p[1].ravel() for p in parts])
+        own = np.concatenate([np.repeat(p[2], p[0].shape[1]) for p in parts])
+        kern = mittag_leffler(MLParams(alpha=alpha, beta=beta),
+                              ci * w ** alpha)
+        g = np.maximum((W[own] - w)[:, None] ** q - knots, 0.0) @ D[i]
+        out[i] = np.bincount(own, wt * kern * g, minlength=len(W))
     return out
 
 
-def _gk_values(op: OperatorParams, lams: np.ndarray, f_funcs, t: float,
-               *, n: int = 24) -> np.ndarray:
-    """Forward-side resolvent convolution G_k(t) for a batch of modes.
-
-    Written in w = t^p - tau^p, the kernel combines the two printed
-    convolution pieces into the single Mittag-Leffler density
-    w^{a-1} E_{a,a}(-cb w^a) / p^a with a = alpha1, cb = lam^2/p^a,
-    using E_{a,a}(z) = 1/Gamma(a) + z E_{a,2a}(z).
-    """
-    a = op.alpha1
-    p = op.p
-    tp = t ** p
-    f_ws = [
-        (lambda w, f=f: np.asarray(f((np.maximum(tp - w, 0.0)) ** (1.0 / p)),
-                                   dtype=float))
-        for f in f_funcs
-    ]
-    conv = _conv_batch(a, a, a - 1.0, lams ** 2 / p ** a, tp, f_ws, n=n)
-    return conv / p ** a
-
-
-def _compute_Gk(op: OperatorParams, mode: ModeRecord, t: float,
-                quad: QuadratureRule = None, n: int = 24) -> float:
-    if t == 0.0:
-        return 0.0
-    if not t > 0.0:
-        raise ValueError(f"G_k is defined for t >= 0, got {t}")
-    if quad is not None:
-        # Alternate route for cross-checks: tau = t*y maps the forward
-        # convolution onto [0,1] with Jacobi weight y^{p-1}(1-y)^{a-1};
-        # converges slowly in lambda, so it is never the default.
-        a, p = op.alpha1, op.p
-        y = quad.nodes
-        wpow = 1.0 - y ** p
-        smooth = (wpow / (1.0 - y)) ** (a - 1.0)
-        tp = t ** (p * a)
-        args = -(mode.ev.lam ** 2 / p ** a) * tp * wpow ** a
-        kern = mittag_leffler(MLParams(alpha=a, beta=a), args)
-        fv = np.asarray(mode.f_k(t * y), dtype=float)
-        return tp * p ** (1.0 - a) * float(quad.weights @ (kern * fv * smooth))
-    lam = np.array([mode.ev.lam])
-    return float(_gk_values(op, lam, [mode.f_k], t, n=n)[0])
+def _conv(alpha: float, beta: float, c, W, f: TimeCoefficient, *,
+          sign: float = 1.0, q: float = 1.0) -> np.ndarray:
+    """int_0^W w^{beta-1} E_{alpha,beta}(c w^alpha) f(sign (W-w)^q) dw,
+    one row per mode (entries of c, rows of f) and one column per W."""
+    c = np.asarray(c, dtype=float).reshape(-1, 1)
+    W = np.asarray(W, dtype=float).reshape(-1)
+    out = np.zeros((c.shape[0], W.size))
+    if f.poly is not None:
+        for m, am in enumerate(f.poly):
+            if am != 0.0:
+                out += am * sign ** m * _power_kernel(alpha, beta, c, W,
+                                                      m * q + 1.0)
+        return np.atleast_1d(f.scale)[:, None] * out
+    ys, g0, g1, D = _hinges(f, sign)
+    out = (g0[:, None] * _power_kernel(alpha, beta, c, W, 1.0)
+           + g1[:, None] * _power_kernel(alpha, beta, c, W, q + 1.0))
+    if q != 1.0:
+        return out + _hinge_quadrature(alpha, beta, c[:, 0], W, ys, D, q)
+    X = W[:, None] - ys[None, :]
+    inside = X > 0.0
+    if inside.any():
+        hinge = np.zeros((c.shape[0],) + X.shape)
+        hinge[:, inside] = _power_kernel(alpha, beta, c, X[inside], 2.0)
+        out += np.einsum("kwj,kj->kw", hinge, D)
+    return out
 
 
-def compute_Gk(mode: ModeRecord, t: float, quad: QuadratureRule = None,
-               *, n: int = 96) -> float:
+def _forward_particular(op: OperatorParams, lams, f: TimeCoefficient,
+                        ts) -> np.ndarray:
+    """G_k(t) on t > 0: in w = t^p - tau^p the kernel is
+    w^{a-1} E_{a,a}(-cb w^a) / p^a with a = alpha1, cb = lam^2 / p^a."""
+    a, p = op.alpha1, op.p
+    pa = p ** a
+    return _conv(a, a, -np.asarray(lams) ** 2 / pa, np.asarray(ts) ** p, f,
+                 q=1.0 / p) / pa
+
+
+def compute_Gk(mode: ModeRecord, t: float) -> float:
     """Forward-side particular solution G_k(t) at a single time t > 0.
 
     G_k(0+) = 0; for zero forcing the value is exactly 0.0.
     """
     if mode.op is None:
         raise ValueError("mode carries no operator parameters")
-    return _compute_Gk(mode.op, mode, t, quad=quad, n=n)
+    if t == 0.0:
+        return 0.0
+    if not t > 0.0:
+        raise ValueError(f"G_k is defined for t >= 0, got {t}")
+    return float(_forward_particular(mode.op, [mode.ev.lam], mode.f_k,
+                                     t)[0, 0])
 
 
-def compute_Fk(mode: ModeRecord, spec: ProblemSpec,
-               quad: QuadratureRule = None, *, n: int = 24) -> float:
+def compute_Fk(mode: ModeRecord, spec: ProblemSpec) -> float:
     """Right-hand side F_k of the mode system: the terminal value
-    G_k(T) minus the weighted history convolutions at each xi_i.
-
-    A supplied quad is used for the alternate [0,1]-mapped route (and
-    handed to the G_k term); the default is the panelized scheme.
-    """
+    G_k(T) minus the weighted history convolutions at each xi_i, whose
+    kernel is w^{d2-g2+1} E_{d2,d2-g2+2}(-lam^2 w^{d2})."""
     op = spec.op
-    lam = mode.ev.lam
-    total = _compute_Gk(op, mode, spec.T, quad=quad, n=n)
+    total = float(_forward_particular(op, [mode.ev.lam], mode.f_k,
+                                      spec.T)[0, 0])
     d2, g2 = op.delta2, op.gamma2
     for p_i, xi in spec.nonlocal_points:
-        if p_i == 0.0 or xi == 0.0:
-            continue
-        if quad is not None:
-            # s = xi(1-x) mapping; quad should carry the x^{d2-g2+1}
-            # endpoint weight.
-            x = quad.nodes
-            args = -lam ** 2 * (-xi) ** d2 * x ** d2
-            vals = (mittag_leffler(MLParams(alpha=d2, beta=d2 - g2 + 2.0), args)
-                    * np.asarray(mode.f_k(xi * (1.0 - x)), dtype=float))
-            total -= p_i * (-xi) ** (d2 - g2 + 2.0) * float(quad.weights @ vals)
-        else:
-            conv = _conv_batch(
-                d2, d2 - g2 + 2.0, d2 - g2 + 1.0, np.array([lam ** 2]), -xi,
-                [lambda w, f=mode.f_k, x0=xi: np.asarray(f(x0 + w), dtype=float)],
-                n=n)
-            total -= p_i * float(conv[0])
+        if p_i != 0.0 and xi != 0.0:
+            total -= p_i * float(_conv(d2, d2 - g2 + 2.0, -mode.ev.lam ** 2,
+                                       -xi, mode.f_k, sign=-1.0)[0, 0])
     return total
 
 
@@ -455,59 +539,60 @@ def delta_limit(spec: ProblemSpec, *, variant: str = None) -> float:
 
 
 def cauchy_solution(lam_coeff: float, alpha2: float, beta2: float, mu: float,
-                    xi0: float, xi1: float, g: Callable,
-                    *, n: int = 96) -> Callable:
+                    xi0: float, xi1: float, g: TimeCoefficient) -> Callable:
     """Solution operator for the backward-side Cauchy problem
     D u = lam_coeff * u + g(t) on t < 0 with weighted traces
     lim I^{2-gamma} u = xi0 and lim (d/dt) I^{2-gamma} u = xi1.
 
     Returns a vectorized callable u(t).  The two homogeneous pieces are
     weighted Mittag-Leffler kernels; the particular part is the
-    delta-order resolvent convolution.  This same operator, specialized
-    to lam_coeff = -lam_k^2, is the backward half of every mode.
+    delta-order resolvent convolution against g, a TimeCoefficient, in
+    closed form.  mode_matrix evaluates the same formula with
+    lam_coeff = -lam_k^2 for the backward half of every mode.
     """
     d = beta2 + mu * (alpha2 - beta2)
     gm = beta2 + mu * (2.0 - beta2)
-    mlA = MLParams(alpha=d, beta=gm - 1.0)
-    mlB = MLParams(alpha=d, beta=gm)
-    sgn = -1.0 if lam_coeff < 0.0 else 1.0
 
     def u(t):
         ts = np.atleast_1d(np.asarray(t, dtype=float))
         if np.any(ts >= 0.0):
             raise ValueError("the backward representation needs t < 0")
-        mt = -ts
-        z = lam_coeff * mt ** d
-        out = np.zeros_like(ts)
-        if xi0 != 0.0:
-            out += xi0 * mt ** (gm - 2.0) * mittag_leffler(mlA, z)
-        if xi1 != 0.0:
-            out -= xi1 * mt ** (gm - 1.0) * mittag_leffler(mlB, z)
-        f_ws = [
-            (lambda w, ti=ti: np.asarray(g(ti + w), dtype=float)) for ti in ts
-        ]
-        out += _conv_batch(d, d, d - 1.0, np.full(ts.shape, abs(lam_coeff)),
-                           mt, f_ws, sign=sgn, n=n)
+        out = _backward_values(d, gm, [lam_coeff], [xi0], [xi1], g, -ts)[0]
         return out if np.ndim(t) else float(out[0])
 
     return u
+
+
+def _backward_values(d: float, gm: float, lam_coeff, phis, psis,
+                     f: TimeCoefficient, W, order: float = 0.0) -> np.ndarray:
+    """Right-sided integral of order ``order`` of the backward modes at
+    t = -W < 0: weighted traces phi, psi on the kernels
+    W^{gm-2} E_{d,gm-1} and W^{gm-1} E_{d,gm}, plus the resolvent
+    convolution, each shifted by ``order`` in both the power and beta."""
+    c = np.asarray(lam_coeff, dtype=float)[:, None]
+    W = np.asarray(W, dtype=float)
+    z = c * W ** d
+    return (np.asarray(phis)[:, None] * W ** (gm - 2.0 + order)
+            * mittag_leffler(MLParams(alpha=d, beta=gm - 1.0 + order), z)
+            - np.asarray(psis)[:, None] * W ** (gm - 1.0 + order)
+            * mittag_leffler(MLParams(alpha=d, beta=gm + order), z)
+            + _conv(d, d + order, c, W, f, sign=-1.0))
 
 
 # ---------------------------------------------------------------------------
 # mode assembly
 
 def _mode_coefficient_callables(spec: ProblemSpec, eigs) -> list:
-    """Build the time-coefficient callables f_k(t) for every mode."""
+    """Build the time coefficients f_k(t) of every mode."""
     forcing = spec.forcing
     if forcing.is_builtin:
-        cs = [fourier_bessel_coeff(forcing.spatial, ev) for ev in eigs]
-        return [
-            (lambda t, c=c: c * forcing.time_factor(t)) for c in cs
-        ]
+        return [TimeCoefficient(
+            scale=fourier_bessel_coeff(forcing.spatial, ev),
+            poly=forcing.time_poly) for ev in eigs]
     # Tabulated: project each time slice exactly (per-cell Gauss on the
     # piecewise-bilinear interpolant), then interpolate linearly in t.
     xg = np.asarray(forcing.x_grid)
-    tg = np.asarray(forcing.t_grid)
+    tg = _frozen(forcing.t_grid)
     cell_rule = gauss_legendre_rule(16)
     nodes, wts = [], []
     for a, b in zip(xg[:-1], xg[1:]):
@@ -517,19 +602,12 @@ def _mode_coefficient_callables(spec: ProblemSpec, eigs) -> list:
     wts = np.concatenate(wts)
     inside = (nodes >= 0.0) & (nodes <= 1.0)
     nodes, wts = nodes[inside], wts[inside]
-    coef_rows = []
+    coefs = []
     for ev in eigs:
         base = wts * nodes * bessel_j(0, ev.lam * nodes) / ev.norm_sq
-        row = [float(base @ forcing.value(nodes, tj)) for tj in tg]
-        coef_rows.append(np.array(row))
-
-    def make(row):
-        def f_k(t):
-            t = np.clip(np.asarray(t, dtype=float), tg[0], tg[-1])
-            return np.interp(t, tg, row)
-        return f_k
-
-    return [make(r) for r in coef_rows]
+        row = _frozen([float(base @ forcing.value(nodes, tj)) for tj in tg])
+        coefs.append(TimeCoefficient(t_grid=tg, values=row))
+    return coefs
 
 
 def solve_modes(spec: ProblemSpec) -> SeriesSolution:
@@ -562,39 +640,38 @@ def solve_modes(spec: ProblemSpec) -> SeriesSolution:
 # ---------------------------------------------------------------------------
 # series evaluation
 
-def _mode_values(sol: SeriesSolution, t: float) -> np.ndarray:
-    """Vector of u_k(t) for all modes, cached per time point."""
-    key = float(t)
-    cached = sol._cache.get(key)
-    if cached is not None:
-        return cached
+def mode_matrix(sol: SeriesSolution, ts, *, modes=None,
+                order: float = 0.0) -> np.ndarray:
+    """Mode values u_k(t), one row per mode and one column per t.
+
+    ``modes`` selects rows (a slice or an index array into the mode
+    list; default all).  At t = 0 the column is tau_k, the forward
+    trace.  A positive ``order`` gives the right-sided Riemann-Liouville
+    integral of that order of each backward mode instead and needs
+    t <= 0; at order 2 - gamma2 its t = 0 limit is the weighted trace
+    phi_k = tau_k.
+    """
+    ts = np.asarray(ts, dtype=float).reshape(-1)
+    sel = slice(None) if modes is None else modes
     op = sol.spec.op
-    lams = sol.lams
-    taus = sol.taus
-    if key == 0.0:
-        vals = taus.copy()
-    elif key > 0.0:
-        zt = -(lams ** 2 / op.p ** op.alpha1) * key ** (op.alpha1 * op.p)
-        decay = mittag_leffler(MLParams(alpha=op.alpha1, beta=1.0), zt)
-        f_funcs = [m.f_k for m in sol.modes]
-        vals = taus * decay + _gk_values(op, lams, f_funcs, key)
-    else:
-        d2, g2 = op.delta2, op.gamma2
-        mt = -key
-        z = -lams ** 2 * mt ** d2
-        phis = np.array([m.phi_k for m in sol.modes])
-        psis = np.array([m.psi_k for m in sol.modes])
-        vals = (phis * mt ** (g2 - 2.0)
-                * mittag_leffler(MLParams(alpha=d2, beta=g2 - 1.0), z)
-                - psis * mt ** (g2 - 1.0)
-                * mittag_leffler(MLParams(alpha=d2, beta=g2), z))
-        f_ws = [
-            (lambda w, f=m.f_k: np.asarray(f(key + w), dtype=float))
-            for m in sol.modes
-        ]
-        vals = vals + _conv_batch(d2, d2, d2 - 1.0, lams ** 2, mt, f_ws)
-    sol._cache[key] = vals
-    return vals
+    lams, taus = sol.lams[sel], sol.taus[sel]
+    f = sol.time_coefs[sel]
+    out = np.empty((lams.size, ts.size))
+    pos, neg = ts > 0.0, ts < 0.0
+    out[:, ~(pos | neg)] = taus[:, None]
+    if pos.any():
+        if order != 0.0:
+            raise ValueError("integrated mode values need t <= 0")
+        a, p = op.alpha1, op.p
+        z = -(lams[:, None] ** 2 / p ** a) * ts[pos] ** (a * p)
+        out[:, pos] = (taus[:, None]
+                       * mittag_leffler(MLParams(alpha=a, beta=1.0), z)
+                       + _forward_particular(op, lams, f, ts[pos]))
+    if neg.any():
+        out[:, neg] = _backward_values(
+            op.delta2, op.gamma2, -lams ** 2, sol.phis[sel], sol.psis[sel],
+            f, -ts[neg], order)
+    return out
 
 
 def _check_point(sol: SeriesSolution, x, t: float):
@@ -605,31 +682,33 @@ def _check_point(sol: SeriesSolution, x, t: float):
         raise ValueError(f"t={t} outside [-T, T] with T={sol.spec.T}")
 
 
+def radial_basis(sol: SeriesSolution, x, order: int = 0) -> np.ndarray:
+    """Synthesis matrix, one row per x and one column per mode: J0(lam x)
+    for u (order 0), -lam J1(lam x) for u_x (order 1) and
+    (lam^2/2)(J2 - J0)(lam x) for u_xx (order 2).  Times a mode_matrix
+    it gives the truncated series or its term-wise derivatives."""
+    lx = np.outer(np.atleast_1d(np.asarray(x, dtype=float)), sol.lams)
+    if order == 0:
+        return bessel_j(0, lx)
+    if order == 1:
+        return -sol.lams * bessel_j(1, lx)
+    return sol.lams ** 2 / 2.0 * (bessel_j(2, lx) - bessel_j(0, lx))
+
+
 def eval_u(sol: SeriesSolution, x, t: float):
     """Truncated series u(x, t); scalar in, scalar out (or ndarray for
     array x).  At t = 0 this is the forward-side trace sum tau_k J0."""
     _check_point(sol, x, t)
-    vals = _mode_values(sol, float(t))
-    xs = np.asarray(x, dtype=float)
-    scalar = xs.ndim == 0
-    basis = bessel_j(0, np.outer(sol.lams, np.atleast_1d(xs)))
-    out = vals @ basis
-    return float(out[0]) if scalar else out
+    out = radial_basis(sol, x) @ mode_matrix(sol, [t])[:, 0]
+    return float(out[0]) if np.ndim(x) == 0 else out
 
 
 def eval_u_derivatives(sol: SeriesSolution, x, t: float):
-    """Term-wise spatial derivatives (u_x, u_xx) at (x, t).
-
-    u_x carries -lam J1(lam x); u_xx carries (lam^2/2)(J2 - J0)."""
+    """Term-wise spatial derivatives (u_x, u_xx) at (x, t)."""
     _check_point(sol, x, t)
-    vals = _mode_values(sol, float(t))
-    xs = np.asarray(x, dtype=float)
-    scalar = xs.ndim == 0
-    xa = np.atleast_1d(xs)
-    lams = sol.lams
-    lx = np.outer(lams, xa)
-    ux = (vals * (-lams)) @ bessel_j(1, lx)
-    uxx = (vals * (lams ** 2 / 2.0)) @ (bessel_j(2, lx) - bessel_j(0, lx))
-    if scalar:
+    vals = mode_matrix(sol, [t])[:, 0]
+    ux = radial_basis(sol, x, 1) @ vals
+    uxx = radial_basis(sol, x, 2) @ vals
+    if np.ndim(x) == 0:
         return float(ux[0]), float(uxx[0])
     return ux, uxx

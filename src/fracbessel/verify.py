@@ -14,7 +14,6 @@ in front of you.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,10 +22,9 @@ from scipy.interpolate import CubicSpline
 from .fracops import (bi_ordinal_hilfer, hyper_bessel_caputo,
                       rl_integral_right)
 from .quadrature import gauss_jacobi_rule
-from .solver import (ModeRecord, ProblemSpec, SeriesSolution, _conv_batch,
-                     _mode_values, compute_Delta_k, delta_limit, eval_u,
-                     eval_u_derivatives)
-from .specfun import MLParams, bessel_j, gamma, mittag_leffler, rgamma
+from .solver import (ModeRecord, ProblemSpec, SeriesSolution, compute_Delta_k,
+                     delta_limit, eval_u, mode_matrix, radial_basis)
+from .specfun import gamma, rgamma
 from .spectrum import eigenvalue_table, fourier_bessel_coeff
 
 __all__ = [
@@ -99,13 +97,9 @@ def _u_scale(sol: SeriesSolution) -> float:
     """Sup of |u| over a coarse lattice, used to scale relative gates."""
     xs = np.linspace(0.0, 1.0, 9)
     T = sol.spec.T
-    ts = [0.0]
-    ts.extend(np.linspace(0.2 * T, T, 4))
-    ts.extend(-np.linspace(0.15 * T, T, 4))
-    best = 0.0
-    for t in ts:
-        best = max(best, float(np.max(np.abs(eval_u(sol, xs, float(t))))))
-    return best
+    ts = np.concatenate([[0.0], np.linspace(0.2 * T, T, 4),
+                         -np.linspace(0.15 * T, T, 4)])
+    return float(np.max(np.abs(radial_basis(sol, xs) @ mode_matrix(sol, ts))))
 
 
 def _power_fit(ws: np.ndarray, vals: np.ndarray, expos) -> tuple:
@@ -154,93 +148,25 @@ def weighted_spline_candidate(u, gamma2: float, span: float, *,
     return wrapped
 
 
-def _snap(x: float, targets=(0.0, 1.0)) -> float:
-    for t in targets:
-        if abs(x - t) < 1e-12:
-            return t
-    return x
+def _mode_fn(sol: SeriesSolution, idx: int):
+    """u_k(t) of one mode, vectorized over t."""
+    return lambda t: mode_matrix(sol, t, modes=[idx])[0]
 
 
-def _warm_cache(sol: SeriesSolution, t_list) -> None:
-    """Fill the per-t mode-value cache for many time points at once.
+def _series_rows(sol: SeriesSolution, xs, node_sets) -> list:
+    """u(x_j, s) as a callable of the node array s, one per x_j, for the
+    quadrature oracles.
 
-    The per-point path loops modes inside one t; here each mode is
-    evaluated over the whole t batch in a single vectorized pass.  The
-    arithmetic per (mode, t) pair is identical, so cached rows match
-    what _mode_values would have produced, at a fraction of the
-    dispatch cost.  Oracle quadratures that sample eval_u densely call
-    this first with their exact node sets.
+    Every array in node_sets, the exact nodes an oracle will pass, is
+    evaluated up front in one mode_matrix call shared by all x_j.
     """
-    need = sorted({float(t) for t in t_list} - set(sol._cache))
-    nm = len(sol.modes)
-    for sign in (-1.0, 1.0):
-        ts = np.array([t for t in need if t * sign > 0.0])
-        if ts.size == 0:
-            continue
-        rows = np.empty((nm, ts.size))
-        for i in range(nm):
-            fn = _backward_mode_fn(sol, i) if sign < 0 else \
-                _forward_mode_fn(sol, i)
-            rows[i] = fn(ts)
-        for j, t in enumerate(ts):
-            sol._cache[float(t)] = rows[:, j].copy()
-
-
-def _forward_mode_fn(sol: SeriesSolution, idx: int):
-    """u_k on t >= 0, vectorized; mirrors the solver's mode formula."""
-    op = sol.spec.op
-    m = sol.modes[idx]
-    lam = m.ev.lam
-    a1, p = op.alpha1, op.p
-    cb = lam ** 2 / p ** a1
-
-    def u(t):
-        ts = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.full(ts.shape, m.tau_k, dtype=float)
-        pos = ts > 0.0
-        if pos.any():
-            tp = ts[pos]
-            hom = m.tau_k * mittag_leffler(
-                MLParams(alpha=a1, beta=1.0), -cb * tp ** (a1 * p))
-            Ws = tp ** p
-            f_ws = [
-                (lambda w, tpv=float(v):
-                 np.asarray(m.f_k(np.maximum(tpv - w, 0.0) ** (1.0 / p)),
-                            dtype=float))
-                for v in Ws
-            ]
-            conv = _conv_batch(a1, a1, a1 - 1.0, np.full(tp.shape, cb),
-                               Ws, f_ws) / p ** a1
-            out[pos] = hom + conv
-        return out if np.ndim(t) else float(out[0])
-
-    return u
-
-
-def _backward_mode_fn(sol: SeriesSolution, idx: int):
-    """u_k on t < 0, vectorized over arrays of negative t."""
-    op = sol.spec.op
-    m = sol.modes[idx]
-    lam = m.ev.lam
-    d2, g2 = op.delta2, op.gamma2
-
-    def u(t):
-        ts = np.atleast_1d(np.asarray(t, dtype=float))
-        mt = -ts
-        z = -lam ** 2 * mt ** d2
-        vals = (m.phi_k * mt ** (g2 - 2.0)
-                * mittag_leffler(MLParams(alpha=d2, beta=g2 - 1.0), z)
-                - m.psi_k * mt ** (g2 - 1.0)
-                * mittag_leffler(MLParams(alpha=d2, beta=g2), z))
-        f_ws = [
-            (lambda w, tv=float(ti): np.asarray(m.f_k(tv + w), dtype=float))
-            for ti in ts
-        ]
-        vals = vals + _conv_batch(d2, d2, d2 - 1.0,
-                                  np.full(ts.shape, lam ** 2), mt, f_ws)
-        return vals if np.ndim(t) else float(vals[0])
-
-    return u
+    basis = radial_basis(sol, xs)
+    vals = basis @ mode_matrix(sol, np.concatenate(node_sets))
+    ends = np.cumsum([len(s) for s in node_sets])[:-1]
+    table = {s.tobytes(): block
+             for s, block in zip(node_sets, np.split(vals, ends, axis=1))}
+    return [lambda s, j=j: table[np.asarray(s, dtype=float).tobytes()][j]
+            for j in range(len(xs))]
 
 
 # ---------------------------------------------------------------------------
@@ -254,18 +180,16 @@ def check_boundary(sol: SeriesSolution, *, tol: float = None) -> list:
     ts.extend(np.linspace(0.15 * T, T, 6))
     ts.extend(-np.linspace(0.1 * T, T, 6))
 
-    wall = max(abs(eval_u(sol, 1.0, float(t))) for t in ts)
+    vals = mode_matrix(sol, ts)
+    wall = float(np.max(np.abs(radial_basis(sol, 1.0) @ vals)))
     checks = [CheckResult(
         "boundary_wall_value", 0.0, wall, atol, wall <= atol,
         "zero Dirichlet value at the outer wall over a t sample; with "
         "refined eigenvalues this sits at roundoff")]
 
     xsmall = (1e-2, 1e-3, 1e-4)
-    flux = [
-        max(abs(x * eval_u_derivatives(sol, float(x), float(t))[0])
-            for t in ts)
-        for x in xsmall
-    ]
+    flux = [float(np.max(np.abs(x * (radial_basis(sol, x, 1) @ vals))))
+            for x in xsmall]
     ok = flux[0] >= flux[1] >= flux[2] and flux[2] <= atol
     checks.append(CheckResult(
         "boundary_axis_flux", 0.0, flux[2], atol, ok,
@@ -291,13 +215,10 @@ def _interface_profiles(sol: SeriesSolution, xs: np.ndarray,
             out[i] = eval_u(sol, xs, -float(w))
         return out
     rule = gauss_jacobi_rule(n, a - 1.0, g2 - 2.0)
-    warm = np.concatenate([-float(w) * (1.0 - rule.nodes) for w in ws])
-    _warm_cache(sol, warm)
+    rows = _series_rows(sol, xs,
+                        [-float(w) * (1.0 - rule.nodes) for w in ws])
     for i, w in enumerate(ws):
-        for j, x in enumerate(xs):
-            def g(s, xj=float(x)):
-                sv = np.atleast_1d(np.asarray(s, dtype=float))
-                return np.array([eval_u(sol, xj, float(si)) for si in sv])
+        for j, g in enumerate(rows):
             out[i, j] = rl_integral_right(a, g, -float(w), quad=rule,
                                           singular_exponent=g2 - 2.0)
     return out
@@ -360,10 +281,7 @@ def check_gluing(sol: SeriesSolution, *, rel_tol: float = None) -> list:
         f"at 11 x points; |u| scale {unorm:.3e}"))
 
     # (c) left derivative trace against its coefficient target
-    lams = sol.lams
-    basis = bessel_j(0, np.outer(lams, xs))
-    psis = np.array([m.psi_k for m in sol.modes])
-    dpsi = psis @ basis
+    dpsi = radial_basis(sol, xs) @ sol.psis
     scale_c = max(float(np.max(np.abs(dpsi))), unorm, floor)
     res_c = float(np.max(np.abs(deriv_left - dpsi)))
     tol_c = rel * scale_c
@@ -391,15 +309,12 @@ def check_gluing(sol: SeriesSolution, *, rel_tol: float = None) -> list:
         cb = m.ev.lam ** 2 / p ** a1
         t_hi = min((0.05 / cb) ** (1.0 / pa1), 0.45 * T)
         ts = np.geomspace(t_hi / 20.0, t_hi, 8)
-        _warm_cache(sol, np.concatenate([ts + 0.02 * ts, ts - 0.02 * ts]))
-        gk = np.empty(len(ts))
-        for i, t in enumerate(ts):
-            h = 0.02 * t
-            fp = fourier_bessel_coeff(
-                lambda x: eval_u(sol, x, float(t + h)), m.ev, quad=proj_rule)
-            fm = fourier_bessel_coeff(
-                lambda x: eval_u(sol, x, float(t - h)), m.ev, quad=proj_rule)
-            gk[i] = t ** (1.0 - pa1) * (fp - fm) / (2.0 * h)
+        h = 0.02 * ts
+        vals = mode_matrix(sol, np.concatenate([ts + h, ts - h]))
+        fk = [fourier_bessel_coeff(lambda x, v=v: radial_basis(sol, x) @ v,
+                                   m.ev, quad=proj_rule) for v in vals.T]
+        gk = (ts ** (1.0 - pa1) * (np.array(fk[:len(ts)])
+                                   - np.array(fk[len(ts):])) / (2.0 * h))
         es2, coef2 = _power_fit(ts, gk, (0.0, pa1, 1.0, 2.0 * pa1))
         b0 = float(coef2[_expo_index(es2, 0.0)])
         target = (p ** (1.0 - a1)
@@ -432,36 +347,16 @@ def check_nonlocal(sol: SeriesSolution, *, rel_tol: float = None) -> list:
     unorm = _u_scale(sol)
     floor = 1e-300
     a = op.hilfer_inner_order
-    d2, g2 = op.delta2, op.gamma2
+    g2 = op.gamma2
     xs = np.linspace(0.0, 1.0, 21)
-    lams = sol.lams
-    basis = bessel_j(0, np.outer(lams, xs))
+    basis = radial_basis(sol, xs).T
     uT = eval_u(sol, xs, spec.T)
 
-    # route 1: termwise shift
-    terms = np.zeros(len(lams))
+    # route 1: each backward mode integrated analytically
+    terms = np.zeros(len(sol.modes))
     for pi, xi in spec.nonlocal_points:
-        if pi == 0.0:
-            continue
-        mt = -xi
-        z = -lams ** 2 * mt ** d2
-        e_phi = _snap(g2 - 2.0 + a)
-        e_psi = _snap(g2 - 1.0 + a)
-        phis = np.array([m.phi_k for m in sol.modes])
-        psis = np.array([m.psi_k for m in sol.modes])
-        shifted = (phis * mt ** e_phi
-                   * mittag_leffler(MLParams(alpha=d2, beta=g2 - 1.0 + a), z)
-                   - psis * mt ** e_psi
-                   * mittag_leffler(MLParams(alpha=d2, beta=g2 + a), z))
-        if mt > 0.0:
-            f_ws = [
-                (lambda w, f=m.f_k, x0=float(xi):
-                 np.asarray(f(x0 + w), dtype=float))
-                for m in sol.modes
-            ]
-            shifted = shifted + _conv_batch(d2, d2 + a, d2 + a - 1.0,
-                                            lams ** 2, mt, f_ws)
-        terms = terms + pi * shifted
+        if pi != 0.0:
+            terms = terms + pi * mode_matrix(sol, [xi], order=a)[:, 0]
     r1 = terms @ basis - uT
     res1 = float(np.max(np.abs(r1)))
     tol_n = rel * max(unorm, floor)
@@ -475,25 +370,20 @@ def check_nonlocal(sol: SeriesSolution, *, rel_tol: float = None) -> list:
     # check_gluing exercises independently
     r2 = -uT.copy()
     err = np.zeros(len(xs))
-    if a > 0.0:
+    hist = [float(xi) for pi, xi in spec.nonlocal_points
+            if pi != 0.0 and xi != 0.0]
+    if a > 0.0 and hist:
         rule_lo = gauss_jacobi_rule(112, a - 1.0, g2 - 2.0)
         rule_hi = gauss_jacobi_rule(160, a - 1.0, g2 - 2.0)
-        warm = [float(xi) * (1.0 - r.nodes)
-                for pi, xi in spec.nonlocal_points if pi != 0.0 and xi != 0.0
-                for r in (rule_hi, rule_lo)]
-        if warm:
-            _warm_cache(sol, np.concatenate(warm))
+        rows = _series_rows(sol, xs, [xi * (1.0 - r.nodes) for xi in hist
+                                      for r in (rule_hi, rule_lo)])
     for pi, xi in spec.nonlocal_points:
         if pi == 0.0:
             continue
         if xi == 0.0 or a == 0.0:
-            at = 0.0 if xi == 0.0 else float(xi)
-            r2 = r2 + pi * eval_u(sol, xs, at)
+            r2 = r2 + pi * eval_u(sol, xs, float(xi))
             continue
-        for j, x in enumerate(xs):
-            def g(s, xj=float(x)):
-                sv = np.atleast_1d(np.asarray(s, dtype=float))
-                return np.array([eval_u(sol, xj, float(si)) for si in sv])
+        for j, g in enumerate(rows):
             v_hi = rl_integral_right(a, g, float(xi), quad=rule_hi,
                                      singular_exponent=g2 - 2.0)
             v_lo = rl_integral_right(a, g, float(xi), quad=rule_lo,
@@ -539,15 +429,15 @@ def check_mode_odes(sol: SeriesSolution, k_max: int, *,
     for idx in range(k_max):
         m = sol.modes[idx]
         lam = m.ev.lam
+        uk = _mode_fn(sol, idx)
 
-        ufwd = _forward_mode_fn(sol, idx)
-        uvals = ufwd(np.array(fwd_ts))
+        uvals = uk(np.array(fwd_ts))
         fvals = np.asarray(m.f_k(np.array(fwd_ts)), dtype=float)
         scale = max(lam ** 2 * float(np.max(np.abs(uvals))),
                     float(np.max(np.abs(fvals))), floor)
         worst = 0.0
         for t, uv, fv in zip(fwd_ts, uvals, fvals):
-            Lu = hyper_bessel_caputo(op, ufwd, float(m.tau_k), float(t),
+            Lu = hyper_bessel_caputo(op, uk, float(m.tau_k), float(t),
                                      n=192)
             worst = max(worst, abs(Lu + lam ** 2 * uv - fv) / scale)
         checks.append(CheckResult(
@@ -556,14 +446,13 @@ def check_mode_odes(sol: SeriesSolution, k_max: int, *,
             "relaxation equation residual on t > 0, derivative by "
             "independent quadrature oracle"))
 
-        ubwd = _backward_mode_fn(sol, idx)
-        uvals = ubwd(np.array(bwd_ts))
+        uvals = uk(np.array(bwd_ts))
         fvals = np.asarray(m.f_k(np.array(bwd_ts)), dtype=float)
         scale = max(lam ** 2 * float(np.max(np.abs(uvals))),
                     float(np.max(np.abs(fvals))), floor)
         span = 1.02 * max(-t for t in bwd_ts)
         uspl = weighted_spline_candidate(
-            ubwd, g2, span, knot0=m.phi_k * rgamma(g2 - 1.0))
+            uk, g2, span, knot0=m.phi_k * rgamma(g2 - 1.0))
         worst = 0.0
         for t, uv, fv in zip(bwd_ts, uvals, fvals):
             Du = bi_ordinal_hilfer(op, uspl, float(t), n=160,
@@ -653,11 +542,9 @@ def check_decay_rates(sol: SeriesSolution) -> list:
          "projected forcing coefficients"),
         ("decay_primary_coeff", np.abs(sol.taus), -3.5, -3.2,
          "forward trace coefficients"),
-        ("decay_weighted_trace_coeff",
-         np.abs(np.array([m.phi_k for m in sol.modes])), -3.5, -3.2,
+        ("decay_weighted_trace_coeff", np.abs(sol.phis), -3.5, -3.2,
          "backward weighted-trace coefficients"),
-        ("decay_derivative_trace_coeff",
-         np.abs(np.array([m.psi_k for m in sol.modes])), -1.5, -1.2,
+        ("decay_derivative_trace_coeff", np.abs(sol.psis), -1.5, -1.2,
          "backward derivative-trace coefficients"),
     ]
     checks = []

@@ -18,8 +18,9 @@ from fracbessel.cli import EXIT_SOLVABILITY, main
 from fracbessel.fracops import (OperatorParams, bi_ordinal_hilfer,
                                 hyper_bessel_caputo)
 from fracbessel.solver import (Forcing, ModeRecord, ProblemSpec,
-                               cauchy_solution, compute_Delta_k, delta_limit,
-                               eval_u, solve_modes)
+                               TimeCoefficient, cauchy_solution,
+                               compute_Delta_k, delta_limit, eval_u,
+                               solve_modes)
 from fracbessel.specfun import MLParams, gamma, mittag_leffler, rgamma
 from fracbessel.spectrum import bessel_zero
 from fracbessel.verify import weighted_spline_candidate
@@ -103,8 +104,7 @@ def test_criterion_04_backward_cauchy_plug_back(criterion):
     worst = 0.0
     lam_coeff = -4.0
 
-    def g(t):
-        return 1.0 + 0.3 * np.asarray(t)
+    g = TimeCoefficient(poly=(1.0, 0.3))
 
     for params, xi0, xi1 in [((1.5, 1.2, 0.5), 0.8, -0.5),
                              ((1.8, 1.5, 0.3), 0.8, -0.5),

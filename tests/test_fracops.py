@@ -18,7 +18,7 @@ from fracbessel.errors import NumericError
 from fracbessel.fracops import (OperatorParams, bi_ordinal_hilfer,
                                 ek_derivative, ek_integral,
                                 hyper_bessel_caputo, rl_integral_right)
-from fracbessel.solver import cauchy_solution
+from fracbessel.solver import TimeCoefficient, cauchy_solution
 from fracbessel.specfun import MLParams, gamma, mittag_leffler, rgamma
 from fracbessel.spectrum import bessel_zero
 from fracbessel.verify import weighted_spline_candidate
@@ -321,9 +321,7 @@ class TestCauchyPlugBack:
         g2, d2 = op.gamma2, op.delta2
         lam_coeff = -4.0
 
-        def g(t):
-            return 1.0 + 0.3 * np.asarray(t)
-
+        g = TimeCoefficient(poly=(1.0, 0.3))
         u = cauchy_solution(lam_coeff, alpha2, beta2, mu, xi0, xi1, g)
         cand = weighted_spline_candidate(u, g2, 1.0,
                                          knot0=xi0 * rgamma(g2 - 1.0))
@@ -343,7 +341,7 @@ class TestCauchyPlugBack:
         g2 = op.gamma2
         xi0, xi1 = 0.8, -0.5
         u = cauchy_solution(-4.0, alpha2, beta2, mu, xi0, xi1,
-                            lambda t: np.zeros_like(np.asarray(t)))
+                            TimeCoefficient(poly=(0.0,)))
         # I^{2-g2} u -> xi0 * 1/Gamma(g2-1) * Gamma(g2-1) = xi0 ... the
         # raw weighted limit of u itself is xi0/Gamma(g2-1):
         q = 1e-7
@@ -352,7 +350,7 @@ class TestCauchyPlugBack:
 
     def test_rejects_forward_times(self):
         u = cauchy_solution(-4.0, 1.5, 1.2, 0.5, 1.0, 0.0,
-                            lambda t: np.zeros_like(np.asarray(t)))
+                            TimeCoefficient(poly=(0.0,)))
         with pytest.raises(ValueError):
             u(0.3)
         with pytest.raises(ValueError):

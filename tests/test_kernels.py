@@ -1,0 +1,199 @@
+"""Closed-form mode kernels against routes they were not built from.
+
+mode_matrix integrates the forcing against the Mittag-Leffler kernels in
+closed form.  Here the same mode values are rebuilt by an independent
+panel quadrature in the scaled variable v = c w^d (n = 48 per panel,
+with panel edges at the kinks of tabulated data), the convolution
+identity behind every closed form is checked against mpmath, and so is
+a single kink next to either end of a convolution.
+"""
+
+import math
+
+import mpmath as mp
+import numpy as np
+import pytest
+
+from fracbessel.fracops import OperatorParams
+from fracbessel.quadrature import gauss_jacobi_rule, gauss_legendre_rule
+from fracbessel.solver import (Forcing, ModeRecord, ProblemSpec,
+                               SeriesSolution, TimeCoefficient, mode_matrix,
+                               solve_modes)
+from fracbessel.specfun import MLParams, mittag_leffler
+from fracbessel.spectrum import Eigenvalue
+
+# ---------------------------------------------------------------------------
+# the quadrature route
+#
+# Every convolution is int_0^W w^q E_{d,beta}(-cb w^d) f(w) dw.  In the
+# scaled variable v = cb w^d the kernel is entire, so geometric panels in
+# v converge uniformly in lambda.  Optional breaks (in w) become panel
+# edges, for forcing with kinks.
+
+QUAD_NODES = 48
+
+
+def _v_grid(C, e, n, breaks=()):
+    """Nodes and weights for int_0^C v^e g(v) dv: a Jacobi first panel
+    ending at min(1, C), then a ratio-4 geometric ladder of Legendre
+    panels, every panel also split at the given breaks."""
+    edges = [min(1.0, C)]
+    while edges[-1] < C * (1.0 - 1e-12):
+        edges.append(min(C, 4.0 * edges[-1]))
+    edges = np.unique(np.concatenate([edges, [b for b in breaks if b < C]]))
+    b0 = edges[0]
+    rule0 = (gauss_jacobi_rule(n, e, 0.0) if e != 0.0
+             else gauss_legendre_rule(n))
+    vs = [b0 * rule0.nodes]
+    ws = [b0 ** (e + 1.0) * rule0.weights]
+    glr = gauss_legendre_rule(n)
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        vv = lo + (hi - lo) * glr.nodes
+        vs.append(vv)
+        ws.append((hi - lo) * glr.weights * vv ** e)
+    return np.concatenate(vs), np.concatenate(ws)
+
+
+def quad_conv(delta, beta, q, cb, W, f, breaks=(), n=QUAD_NODES):
+    """int_0^W w^q E_{delta,beta}(-cb w^delta) f(w) dw by v-panels."""
+    if W == 0.0:
+        return 0.0
+    e = (q + 1.0) / delta - 1.0
+    C = cb * W ** delta
+    v, w = _v_grid(C, e, n, [cb * b ** delta for b in breaks])
+    kern = mittag_leffler(MLParams(alpha=delta, beta=beta), -v)
+    fv = np.asarray(f((v / cb) ** (1.0 / delta)), dtype=float)
+    return cb ** (-(q + 1.0) / delta) / delta * float(w @ (kern * fv))
+
+
+def quad_mode(sol, idx, t):
+    """u_k(t) of one mode with the convolution done by quad_conv."""
+    op = sol.spec.op
+    m = sol.modes[idx]
+    lam = m.ev.lam
+    f = m.f_k
+    kinks = f.t_grid if f.t_grid is not None else np.empty(0)
+    if t > 0.0:
+        a, p = op.alpha1, op.p
+        cb = lam ** 2 / p ** a
+        W = t ** p
+        hom = m.tau_k * float(mittag_leffler(MLParams(alpha=a, beta=1.0),
+                                             -cb * W ** a))
+        conv = quad_conv(a, a, a - 1.0, cb, W,
+                         lambda w: f(np.maximum(W - w, 0.0) ** (1.0 / p)),
+                         breaks=W - kinks[(kinks > 0.0) & (kinks < t)] ** p)
+        return hom + conv / p ** a
+    d2, g2 = op.delta2, op.gamma2
+    W = -t
+    z = -lam ** 2 * W ** d2
+    hom = (m.phi_k * W ** (g2 - 2.0)
+           * float(mittag_leffler(MLParams(alpha=d2, beta=g2 - 1.0), z))
+           - m.psi_k * W ** (g2 - 1.0)
+           * float(mittag_leffler(MLParams(alpha=d2, beta=g2), z)))
+    conv = quad_conv(d2, d2, d2 - 1.0, lam ** 2, W, lambda w: f(t + w),
+                     breaks=kinks[(kinks > t) & (kinks < 0.0)] - t)
+    return hom + conv
+
+
+# ---------------------------------------------------------------------------
+# instances
+
+
+def _tabulated_forcing():
+    xg = np.linspace(0.0, 1.0, 41)
+    tg = np.linspace(-1.0, 1.0, 33)
+    samples = (xg[:, None] ** 4 * (1.0 - xg[:, None]) ** 3
+               * (1.0 + 0.5 * np.sin(2.0 * tg[None, :])))
+    return Forcing(kind="tabulated", x_grid=tuple(xg), t_grid=tuple(tg),
+                   samples=tuple(map(tuple, samples)))
+
+
+@pytest.fixture(scope="module",
+                params=["builtin", "tabulated", "tabulated-p1"])
+def small_solution(request, default_op):
+    """README operator (p = 0.8) with either forcing, and tabulated
+    forcing at theta = 0, where the forward hinges have closed forms."""
+    forcing = (Forcing(kind="separable_builtin", space_poly=(1.0,),
+                       time_poly=(1.0, 0.5))
+               if request.param == "builtin" else _tabulated_forcing())
+    op = (OperatorParams(0.7, 0.0, 1.5, 1.2, 0.5)
+          if request.param == "tabulated-p1" else default_op)
+    return solve_modes(ProblemSpec(op=op, T=1.0,
+                                   nonlocal_points=((0.6, -1.0),),
+                                   forcing=forcing, N=10))
+
+
+class TestAgainstQuadratureRoute:
+    @pytest.mark.parametrize("k", [1, 3, 10])
+    @pytest.mark.parametrize("side", [-1.0, 1.0])
+    def test_mode_values_agree(self, small_solution, k, side):
+        ts = side * np.array([0.013, 0.08, 0.31, 0.55, 0.77, 1.0])
+        got = mode_matrix(small_solution, ts, modes=[k - 1])[0]
+        want = np.array([quad_mode(small_solution, k - 1, t) for t in ts])
+        gap = float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+        assert gap <= 1e-7, f"k={k} side={side}: relative gap {gap:.2e}"
+
+
+# ---------------------------------------------------------------------------
+# the convolution identity, by mpmath
+
+
+def _ml_mp(a, b, terms=120):
+    """E_{a,b} as a callable: its Taylor series at the working precision,
+    enough terms for |z| <= 40 at a >= 0.7."""
+    coef = [mp.rgamma(mp.mpf(a) * n + b) for n in range(terms)][::-1]
+    return lambda z: mp.polyval(coef, z)
+
+
+@pytest.mark.parametrize("alpha,beta,gam,c,W", [
+    (0.7, 0.7, 1.0, 6.5, 1.0),          # forward, constant term
+    (0.7, 0.7, 1.0 + 1.0 / 0.8, 6.5, 0.9),  # forward, t^1 at p = 0.8
+    (1.35, 1.35, 2.0, 5.8, 0.6),        # backward, linear term
+    (1.35, 1.75, 2.0, 30.5, 1.0),       # history kernel, beta = d2 + a
+    (1.9, 1.9, 3.0, 12.0, 0.8),         # backward, quadratic term
+])
+def test_closed_form_identity(alpha, beta, gam, c, W):
+    """int_0^W w^{beta-1} E_{alpha,beta}(-c w^alpha) (W-w)^{gam-1} dw
+    = Gamma(gam) W^{beta+gam-1} E_{alpha,beta+gam}(-c W^alpha)."""
+    with mp.workdps(25):
+        a, b, g = mp.mpf(alpha), mp.mpf(beta), mp.mpf(gam)
+        ml = _ml_mp(a, b)
+        lhs = mp.quad(lambda w: w ** (b - 1) * ml(-c * w ** a)
+                      * (W - w) ** (g - 1), [0, W / 2, W])
+    rhs = (math.gamma(gam) * W ** (beta + gam - 1.0)
+           * float(mittag_leffler(MLParams(alpha, beta + gam),
+                                  -c * W ** alpha)))
+    assert abs(rhs - float(lhs)) <= 1e-12 * abs(float(lhs))
+
+
+# ---------------------------------------------------------------------------
+# a hinge at either end of the convolution
+
+
+@pytest.mark.parametrize("frac", [1e-8, 1.0 - 1e-8])
+def test_hinge_at_either_end(default_op, frac):
+    """f_k(t) = (-t - y_j)_+ is one hinge; at t = -W its convolution is
+    int_0^x w^{d-1} E_{d,d}(-lam^2 w^d) (x - w) dw with x = W - y_j.  The
+    kink sits next to t = 0 (frac 1e-8) or next to t (frac 1 - 1e-8).
+    The closed form is written in x itself rather than as a difference
+    of kernel integrals up to W and up to y_j, so it keeps full relative
+    accuracy at both ends."""
+    op = default_op
+    d = op.delta2
+    lam, W = 2.4, 0.7
+    yj = frac * W
+    x = W - yj
+    coef = TimeCoefficient(t_grid=np.array([-1.0, -yj, 0.0, 1.0]),
+                           values=np.array([1.0 - yj, 0.0, 0.0, 0.0]))
+    spec = ProblemSpec(op=op, T=1.0, nonlocal_points=((0.6, -1.0),),
+                       forcing=Forcing(), N=1)
+    mode = ModeRecord(ev=Eigenvalue(k=1, lam=lam, norm_sq=0.5), f_k=coef,
+                      tau_k=0.0, phi_k=0.0, psi_k=0.0, op=op)
+    sol = SeriesSolution(spec=spec, modes=(mode,), tail_estimate=0.0)
+    got = mode_matrix(sol, [-W])[0, 0]
+    with mp.workdps(25):
+        ml = _ml_mp(d, d)
+        want = float(mp.quad(lambda w: w ** (d - 1) * (x - w)
+                             * ml(-lam ** 2 * w ** d), [0, x]))
+    assert want > 0.0
+    assert abs(got - want) <= 1e-12 * want

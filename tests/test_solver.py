@@ -10,9 +10,10 @@ from fracbessel.errors import SolvabilityError
 from fracbessel.fracops import OperatorParams
 from fracbessel.quadrature import gauss_jacobi_rule
 from fracbessel.solver import (Forcing, ModeRecord, ProblemSpec,
-                               SeriesSolution, compute_Delta_k, compute_Fk,
-                               compute_Gk, delta_limit, eval_u,
-                               eval_u_derivatives, solve_modes)
+                               SeriesSolution, TimeCoefficient,
+                               compute_Delta_k, compute_Fk, compute_Gk,
+                               delta_limit, eval_u, eval_u_derivatives,
+                               solve_modes)
 from fracbessel.specfun import (MLParams, bessel_j, gamma, mittag_leffler,
                                 rgamma)
 from fracbessel.spectrum import Eigenvalue, bessel_zero, eigenvalue_table
@@ -21,8 +22,22 @@ DEFAULT_FORCING = Forcing(kind="separable_builtin", space_poly=(1.0,),
                           time_poly=(1.0, 0.5))
 
 
-def ones(t):
-    return np.ones_like(np.asarray(t, dtype=float))
+ones = TimeCoefficient(poly=(1.0,))
+
+
+def mapped_Gk(mode, op, t, rule):
+    """G_k(t) by the tau = t*y mapping onto [0, 1], whose Jacobi weight
+    y^{p-1}(1-y)^{a-1} the caller's rule must carry; converges slowly
+    in lambda, so it serves only as a cross-check."""
+    a, p = op.alpha1, op.p
+    y = rule.nodes
+    wpow = 1.0 - y ** p
+    smooth = (wpow / (1.0 - y)) ** (a - 1.0)
+    tp = t ** (p * a)
+    kern = mittag_leffler(MLParams(alpha=a, beta=a),
+                          -(mode.ev.lam ** 2 / p ** a) * tp * wpow ** a)
+    fv = np.asarray(mode.f_k(t * y), dtype=float)
+    return tp * p ** (1.0 - a) * float(rule.weights @ (kern * fv * smooth))
 
 
 def small_spec(op, N=6, points=((0.6, -1.0),), forcing=DEFAULT_FORCING):
@@ -142,9 +157,8 @@ class TestGkClosedForms:
         sol = solve_modes(spec)
         m = sol.modes[0]
         rule = gauss_jacobi_rule(320, op.p - 1.0, op.alpha1 - 1.0)
-        direct = compute_Gk(m, 0.35)
-        mapped = compute_Gk(m, 0.35, quad=rule)
-        assert_allclose(mapped, direct, rtol=1e-5)
+        assert_allclose(mapped_Gk(m, op, 0.35, rule), compute_Gk(m, 0.35),
+                        rtol=1e-5)
 
 
 class TestFk:
@@ -171,18 +185,26 @@ class TestFk:
                             err_msg=f"k={m.ev.k}")
 
     def test_quad_route_where_weights_coincide(self):
-        """The caller-rule route shares one rule between the terminal
-        and history terms, so it is exercised at a parameter point
-        where both carry the same Jacobi pair."""
+        """At this parameter point the mapped terminal and history
+        integrals carry the same Jacobi pair, so one rule assembles the
+        whole of F_k here from its definition."""
         op = OperatorParams(1.0, -0.3, 1.3, 1.5, 1.0)
         spec = small_spec(op, N=4)
         sol = solve_modes(spec)
         m = sol.modes[1]
-        pair = (op.delta2 - op.gamma2 + 1.0, 0.0)
+        d2, g2 = op.delta2, op.gamma2
+        pair = (d2 - g2 + 1.0, 0.0)
         assert pair[0] == pytest.approx(op.p - 1.0)
         rule = gauss_jacobi_rule(192, *pair)
-        assert_allclose(compute_Fk(m, spec, quad=rule),
-                        compute_Fk(m, spec), rtol=1e-6)
+        total = mapped_Gk(m, op, spec.T, rule)
+        x = rule.nodes
+        for p_i, xi in spec.nonlocal_points:
+            kern = mittag_leffler(MLParams(alpha=d2, beta=d2 - g2 + 2.0),
+                                  -m.ev.lam ** 2 * (-xi) ** d2 * x ** d2)
+            fv = np.asarray(m.f_k(xi * (1.0 - x)), dtype=float)
+            total -= p_i * (-xi) ** (d2 - g2 + 2.0) * float(
+                rule.weights @ (kern * fv))
+        assert_allclose(total, compute_Fk(m, spec), rtol=1e-6)
 
 
 class TestDeltaK:
@@ -297,6 +319,21 @@ class TestSolveInvariants:
         assert np.all(np.diff(sol.lams) > 0.0)
         assert math.isfinite(sol.tail_estimate)
         assert sol.tail_estimate >= 0.0
+
+    def test_mode_arrays_are_read_only(self, default_solution):
+        sol = default_solution
+        for name, attr in (("lams", lambda m: m.ev.lam),
+                           ("taus", lambda m: m.tau_k),
+                           ("phis", lambda m: m.phi_k),
+                           ("psis", lambda m: m.psi_k)):
+            arr = getattr(sol, name)
+            assert not arr.flags.writeable, name
+            assert arr.tolist() == [attr(m) for m in sol.modes], name
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+        assert sol.lams is sol.lams  # built once, not on every access
+        with pytest.raises(AttributeError):
+            sol.taus = np.zeros(sol.spec.N)
 
     def test_modes_must_stay_sorted(self, default_op):
         m2 = ModeRecord(ev=bessel_zero(2), f_k=ones, op=default_op)

@@ -14,7 +14,8 @@ from fracbessel.spectrum import bessel_zero
 from fracbessel.verify import (CheckResult, VerificationReport,
                                check_boundary, check_decay_rates,
                                check_delta_asymptote, check_mode_odes,
-                               verify_solution, weighted_spline_candidate)
+                               check_nonlocal, verify_solution,
+                               weighted_spline_candidate)
 
 STRUCTURAL_ROWS = {
     "boundary_wall_value", "boundary_axis_flux",
@@ -65,6 +66,44 @@ class TestFullDefaultRun:
         assert by_name["nonlocal_oracle_route"].measured_value <= 1e-5
         # decay slopes came from a real fit at N = 50
         assert by_name["decay_primary_coeff"].measured_value < -3.2
+
+
+class TestConvolutionAccuracyRegressions:
+    """Inputs that failed their rows, at unchanged gates, while the mode
+    convolutions were computed by panel quadrature: its ~1e-7 relative
+    error, not the gates, was at fault."""
+
+    @pytest.mark.parametrize("op_args,N,time_poly", [
+        ((0.7, 0.2, 1.5, 1.2, 0.5), 10, (2.0, 1.0)),
+        ((0.5, -0.3, 1.9, 1.6, 0.3), 30, (1.0, 0.5)),
+    ])
+    def test_nonlocal_route_agreement(self, op_args, N, time_poly):
+        spec = ProblemSpec(
+            op=OperatorParams(*op_args), T=1.0,
+            nonlocal_points=((0.6, -1.0),),
+            forcing=Forcing(kind="separable_builtin", space_poly=(1.0,),
+                            time_poly=time_poly), N=N)
+        rows = {c.name: c for c in check_nonlocal(solve_modes(spec))}
+        row = rows["nonlocal_route_agreement"]
+        assert row.tolerance == pytest.approx(1e-10)
+        assert row.passed, f"{row.measured_value:.3e} > {row.tolerance:.1e}"
+
+    def test_tabulated_backward_mode_ode(self, default_op):
+        """x^4 (1-x)^3 (1 + 0.5 sin 2t) on 41 x 33 samples: the
+        piecewise-linear f_k has a kink at every sample time."""
+        xg = np.linspace(0.0, 1.0, 41)
+        tg = np.linspace(-1.0, 1.0, 33)
+        samples = (xg[:, None] ** 4 * (1.0 - xg[:, None]) ** 3
+                   * (1.0 + 0.5 * np.sin(2.0 * tg[None, :])))
+        spec = ProblemSpec(
+            op=default_op, T=1.0, nonlocal_points=((0.6, -1.0),),
+            forcing=Forcing(kind="tabulated", x_grid=tuple(xg),
+                            t_grid=tuple(tg),
+                            samples=tuple(map(tuple, samples))), N=30)
+        rows = {c.name: c for c in check_mode_odes(solve_modes(spec), 1)}
+        row = rows["mode_ode_backward_k01"]
+        assert row.tolerance == 1e-3
+        assert row.passed, f"{row.measured_value:.3e} > {row.tolerance:.1e}"
 
 
 class TestCustomTolerances:

@@ -92,16 +92,23 @@ GRID_A = [0.3, 0.5, 0.6, 0.7, 0.8, 0.9, 0.99, 1.01, 1.2, 1.35, 1.4, 1.5,
 GRID_B = [0.6, 1.0, 1.2, 1.35, 1.6, 2.0, 2.35]
 GRID_Z = [-1e8, -1e6, -4e4, -1000.0, -200.0, -80.0, -30.0, -12.0, -5.0,
           -2.0, -0.5, -0.1, 0.1, 0.5, 3.0, 10.0, 25.0]
+# The closed-form mode kernels raise beta by the convolution power:
+# alpha1 + m/p + 1 forward, delta2 + m + 1 backward, delta2 + a + m + 1
+# in the history terms, which reaches past GRID_B for the operators in
+# use.  Those betas get their own block after the main grid.
+GRID_A_HIGH_B = [0.7, 1.2, 1.35, 1.5, 2.0]
+GRID_HIGH_B = [2.7, 2.95, 3.35, 3.75]
 
 
 def gen_table():
     rows = []
-    for a in GRID_A:
-        for b in GRID_B:
-            for z in GRID_Z:
-                if z > 0 and z ** (1.0 / a) > 600.0:
-                    continue  # overflow territory, no finite reference
-                rows.append((a, b, z, ml_reference(a, b, z)))
+    for grid_a, grid_b in ((GRID_A, GRID_B), (GRID_A_HIGH_B, GRID_HIGH_B)):
+        for a in grid_a:
+            for b in grid_b:
+                for z in GRID_Z:
+                    if z > 0 and z ** (1.0 / a) > 600.0:
+                        continue  # overflow territory, no finite reference
+                    rows.append((a, b, z, ml_reference(a, b, z)))
     return rows
 
 
