@@ -3,13 +3,12 @@
 Every convolution kernel in the package has endpoint behaviour
 x^a (1-x)^b with known exponents, so the natural tool is Gauss-Jacobi:
 the rule absorbs the weight and sees only the smooth factor.  A plain
-Gauss-Legendre rule and a graded trapezoid rule (for oracles that want
-a method with a completely different error structure) round out the set.
+Gauss-Legendre rule rounds out the set.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -19,7 +18,6 @@ __all__ = [
     "QuadratureRule",
     "gauss_jacobi_rule",
     "gauss_legendre_rule",
-    "graded_trapezoid_rule",
 ]
 
 
@@ -123,39 +121,4 @@ def gauss_legendre_rule(n: int) -> QuadratureRule:
         weights=rule.weights,
         exponent_pair=(0.0, 0.0),
         degree=rule.degree,
-    )
-
-
-def graded_trapezoid_rule(n: int, grading: float = 3.0,
-                          exponent_pair: tuple = (0.0, 0.0)) -> QuadratureRule:
-    """Composite trapezoid rule on a mesh graded toward both endpoints.
-
-    Built for oracle duty: its error behaves completely differently
-    from a Gauss rule's, which is what makes agreement between the two
-    meaningful.  The mesh clusters like (j/n)^grading near 0 and 1 so
-    that mild endpoint singularities (the ``exponent_pair``) do not
-    wreck the convergence rate; panels are sampled at their midpoints
-    (the endpoint-open member of the trapezoid family), the weight is
-    applied pointwise, and nodes sit strictly inside the interval so
-    negative exponents stay finite.  Unlike the Gauss rules it is exact
-    for nothing; it converges, slowly and predictably.
-    """
-    if n < 4:
-        raise ValueError("graded rule needs at least 4 panels")
-    if grading < 1.0:
-        raise ValueError("grading must be >= 1")
-    a, b = (float(exponent_pair[0]), float(exponent_pair[1]))
-    # Symmetric graded mesh on [0, 1] via midpoint offsets.
-    half = n // 2
-    left = 0.5 * (np.arange(half + 1) / half) ** grading
-    mesh = np.concatenate([left, 1.0 - left[-2::-1]])
-    mids = 0.5 * (mesh[1:] + mesh[:-1])
-    lens = np.diff(mesh)
-    weights = lens * mids ** a * (1.0 - mids) ** b
-    return QuadratureRule(
-        kind="graded_trapezoid",
-        nodes=mids,
-        weights=weights,
-        exponent_pair=(a, b),
-        degree=1 if (a == 0.0 and b == 0.0) else 0,
     )

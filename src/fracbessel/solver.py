@@ -26,7 +26,7 @@ from .errors import SolvabilityError
 from .fracops import OperatorParams
 from .quadrature import gauss_jacobi_rule, gauss_legendre_rule
 from .specfun import MLParams, bessel_j, gamma, mittag_leffler
-from .spectrum import Eigenvalue, eigenvalue_table, fourier_bessel_coeff
+from .spectrum import Eigenvalue, eigenvalue_table, fourier_bessel_table
 
 __all__ = [
     "Forcing",
@@ -522,7 +522,8 @@ def delta_limit(spec: ProblemSpec, *, variant: str = None) -> float:
     The backward bracket tends to (-xi)^{1-delta2} / (p^{a1} Gamma(a1)
     Gamma(2-delta2)) per point under the consistent variant; the
     paper-literal variant loses the (-xi) power.  At |xi| = 1 the two
-    limits agree.
+    limits agree.  At xi = 0 the bracket is E_{delta2,1}(0) = 1 for
+    every k, so that point adds its weight p_i.
     """
     op = spec.op
     v = variant if variant is not None else spec.delta_variant
@@ -531,8 +532,8 @@ def delta_limit(spec: ProblemSpec, *, variant: str = None) -> float:
     total = 0.0
     for p_i, xi in spec.nonlocal_points:
         if xi == 0.0:
-            # the bracket stays at its small-argument value 1
-            raise ValueError("delta limit undefined with xi = 0 in the sum")
+            total += p_i
+            continue
         w = (-xi) ** (1.0 - op.delta2) if v == "consistent" else 1.0
         total += p_i * w / denom
     return total
@@ -586,28 +587,17 @@ def _mode_coefficient_callables(spec: ProblemSpec, eigs) -> list:
     """Build the time coefficients f_k(t) of every mode."""
     forcing = spec.forcing
     if forcing.is_builtin:
-        return [TimeCoefficient(
-            scale=fourier_bessel_coeff(forcing.spatial, ev),
-            poly=forcing.time_poly) for ev in eigs]
-    # Tabulated: project each time slice exactly (per-cell Gauss on the
-    # piecewise-bilinear interpolant), then interpolate linearly in t.
-    xg = np.asarray(forcing.x_grid)
+        scales = fourier_bessel_table(forcing.spatial, eigs)
+        return [TimeCoefficient(scale=float(c), poly=forcing.time_poly)
+                for c in scales]
+    # Tabulated: project every time slice of the bilinear interpolant at
+    # once, on panels split at its kinks in x, then interpolate linearly
+    # in t.
     tg = _frozen(forcing.t_grid)
-    cell_rule = gauss_legendre_rule(16)
-    nodes, wts = [], []
-    for a, b in zip(xg[:-1], xg[1:]):
-        nodes.append(a + (b - a) * cell_rule.nodes)
-        wts.append((b - a) * cell_rule.weights)
-    nodes = np.concatenate(nodes)
-    wts = np.concatenate(wts)
-    inside = (nodes >= 0.0) & (nodes <= 1.0)
-    nodes, wts = nodes[inside], wts[inside]
-    coefs = []
-    for ev in eigs:
-        base = wts * nodes * bessel_j(0, ev.lam * nodes) / ev.norm_sq
-        row = _frozen([float(base @ forcing.value(nodes, tj)) for tj in tg])
-        coefs.append(TimeCoefficient(t_grid=tg, values=row))
-    return coefs
+    rows = fourier_bessel_table(
+        lambda x: forcing.value(x[:, None], tg[None, :]), eigs,
+        breaks=forcing.x_grid)
+    return [TimeCoefficient(t_grid=tg, values=_frozen(row)) for row in rows]
 
 
 def solve_modes(spec: ProblemSpec) -> SeriesSolution:

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy import special as _sp
@@ -36,6 +37,8 @@ from .quadrature import gauss_legendre_rule
 __all__ = ["MLParams", "gamma", "rgamma", "bessel_j", "mittag_leffler", "ml"]
 
 _EPS = float(np.finfo(float).eps)
+# below 2^-55 |s| a term cannot move the float64 partial sum s
+_ULP_FLOOR = 2.0 ** -55
 
 # Gauss-Legendre panel breaks for the contour legs.  The integrand
 # carries e^{-r}, so truncation at r = 90 is far below float64 noise
@@ -386,6 +389,22 @@ def _ml_residue(a: float, b: float, z: np.ndarray) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=256)
+def _asymp_coefs(a: float, b: float, nmax: int) -> tuple:
+    """Per term n = 1..nmax of the asymptotic sum: the coefficient
+    1/Gamma(b - a n) and its smooth envelope (see _asymp_block)."""
+    renv, rg = [], []
+    with np.errstate(over="ignore"):
+        for n in range(1, nmax + 1):
+            x = b - a * n
+            if x >= 0.5:
+                renv.append(abs(float(_sp.rgamma(x))))
+            else:
+                renv.append(float(np.exp(_sp.gammaln(1.0 - x))) / math.pi)
+            rg.append(_sp.rgamma(x))
+    return tuple(renv), tuple(rg)
+
+
 def _asymp_block(a: float, b: float, z: np.ndarray, rtol: float, nmax: int = 160):
     """E ~ residues - sum_{n>=1} z^{-n}/Gamma(b - a n), optimally truncated.
 
@@ -394,34 +413,51 @@ def _asymp_block(a: float, b: float, z: np.ndarray, rtol: float, nmax: int = 160
     the raw term magnitudes: the sine factor zeroes whole terms whenever
     b - a n lands on a nonpositive integer (and rounds them to ~1e-15
     noise nearby), which would otherwise fake an early series dip and
-    truncate the divergent tail far from its true minimum.
+    truncate the divergent tail far from its true minimum.  A point
+    stops at the first term whose envelope does not fall below the
+    smallest one so far; that smallest envelope is its error estimate.
+
+    Each pass works on the live points only.  A point also stops once
+    its envelope is below both 2^-55 |s| and rtol |residues - s|: the
+    envelope keeps falling while the point is live, so every later term
+    is below half an ulp of the partial sum s and cannot move it, and
+    the error estimate already passes.  Value and accept flag are
+    therefore those of running every point to its envelope minimum.
     """
-    with np.errstate(divide="ignore"):
-        zi = 1.0 / z
-    azi = np.abs(zi)
-    p = np.ones_like(z)
-    ap = np.ones_like(z)
+    renv, rg = _asymp_coefs(a, b, nmax)
+    res = _ml_residue(a, b, z)
     s = np.zeros_like(z)
     minenv = np.full(z.shape, np.inf)
-    live = np.abs(z) > 1.0  # |z| <= 1 never converges here
+    idx = np.flatnonzero(np.abs(z) > 1.0)  # |z| <= 1 never converges here
+    zi = 1.0 / z[idx]
+    p = np.ones_like(zi)
+    sl = np.zeros_like(zi)
+    me = np.full(zi.shape, np.inf)
+    rl = res[idx]
     with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(1, nmax + 1):
-            x = b - a * n
-            if x >= 0.5:
-                renv = abs(float(_sp.rgamma(x)))
-            else:
-                renv = float(np.exp(_sp.gammaln(1.0 - x))) / math.pi
-            p = np.where(live, p * zi, p)
-            ap = np.where(live, ap * azi, ap)
-            env = ap * renv
-            grew = live & (env >= minenv)
-            live &= ~grew
-            s = np.where(live, s + p * _sp.rgamma(x), s)
-            minenv = np.where(live, np.minimum(minenv, env), minenv)
-            if not live.any():
+        for n in range(nmax):
+            if not idx.size:
                 break
+            p = p * zi
+            env = np.abs(p) * renv[n]
+            grew = env >= me
+            snew = sl + p * rg[n]
+            done = env < _ULP_FLOOR * np.abs(snew)
+            if done.any():
+                done &= env <= rtol * np.maximum(np.abs(rl - snew), 1e-300)
+            out = grew | done
+            if out.any():
+                s[idx[out]] = np.where(grew, sl, snew)[out]
+                minenv[idx[out]] = np.where(grew, me, env)[out]
+                keep = ~out
+                idx, zi, p, rl = idx[keep], zi[keep], p[keep], rl[keep]
+                snew, me, env = snew[keep], me[keep], env[keep]
+            sl = snew
+            me = np.minimum(me, env)
+    s[idx] = sl
+    minenv[idx] = me
     err = np.where(np.isfinite(minenv), minenv, np.inf)
-    total = _ml_residue(a, b, z) - s
+    total = res - s
     with np.errstate(invalid="ignore"):
         ok = err <= rtol * np.maximum(np.abs(total), 1e-300)
     ok |= ~np.isfinite(total) & (z > 0.0)  # inf on the positive axis is final

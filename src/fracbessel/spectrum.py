@@ -1,9 +1,10 @@
 """Eigenpairs of the radial Laplacian on the unit disk and the
-weighted Fourier-Bessel transform pair built on them.
+weighted Fourier-Bessel projection built on them.
 
 The spectral family is J0(lam_k x) with lam_k the positive zeros of J0,
 orthogonal on [0, 1] against the weight x.  Analysis divides by the
-norm J1(lam_k)^2 / 2; synthesis is a plain truncated sum.
+norm J1(lam_k)^2 / 2; synthesis is a plain truncated sum, made by
+``solver.radial_basis``.
 """
 
 from __future__ import annotations
@@ -11,9 +12,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
+from scipy.special import jn_zeros
 
 from .errors import NumericError
 from .quadrature import QuadratureRule, gauss_legendre_rule
@@ -21,12 +23,19 @@ from .specfun import bessel_j
 
 __all__ = [
     "Eigenvalue",
-    "CoefficientSequence",
     "bessel_zero",
     "eigenvalue_table",
     "fourier_bessel_coeff",
-    "synthesize",
+    "fourier_bessel_table",
 ]
+
+# Composite projection rule: _PANEL_NODES-point Gauss-Legendre on equal
+# panels, one per half-period pi / lam of the highest mode, at least
+# _MIN_PANELS of them (64 nodes, the smallest rule used before).
+_PANEL_NODES = 16
+_MIN_PANELS = 4
+# modes per J0 block, which bounds the memory of the projection
+_MODE_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -49,77 +58,11 @@ class Eigenvalue:
         if not self.norm_sq > 0.0:
             raise ValueError(f"norm_sq must be positive, got {self.norm_sq}")
 
-    @property
-    def lambda_(self) -> float:
-        """Alias for lam, for callers who prefer the Greek name."""
-        return self.lam
-
-
-@dataclass(frozen=True)
-class CoefficientSequence:
-    """Coefficients c_1..c_N of a truncated Fourier-Bessel series."""
-
-    values: tuple
-    N: int
-
-    def __post_init__(self):
-        vals = tuple(float(v) for v in self.values)
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "N", int(self.N))
-        if self.N < 1:
-            raise ValueError("truncation order N must be at least 1")
-        if len(vals) != self.N:
-            raise ValueError(f"expected {self.N} coefficients, got {len(vals)}")
-        if not all(math.isfinite(v) for v in vals):
-            raise ValueError("coefficients must be finite")
-
-    @property
-    def tail_estimate(self) -> float:
-        """Heuristic remainder proxy |c_N| * N for the dropped tail."""
-        return abs(self.values[-1]) * self.N
-
-
-@lru_cache(maxsize=None)
-def bessel_zero(k: int) -> Eigenvalue:
-    """k-th positive zero of J0, seeded at pi*k - pi/4 and polished by
-    a bracketed Newton iteration (J0' = -J1).
-
-    The seed lands within 0.05 of the true zero for every k >= 1 and
-    consecutive zeros are about pi apart, so a fixed bracket of
-    half-width 0.6 always isolates the right root.
-    """
-    if not (isinstance(k, (int, np.integer)) and k >= 1):
-        raise ValueError(f"k must be a positive integer, got {k}")
-    k = int(k)
-    seed = math.pi * k - math.pi / 4.0
-    lo, hi = seed - 0.6, seed + 0.6
-    flo = bessel_j(0, lo)
-    x = seed
-    for _ in range(60):
-        f = bessel_j(0, x)
-        if f == 0.0:
-            break
-        # keep the bracket current
-        if (f > 0) == (flo > 0):
-            lo, flo = x, f
-        else:
-            hi = x
-        d = bessel_j(1, x)  # J0' = -J1
-        step = f / d if d != 0.0 else hi - lo
-        xn = x + step
-        if not lo < xn < hi:
-            xn = 0.5 * (lo + hi)
-        if abs(xn - x) <= 1e-15 * x:
-            x = xn
-            break
-        x = xn
-    j1 = bessel_j(1, x)
-    return Eigenvalue(k=k, lam=x, norm_sq=0.5 * j1 * j1)
-
 
 def eigenvalue_table(N: int, *, asymptotic: bool = False) -> tuple:
-    """First N eigenpairs, either Newton-refined true zeros (default)
-    or the verbatim asymptotic values pi*k - pi/4.
+    """First N eigenpairs, either the true zeros of J0 (default, from
+    scipy's ``jn_zeros`` in one call) or the verbatim asymptotic values
+    pi*k - pi/4.
 
     The asymptotic table deliberately does not satisfy J0(lam) = 0 to
     machine precision; it exists to reproduce results derived under
@@ -127,66 +70,84 @@ def eigenvalue_table(N: int, *, asymptotic: bool = False) -> tuple:
     """
     if N < 1:
         raise ValueError("N must be at least 1")
-    if not asymptotic:
-        return tuple(bessel_zero(k) for k in range(1, N + 1))
-    out = []
-    for k in range(1, N + 1):
-        lam = math.pi * k - math.pi / 4.0
-        j1 = bessel_j(1, lam)
-        out.append(Eigenvalue(k=k, lam=lam, norm_sq=0.5 * j1 * j1))
-    return tuple(out)
+    ks = range(1, N + 1)
+    if asymptotic:
+        lams = np.array([math.pi * k - math.pi / 4.0 for k in ks])
+    else:
+        lams = jn_zeros(0, N)
+    j1 = bessel_j(1, lams)
+    return tuple(Eigenvalue(k=k, lam=lam, norm_sq=0.5 * j * j)
+                 for k, lam, j in zip(ks, lams, j1))
 
 
-def _projection_rule(k: int, n: Optional[int] = None) -> QuadratureRule:
-    # J0(lam_k x) completes ~k/2 oscillations on [0,1]; 8 nodes per index
-    # keeps Gauss-Legendre in its spectral-accuracy regime.
-    return gauss_legendre_rule(n if n is not None else max(64, 8 * k))
+@lru_cache(maxsize=None)
+def bessel_zero(k: int) -> Eigenvalue:
+    """k-th positive zero of J0 with its norm: entry k of the true-zero
+    ``eigenvalue_table``."""
+    if not (isinstance(k, (int, np.integer)) and k >= 1):
+        raise ValueError(f"k must be a positive integer, got {k}")
+    return eigenvalue_table(int(k))[-1]
 
 
-def fourier_bessel_coeff(g, ev: Eigenvalue, quad: QuadratureRule = None) -> float:
-    """Weighted projection (2 / J1(lam_k)^2) \\int_0^1 x g(x) J0(lam_k x) dx.
+def _panel_rule(panels: int, breaks) -> tuple:
+    """Nodes and weights of the composite Gauss-Legendre rule on
+    ``panels`` equal panels of [0, 1], also split at ``breaks``."""
+    edges = np.linspace(0.0, 1.0, panels + 1)
+    if len(breaks):
+        b = np.asarray(breaks, dtype=float)
+        edges = np.union1d(edges, b[(b > 0.0) & (b < 1.0)])
+    span = np.diff(edges)[:, None]
+    gl = gauss_legendre_rule(_PANEL_NODES)
+    return ((edges[:-1, None] + span * gl.nodes).ravel(),
+            (span * gl.weights).ravel())
 
-    With the default rule the integral is evaluated twice, at n and
-    1.5n nodes, and a NumericError reports non-convergence if the two
-    values disagree.  A caller-supplied rule is trusted as given (that
-    is the hook for deliberately different oracle rules).
+
+def _project(g, lams, norms, nodes, weights) -> np.ndarray:
+    """(1 / norm_k) sum_i w_i x_i g(x_i) J0(lam_k x_i), one row per mode;
+    g returns one value, or one row of values, per node."""
+    gx = np.asarray(g(nodes), dtype=float)
+    wg = (weights * nodes).reshape((-1,) + (1,) * (gx.ndim - 1)) * gx
+    out = np.empty((lams.size,) + gx.shape[1:])
+    for lo in range(0, lams.size, _MODE_CHUNK):
+        sl = slice(lo, lo + _MODE_CHUNK)
+        out[sl] = bessel_j(0, np.outer(lams[sl], nodes)) @ wg
+    return out / norms.reshape((-1,) + (1,) * (out.ndim - 1))
+
+
+def fourier_bessel_table(g, eigs: Sequence[Eigenvalue],
+                         quad: QuadratureRule = None, breaks=()) -> np.ndarray:
+    """Weighted projections (2 / J1(lam_k)^2) int_0^1 x g(x) J0(lam_k x) dx
+    of g onto every mode of ``eigs``, one row per mode.
+
+    g takes an array of nodes and returns one value per node, or one row
+    of values per node (a batch of functions, one column each).  The
+    default rule is a composite Gauss-Legendre rule whose panels each
+    span at most half a period of the highest mode, split also at
+    ``breaks`` (the kinks of a piecewise g).  The whole table is made
+    again on twice the panels, and a NumericError names the first mode
+    whose two values disagree; the refined table is returned.  A
+    caller-supplied rule is trusted as given (that is the hook for
+    deliberately different oracle rules).
     """
-    def project(rule: QuadratureRule) -> float:
-        x = rule.nodes
-        vals = x * np.asarray(g(x), dtype=float) * bessel_j(0, ev.lam * x)
-        return float(rule.weights @ vals) / ev.norm_sq
-
+    lams = np.array([ev.lam for ev in eigs])
+    norms = np.array([ev.norm_sq for ev in eigs])
     if quad is not None:
-        return project(quad)
-
-    base = _projection_rule(ev.k)
-    c0 = project(base)
-    c1 = project(_projection_rule(ev.k, int(1.5 * base.n)))
-    if abs(c0 - c1) > 1e-8 * (1.0 + abs(c1)):
+        return _project(g, lams, norms, quad.nodes, quad.weights)
+    panels = max(_MIN_PANELS, math.ceil(float(lams.max()) / math.pi))
+    c0 = _project(g, lams, norms, *_panel_rule(panels, breaks))
+    c1 = _project(g, lams, norms, *_panel_rule(2 * panels, breaks))
+    bad = np.abs(c0 - c1) > 1e-8 * (1.0 + np.abs(c1))
+    if bad.any():
+        i = np.argwhere(bad)[0]
         raise NumericError(
-            f"Fourier-Bessel projection for k={ev.k} has not converged: "
-            f"{c0:.12e} vs {c1:.12e} under node refinement"
-        )
+            f"Fourier-Bessel projection for k={eigs[i[0]].k} has not "
+            f"converged: {c0[tuple(i)]:.12e} vs {c1[tuple(i)]:.12e} under "
+            "node refinement")
     return c1
 
 
-def synthesize(coeffs: CoefficientSequence, x,
-               eigs: Optional[Sequence[Eigenvalue]] = None):
-    """Evaluate the truncated series sum_k c_k J0(lam_k x) at x in [0,1].
-
-    ``eigs`` defaults to the true-zero table of matching length; pass an
-    asymptotic table to stay consistent with coefficients computed in
-    that mode.  Accepts scalar or array x.
-    """
-    if eigs is None:
-        eigs = eigenvalue_table(coeffs.N)
-    if len(eigs) < coeffs.N:
-        raise ValueError("eigenvalue table shorter than coefficient sequence")
-    xs = np.asarray(x, dtype=float)
-    scalar = xs.ndim == 0
-    xs = np.atleast_1d(xs)
-    if xs.size and (xs.min() < 0.0 or xs.max() > 1.0):
-        raise ValueError("x must lie in [0, 1]")
-    lams = np.array([e.lam for e in eigs[:coeffs.N]])
-    vals = np.array(coeffs.values) @ bessel_j(0, np.outer(lams, xs))
-    return float(vals[0]) if scalar else vals
+def fourier_bessel_coeff(g, ev: Eigenvalue, quad: QuadratureRule = None) -> float:
+    """Weighted projection (2 / J1(lam_k)^2) int_0^1 x g(x) J0(lam_k x) dx
+    of a scalar-valued g onto one mode: ``fourier_bessel_table`` for
+    that mode alone, with the same convergence check and ``quad`` hook."""
+    return float(fourier_bessel_table(g, (ev,), quad)[0])

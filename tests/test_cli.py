@@ -291,20 +291,37 @@ class TestSolvabilityExit:
 
 
 class TestNumericExit:
-    def test_unexpected_failure_exits_numeric(self, tmp_path, capsys):
-        """A non-local point at xi = 0 passes the config but makes the
-        determinant-limit check raise; the run must report a numeric
-        failure with exit 3, not escape with the config code."""
+    def test_unexpected_failure_exits_numeric(self, tmp_path, capsys,
+                                              monkeypatch):
+        """A stray exception inside solve_modes must be reported as a
+        numeric failure with exit 3, not escape with the config code."""
+        import fracbessel.solver as solver
+
+        def stray(*args, **kwargs):
+            raise ValueError("stray failure")
+
+        monkeypatch.setattr(solver, "compute_Fk", stray)
+        cfg_path = write_config(tmp_path / "c.json", problem={"N": 4},
+                                flags={"verify_modes": 1})
+        rc = main(["solve", str(cfg_path), "--out-dir",
+                   str(tmp_path / "out")])
+        assert rc == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert "numeric failure: ValueError: stray failure" in err
+        assert "Traceback" not in err
+
+    def test_zero_history_time_solves(self, tmp_path):
+        """A non-local point at xi = 0 passes the config and now solves
+        and verifies: the determinant limit counts that point's weight."""
         cfg_path = write_config(
             tmp_path / "c.json",
             problem={"nonlocal_points": [[0.3, -0.5], [0.4, 0.0]], "N": 8},
             flags={"verify_modes": 1})
         rc = main(["solve", str(cfg_path), "--out-dir",
                    str(tmp_path / "out")])
-        assert rc == EXIT_NUMERIC
-        err = capsys.readouterr().err
-        assert "numeric failure: ValueError:" in err
-        assert "Traceback" not in err
+        assert rc == EXIT_OK
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["overall"] is True
 
 
 class TestSubprocessEntryPoint:

@@ -1,7 +1,5 @@
 """Quadrature layer: weight-class exactness and rule invariants."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +7,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from fracbessel.quadrature import (QuadratureRule, gauss_jacobi_rule,
-                                   gauss_legendre_rule, graded_trapezoid_rule)
+                                   gauss_legendre_rule)
 from fracbessel.specfun import gamma
 
 
@@ -48,45 +46,6 @@ def test_legendre_not_exact_beyond_degree():
     rule = gauss_legendre_rule(2)
     got = rule.integrate(lambda x: x ** 4)
     assert abs(got - 0.2) > 1e-6
-
-
-class TestGradedTrapezoid:
-    def test_converges_on_endpoint_singularity(self):
-        exact = beta_moment(-0.4, 0.0, 0)
-        errs = []
-        for n in (64, 256, 1024):
-            rule = graded_trapezoid_rule(n, grading=4.0,
-                                         exponent_pair=(-0.4, 0.0))
-            errs.append(abs(rule.weights.sum() - exact))
-        assert errs[0] > errs[1] > errs[2]
-        # grading 4 restores the second-order trapezoid rate for x^{-0.4}
-        rate = math.log(errs[0] / errs[2]) / math.log(16.0)
-        assert rate > 1.7
-        assert errs[2] <= 1e-5
-
-    def test_grading_controls_the_rate(self):
-        """Ungraded mesh stalls at the singularity-limited rate."""
-        exact = beta_moment(-0.4, 0.0, 0)
-
-        def err(n, g):
-            rule = graded_trapezoid_rule(n, grading=g,
-                                         exponent_pair=(-0.4, 0.0))
-            return abs(rule.weights.sum() - exact)
-
-        flat = math.log(err(64, 1.0) / err(1024, 1.0)) / math.log(16.0)
-        assert flat < 0.8
-        assert err(1024, 4.0) < err(1024, 1.0) / 100.0
-
-    def test_smooth_integrand(self):
-        rule = graded_trapezoid_rule(512)
-        got = rule.integrate(np.sin)
-        assert_allclose(got, 1.0 - math.cos(1.0), rtol=1e-5)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            graded_trapezoid_rule(3)
-        with pytest.raises(ValueError):
-            graded_trapezoid_rule(16, grading=0.5)
 
 
 class TestRuleValidation:

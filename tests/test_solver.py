@@ -261,9 +261,21 @@ class TestDeltaK:
         assert_allclose(lc / ll, 0.6 ** (1.0 - default_op.delta2), rtol=1e-13)
 
     def test_limit_rejects_zero_history_time(self, default_op):
-        spec = small_spec(default_op, points=((0.5, -0.5), (0.5, 0.0)))
-        with pytest.raises(ValueError):
-            delta_limit(spec)
+        """A point at xi = 0 is accepted: its bracket is E_{d2,1}(0) = 1
+        for every k, so it adds its weight p_i to the limit, and Delta_k
+        still approaches that limit."""
+        spec = small_spec(default_op, points=((0.5, -0.5), (0.4, 0.0)))
+        alone = small_spec(default_op, points=((0.5, -0.5),))
+        for v in ("consistent", "paper-literal"):
+            assert_allclose(delta_limit(spec, variant=v),
+                            delta_limit(alone, variant=v) + 0.4, rtol=1e-15)
+        L = delta_limit(spec)
+        eigs = eigenvalue_table(100)
+        gaps = [abs(compute_Delta_k(ModeRecord(ev=eigs[k - 1], f_k=ones,
+                                               op=default_op), spec) - L)
+                for k in (10, 100)]
+        assert gaps[1] < gaps[0]
+        assert gaps[1] <= 1e-3
 
 
 class TestTerminalCondition:

@@ -317,3 +317,99 @@ def test_sharp_dip_values_match_loop(a, b, monkeypatch):
     monkeypatch.setattr(specfun, "_dip_panels", _dip_panels_loop)
     assert np.array_equal(got, mittag_leffler(p, z))
     assert one == mittag_leffler(p, -20.0)
+
+
+# ---------------------------------------------------------------------------
+# asymptotic block: live-point passes with an exact early exit against the
+# masked loop that runs every point to its envelope minimum
+
+
+def _asymp_block_loop(a, b, z, rtol, nmax=160):
+    """Reference: every pass over the whole batch, masked by np.where,
+    until the last point's envelope stops falling."""
+    from scipy import special as sp
+    with np.errstate(divide="ignore"):
+        zi = 1.0 / z
+    azi = np.abs(zi)
+    p = np.ones_like(z)
+    ap = np.ones_like(z)
+    s = np.zeros_like(z)
+    minenv = np.full(z.shape, np.inf)
+    live = np.abs(z) > 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(1, nmax + 1):
+            x = b - a * n
+            if x >= 0.5:
+                renv = abs(float(sp.rgamma(x)))
+            else:
+                renv = float(np.exp(sp.gammaln(1.0 - x))) / math.pi
+            p = np.where(live, p * zi, p)
+            ap = np.where(live, ap * azi, ap)
+            env = ap * renv
+            live &= ~(live & (env >= minenv))
+            s = np.where(live, s + p * sp.rgamma(x), s)
+            minenv = np.where(live, np.minimum(minenv, env), minenv)
+            if not live.any():
+                break
+    err = np.where(np.isfinite(minenv), minenv, np.inf)
+    total = specfun._ml_residue(a, b, z) - s
+    with np.errstate(invalid="ignore"):
+        ok = err <= rtol * np.maximum(np.abs(total), 1e-300)
+    ok |= ~np.isfinite(total) & (z > 0.0)
+    return total, ok
+
+
+@pytest.mark.parametrize("a", [0.5, 0.7, 1.0, 1.35, 1.9, 2.0])
+def test_asymp_block_matches_loop(a):
+    """Value and accept flag are the very bits of the masked loop, on
+    both half-axes over |z| in [1.01, 1e9], in batches and alone."""
+    rng = np.random.default_rng(23)
+    for b in (0.6, 1.0, a, 1.6, 2.7, 3.75):
+        mag = np.exp(rng.uniform(np.log(1.01), np.log(1e9), 2000))
+        for z in (-mag, mag, np.concatenate([-mag[:500], mag[500:1000]])):
+            for rtol in (1e-12, 1e-6):
+                got = specfun._asymp_block(a, b, z, rtol)
+                want = _asymp_block_loop(a, b, z, rtol)
+                assert np.array_equal(got[0], want[0], equal_nan=True)
+                assert np.array_equal(got[1], want[1])
+        for zz in (-mag[:4]).tolist() + mag[:4].tolist() + [-1.01, 1e9]:
+            got = specfun._asymp_block(a, b, np.array([zz]), 1e-12)
+            want = _asymp_block_loop(a, b, np.array([zz]), 1e-12)
+            assert np.array_equal(got[0], want[0], equal_nan=True)
+            assert np.array_equal(got[1], want[1])
+
+
+@pytest.mark.parametrize("a,b", [(1.9, 0.6), (2.0, 0.6), (2.0, 2.7)])
+def test_asymp_block_matches_loop_next_to_zeros(a, b):
+    """Next to a zero of E the residues and the sum nearly cancel, so a
+    point whose sum has stopped moving may still fail its error test;
+    it must run on, as the loop does, and keep the loop's flag."""
+    z = -np.linspace(2000.0, 3000.0, 20001)
+    v = _asymp_block_loop(a, b, z, 1e-12)[0]
+    i = np.flatnonzero(np.sign(v[1:]) != np.sign(v[:-1]))[:8]
+    lo, hi = z[i], z[i + 1]
+    sign_lo = np.sign(v[i])
+    for _ in range(60):  # bisect every zero at once
+        mid = 0.5 * (lo + hi)
+        left = np.sign(_asymp_block_loop(a, b, mid, 1e-12)[0]) == sign_lo
+        lo, hi = np.where(left, mid, lo), np.where(left, hi, mid)
+    steps = 1.0 + np.arange(-40, 41)[:, None] * 1e-15
+    zz = (lo * steps).ravel()
+    for rtol in (1e-12, 1e-6):
+        got = specfun._asymp_block(a, b, zz, rtol)
+        want = _asymp_block_loop(a, b, zz, rtol)
+        assert np.array_equal(got[0], want[0], equal_nan=True)
+        assert np.array_equal(got[1], want[1])
+
+
+@pytest.mark.parametrize("a,b", [(0.7, 1.0), (0.7, 0.7), (1.35, 1.35),
+                                 (1.35, 0.6), (1.5, 2.95)])
+def test_asymp_values_match_loop(a, b, monkeypatch):
+    """mittag_leffler returns the same bits with the masked loop in place
+    of the live-point block, across every regime it hands over."""
+    rng = np.random.default_rng(29)
+    z = -np.exp(rng.uniform(np.log(1e-2), np.log(1e8), 4000))
+    p = MLParams(a, b)
+    got = mittag_leffler(p, z)
+    monkeypatch.setattr(specfun, "_asymp_block", _asymp_block_loop)
+    assert np.array_equal(got, mittag_leffler(p, z))

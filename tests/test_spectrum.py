@@ -1,19 +1,23 @@
-"""Eigenvalue table and the weighted Fourier-Bessel transform pair."""
+"""Eigenvalue table, the weighted Fourier-Bessel projection and the
+series synthesis."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import quad as adaptive_quad
 from scipy.special import j0 as scipy_j0
+from scipy.special import roots_legendre
 
 from fracbessel.errors import NumericError
-from fracbessel.quadrature import gauss_jacobi_rule
+from fracbessel.quadrature import QuadratureRule, gauss_jacobi_rule
+from fracbessel.solver import radial_basis
 from fracbessel.specfun import bessel_j
-from fracbessel.spectrum import (CoefficientSequence, Eigenvalue, bessel_zero,
+from fracbessel.spectrum import (Eigenvalue, _panel_rule, bessel_zero,
                                  eigenvalue_table, fourier_bessel_coeff,
-                                 synthesize)
+                                 fourier_bessel_table)
 
 # mpmath besseljzero(0, k), 50 digits, rounded to double
 J0_ZERO_1 = 2.404825557695773
@@ -123,9 +127,9 @@ class TestProjection:
 
         N = 50
         table = eigenvalue_table(N)
-        coeffs = CoefficientSequence(
-            tuple(fourier_bessel_coeff(profile, e) for e in table), N)
-        assert abs(synthesize(coeffs, 0.5) - profile(0.5)) <= 1e-6
+        coeffs = fourier_bessel_table(profile, table)
+        lams = np.array([e.lam for e in table])
+        assert abs(coeffs @ bessel_j(0, 0.5 * lams) - profile(0.5)) <= 1e-6
 
     def test_explicit_rule_is_trusted(self):
         ev = bessel_zero(1)
@@ -152,29 +156,100 @@ class TestProjection:
         assert slope <= -3.2
 
 
+def old_projection(g, ev):
+    """Test-side copy of the former per-mode projection: Gauss-Legendre
+    at n = max(64, 8k) and 1.5n nodes, the refined value returned after
+    the same 1e-8 agreement gate."""
+
+    def project(n):
+        x, w = roots_legendre(n)
+        x, w = (x + 1.0) / 2.0, w / 2.0
+        return float(w @ (x * g(x) * scipy_j0(ev.lam * x))) / ev.norm_sq
+
+    n = max(64, 8 * ev.k)
+    c0, c1 = project(n), project(int(1.5 * n))
+    assert abs(c0 - c1) <= 1e-8 * (1.0 + abs(c1))
+    return c1
+
+
+class TestBatchedProjection:
+    # every mode at N = 64; at N = 200 a sample, since the old rules
+    # take O(n^2) to build and n reaches 2400
+    @pytest.mark.parametrize("N,ks", [
+        (64, range(1, 65)),
+        (200, list(range(1, 9)) + list(range(25, 201, 25)))],
+        ids=["N64", "N200"])
+    def test_matches_per_mode_projection(self, N, ks):
+        def profile(x):
+            return x ** 4 * (1.0 - x) ** 3 * (1.0 - 0.3 * x)
+
+        table = eigenvalue_table(N)
+        got = fourier_bessel_table(profile, table)
+        want = np.array([old_projection(profile, table[k - 1]) for k in ks])
+        assert got.shape == (N,)
+        assert (np.max(np.abs(got[np.array(ks) - 1] - want))
+                <= 1e-12 * np.max(np.abs(got)))
+
+    def test_batch_of_functions(self):
+        """g may return one row per node: each column is projected."""
+        table = eigenvalue_table(8)
+        ts = np.array([-1.0, 0.0, 2.0])
+
+        def rows(x):
+            return (x ** 4 * (1.0 - x) ** 3)[:, None] * (1.0 + ts)
+
+        got = fourier_bessel_table(rows, table)
+        base = fourier_bessel_table(lambda x: x ** 4 * (1.0 - x) ** 3, table)
+        assert got.shape == (8, 3)
+        assert_allclose(got, base[:, None] * (1.0 + ts), rtol=1e-13,
+                        atol=1e-17)
+
+    def test_names_first_unconverged_mode(self):
+        """cos(280 x) is resolved by the coarse rule for the low modes
+        only; the error names the first mode whose two values differ."""
+        table = eigenvalue_table(10)
+
+        def g(x):
+            return np.cos(280.0 * x)
+
+        with pytest.raises(NumericError) as info:
+            fourier_bessel_table(g, table)
+        named = int(re.search(r"k=(\d+)", str(info.value)).group(1))
+        panels = math.ceil(table[-1].lam / math.pi)
+        c0, c1 = (fourier_bessel_table(g, table, quad=QuadratureRule(
+            "composite", *_panel_rule(n, ()))) for n in (panels, 2 * panels))
+        bad = np.abs(c0 - c1) > 1e-8 * (1.0 + np.abs(c1))
+        assert named == 1 + int(np.argmax(bad)) > 1
+        assert not bad[:named - 1].any()
+
+    def test_names_mode_of_a_partial_table(self):
+        table = eigenvalue_table(30)[9:]
+        with pytest.raises(NumericError, match="k=10 "):
+            fourier_bessel_table(lambda x: np.cos(2000.0 * x), table)
+
+
 class TestSynthesize:
-    def test_single_mode_at_origin(self):
-        coeffs = CoefficientSequence((1.0,), 1)
-        assert synthesize(coeffs, 0.0) == 1.0
+    """The truncated series sum_k c_k J0(lam_k x), through the synthesis
+    matrix of solver.radial_basis."""
 
-    def test_vanishes_at_boundary(self):
-        N = 50
-        coeffs = CoefficientSequence((1.0,) * N, N)
-        assert abs(synthesize(coeffs, 1.0)) <= N * 1e-12
+    def test_single_mode_at_origin(self, default_solution):
+        basis = radial_basis(default_solution, 0.0)
+        coeffs = np.zeros(basis.shape[1])
+        coeffs[0] = 1.0
+        assert (basis @ coeffs)[0] == 1.0
 
-    def test_array_input(self):
-        coeffs = CoefficientSequence((0.5, -0.25), 2)
+    def test_vanishes_at_boundary(self, default_solution):
+        basis = radial_basis(default_solution, 1.0)
+        N = basis.shape[1]
+        assert abs(basis @ np.ones(N))[0] <= N * 1e-12
+
+    def test_array_input(self, default_solution):
         xs = np.array([0.0, 0.3, 1.0])
-        vals = synthesize(coeffs, xs)
+        basis = radial_basis(default_solution, xs)
+        assert basis.shape == (3, len(default_solution.modes))
+        vals = basis[:, :2] @ np.array([0.5, -0.25])
         assert vals.shape == (3,)
         assert_allclose(vals[0], 0.25, rtol=1e-15)
-
-    def test_domain_and_table_validation(self):
-        coeffs = CoefficientSequence((1.0, 2.0), 2)
-        with pytest.raises(ValueError):
-            synthesize(coeffs, 1.5)
-        with pytest.raises(ValueError):
-            synthesize(coeffs, 0.5, eigs=eigenvalue_table(1))
 
 
 class TestInterlacing:
@@ -213,14 +288,5 @@ class TestDataclasses:
         with pytest.raises(ValueError):
             Eigenvalue(k=1.5, lam=2.0, norm_sq=0.1)
         ev = Eigenvalue(k=np.int64(2), lam=5.5, norm_sq=0.3)
-        assert ev.lambda_ == ev.lam == 5.5
-
-    def test_coefficient_sequence(self):
-        cs = CoefficientSequence((1.0, -0.5, 0.25), 3)
-        assert cs.tail_estimate == 0.25 * 3
-        with pytest.raises(ValueError):
-            CoefficientSequence((1.0, 2.0), 3)
-        with pytest.raises(ValueError):
-            CoefficientSequence((), 0)
-        with pytest.raises(ValueError):
-            CoefficientSequence((1.0, float("nan")), 2)
+        assert type(ev.k) is int and ev.k == 2
+        assert ev.lam == 5.5
