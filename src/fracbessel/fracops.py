@@ -184,7 +184,7 @@ def ek_derivative(gma: float, delta: float, beta: float, g, t: float,
             return float(np.asarray(g(np.array([s])))[0])
     else:
         rule = gauss_jacobi_rule(n, gma + delta + float(singular_exponent),
-                                 m - delta - 1.0)
+                                 (m - 1) - delta)
 
         def inner(s: float) -> float:
             return ek_integral(gma + delta, m - delta, beta, g, s,
@@ -230,17 +230,8 @@ def hyper_bessel_caputo(op: OperatorParams, u, u0: float, t: float,
         d2 = (float(w(np.array([t + h / 2]))[0]) - float(w(np.array([t - h / 2]))[0])) / h
         return t ** op.theta * ((4.0 * d2 - d1) / 3.0)
 
-    rule = gauss_jacobi_rule(n, a, -a)  # pair (0 + alpha1, (1-alpha1) - 1)
-
-    def inner(s: float) -> float:
-        return ek_integral(0.0, 1.0 - a, p, w, s, quad=rule,
-                           singular_exponent=a)
-
-    h = fd_step if fd_step is not None else max(1e-6, 1e-3 * t)
-    h = min(h, 0.45 * t)
-    deriv = (inner(t + h) - inner(t - h)) / (2.0 * h)
-    value = (1.0 - a) * inner(t) + (t / p) * deriv
-    return p ** a * t ** (-p * a) * value
+    return p ** a * t ** (-p * a) * ek_derivative(
+        -a, a, p, w, t, n=n, fd_step=fd_step, singular_exponent=a)
 
 
 def bi_ordinal_hilfer(op: OperatorParams, u, t: float,

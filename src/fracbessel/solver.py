@@ -674,15 +674,18 @@ def _check_point(sol: SeriesSolution, x, t: float):
 
 def radial_basis(sol: SeriesSolution, x, order: int = 0) -> np.ndarray:
     """Synthesis matrix, one row per x and one column per mode: J0(lam x)
-    for u (order 0), -lam J1(lam x) for u_x (order 1) and
-    (lam^2/2)(J2 - J0)(lam x) for u_xx (order 2).  Times a mode_matrix
-    it gives the truncated series or its term-wise derivatives."""
+    for u (order 0), -lam J1(lam x) for u_x (order 1) and, by Bessel's
+    equation, lam^2 (J1(lam x)/(lam x) - J0(lam x)) for u_xx (order 2),
+    which is -lam^2/2 at x = 0.  Times a mode_matrix it gives the
+    truncated series or its term-wise derivatives."""
     lx = np.outer(np.atleast_1d(np.asarray(x, dtype=float)), sol.lams)
     if order == 0:
         return bessel_j(0, lx)
     if order == 1:
         return -sol.lams * bessel_j(1, lx)
-    return sol.lams ** 2 / 2.0 * (bessel_j(2, lx) - bessel_j(0, lx))
+    j1_over = np.divide(bessel_j(1, lx), lx, out=np.full_like(lx, 0.5),
+                        where=lx > 0.0)
+    return sol.lams ** 2 * (j1_over - bessel_j(0, lx))
 
 
 def eval_u(sol: SeriesSolution, x, t: float):

@@ -14,8 +14,10 @@ accuracy-tracked cascade:
 * the algebraic asymptotic expansion with optimal truncation, plus the
   exponential residue pair that appears for alpha > 1, accepted when
   the first omitted term is small enough;
-* a Hankel-contour quadrature (collapsed onto the negative real axis)
-  for the band in between, where neither expansion reaches tolerance.
+* a Hankel-contour quadrature for the band in between, where neither
+  expansion reaches tolerance: one fixed rule per (alpha, beta) on an
+  arc and two rays turned at least pi/8 away from the pole pair, plus
+  the pair's residues when the rays pass beyond it.
 
 The nominal regime boundaries (|z| around 5 and 50) are useful mental
 markers but carry no authority; the handoff is decided per point by
@@ -40,13 +42,10 @@ _EPS = float(np.finfo(float).eps)
 # below 2^-55 |s| a term cannot move the float64 partial sum s
 _ULP_FLOOR = 2.0 ** -55
 
-# Gauss-Legendre panel breaks for the contour legs.  The integrand
-# carries e^{-r}, so truncation at r = 90 is far below float64 noise
-# for every argument the contour is actually used on.
-_LEG_BREAKS = (1.0, 3.0, 7.0, 13.0, 22.0, 34.0, 50.0, 70.0, 90.0)
-_LEG_NODES = 64
-_DIP_NODES = 24
-_ARC_NODES = 64
+# Gauss-Legendre nodes on the contour's arc and on each panel of its
+# ray; with 16 on the arc, points near zeros of E at |z| ~ 1 lose digits.
+_ARC_NODES = 32
+_RAY_NODES = 16
 
 
 def gamma(x: float) -> float:
@@ -211,7 +210,7 @@ def _ml_core(a: float, b: float, z: np.ndarray, rtol: float) -> np.ndarray:
 
     m = todo & (z < 0.0)
     if m.any():
-        out[m] = _contour_block(a, b, z[m], rtol)
+        out[m] = _contour_block(a, b, z[m])
         todo &= ~m
 
     if todo.any():
@@ -468,113 +467,63 @@ def _asymp_block(a: float, b: float, z: np.ndarray, rtol: float, nmax: int = 160
 # contour quadrature
 
 
-def _legs_integrand(a: float, b: float, r: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Collapsed-contour density along the negative real axis.
+@lru_cache(maxsize=256)
+def _contour_rule(a: float, b: float, eps: float, residues: bool) -> tuple:
+    """One Hankel-contour rule for E_{a,b} on the negative axis.
 
-    (1/pi) r^{a-b} e^{-r} [r^a sin(pi b) + z sin(pi(a-b))]
-                    / (r^{2a} - 2 z r^a cos(pi a) + z^2)
-    broadcast over r (last axis) and z (leading axes).
+    The contour is the arc |s| = eps, |arg s| <= phi, and the rays
+    arg s = +-phi out to |e^s| = e^-40 (Gorenflo, Loutchko and Luchko,
+    FCAA 5, 2002).  phi lies at least pi/8 from the pole pair of
+    1/(s^a - z) at arg s = +-pi/a: beyond it when ``residues`` is set
+    (the caller adds the pair's residues), short of it otherwise.  By
+    conjugate symmetry E = sum_i Im(A_i / (B_i - z)) over the upper
+    half, with A_i = w_i s'_i e^{s_i} s_i^{a-b} / pi and B_i = s_i^a,
+    the powers taken as r^p e^{i p theta}.  The rule is the read-only
+    arrays P = Im A Re B - Re A Im B, Q = Im A, Re B and (Im B)^2, so a
+    point costs (P - Q z) / ((Re B - z)^2 + (Im B)^2) per node.
     """
-    ra = r ** a
-    num = ra * math.sin(math.pi * b) + z * math.sin(math.pi * (a - b))
-    den = ra * ra - 2.0 * z * ra * math.cos(math.pi * a) + z * z
-    return (r ** (a - b)) * np.exp(-r) * num / (math.pi * den)
+    pole = math.pi / a
+    if residues:
+        phi = 0.5 * (pole + math.pi)
+    else:
+        phi = 0.5 * (0.5 * math.pi + min(pole, math.pi))
+    # ray panels grow by 1.5x away from the arc, up to a length of 4
+    end = eps + 40.0 / abs(math.cos(phi))
+    edges = [eps]
+    while edges[-1] < end:
+        edges.append(min(edges[-1] + min(0.5 * edges[-1], 4.0), end))
+    lo, span = np.array(edges[:-1])[:, None], np.diff(edges)[:, None]
+    arc, ray = gauss_legendre_rule(_ARC_NODES), gauss_legendre_rule(_RAY_NODES)
+    # arc: s = eps e^{i theta}, ds = i s dtheta; ray: ds = e^{i phi} dr
+    nray = lo.size * _RAY_NODES
+    r = np.concatenate([np.full(_ARC_NODES, eps), (lo + span * ray.nodes).ravel()])
+    ang = np.concatenate([phi * arc.nodes, np.full(nray, phi)])
+    w = np.concatenate([phi * eps * arc.weights, (span * ray.weights).ravel()])
+    turn = np.concatenate([np.full(_ARC_NODES, 0.5 * math.pi), np.zeros(nray)])
+    mag = w * np.exp(r * np.cos(ang)) * r ** (a - b) / math.pi
+    arg = r * np.sin(ang) + (1.0 + a - b) * ang + turn
+    are, aim = mag * np.cos(arg), mag * np.sin(arg)
+    bre, bim = r ** a * np.cos(a * ang), r ** a * np.sin(a * ang)
+    rule = (aim * bre - are * bim, aim, bre, bim * bim)
+    for arr in rule:
+        arr.setflags(write=False)
+    return rule
 
 
-def _arc_term(a: float, b: float, eps: float, z: np.ndarray) -> np.ndarray:
-    """Contribution of the radius-eps circle around the origin."""
-    gl = gauss_legendre_rule(_ARC_NODES)
-    phi = math.pi * gl.nodes
-    w = math.pi * gl.weights
-    e_iphi = np.exp(1j * phi)
-    core = np.exp(eps * e_iphi) * np.exp(1j * phi * (1.0 + a - b))
-    den = (eps ** a) * np.exp(1j * a * phi) - z[:, None]
-    vals = core[None, :] / den
-    integral = (vals * w[None, :]).sum(axis=1)
-    return (eps ** (1.0 + a - b) / math.pi) * integral.real
+def _contour_block(a: float, b: float, z: np.ndarray) -> np.ndarray:
+    """E_{a,b}(z) for z < 0 on the contour of _contour_rule.
 
-
-def _dip_panels(eps: float, r0: np.ndarray, width: np.ndarray):
-    """Gauss panels on [eps, 95] refined around each point's dip.
-
-    Panel edges sit at r0 +- {1,2,4,...,64} dip widths, merged with the
-    base break ladder, with 24-node Gauss-Legendre per panel.  Each
-    point's candidate edges fill one row; edges outside [eps, 95]
-    become NaN (legs start at the arc radius, so a dip centred below
-    eps is already inside the arc and must not spawn a panel there),
-    the row is sorted, and a panel is kept wherever hi > lo, which
-    drops duplicate edges and the NaN tail.
-
-    Returns the nodes and weights of all points' panels, point by
-    point and in ascending order, and the node count of each point.
+    For a >= 4/3 the rays pass beyond the pole pair, and the arc radius
+    stays below half of every pole's modulus |z|^{1/a} so that the whole
+    pair's residues are added.  Otherwise the pair is enclosed wherever
+    it lies, and the arc is the unit circle.
     """
-    ri, wi = r0[:, None], width[:, None]
-    steps = np.array([1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0])
-    edges = np.hstack([
-        np.full_like(ri, eps), np.full_like(ri, 95.0), ri,
-        ri - steps * wi, ri + steps * wi,
-        np.broadcast_to(_LEG_BREAKS, (ri.shape[0], len(_LEG_BREAKS))),
-    ])
-    edges[~((edges >= eps) & (edges <= 95.0))] = np.nan
-    edges.sort(axis=1)
-    lo, hi = edges[:, :-1], edges[:, 1:]
-    keep = hi > lo
-    span = (hi - lo)[keep][:, None]
-    gl = gauss_legendre_rule(_DIP_NODES)
-    nodes = lo[keep][:, None] + span * gl.nodes
-    weights = span * gl.weights
-    return nodes.ravel(), weights.ravel(), _DIP_NODES * keep.sum(axis=1)
-
-
-def _contour_block(a: float, b: float, z: np.ndarray, rtol: float) -> np.ndarray:
-    x = -z
-    rstar = x ** (1.0 / a)
-    eps = min(1.0, 0.5 * float(rstar.min()))
-
-    cpa = math.cos(math.pi * a)
-    spa = math.sin(math.pi * a)
-    sharp = np.zeros(z.shape, dtype=bool)
-    r0 = width = None
-    if cpa < 0.0:
-        # The leg denominator dips to x^2 sin^2(pi a) near r0; when the
-        # dip is narrow the fixed panels cannot see it and that point
-        # gets its own panel fan centred on the dip.
-        r0 = (x * (-cpa)) ** (1.0 / a)
-        with np.errstate(over="ignore"):
-            width = x * abs(spa) / (a * np.maximum(r0, 1e-300) ** (a - 1.0))
-        sharp = (width < 30.0) & (r0 < 95.0)
-        if sharp.any():
-            # keep every dip centre on the leg side of the arc, where
-            # the panel fan can resolve it
-            eps = min(eps, 0.5 * float(r0[sharp].min()))
-
-    out = np.empty_like(z)
-
-    smooth = ~sharp
-    if smooth.any():
-        breaks = [eps] + [bk for bk in _LEG_BREAKS if bk > eps * 1.05]
-        gl = gauss_legendre_rule(_LEG_NODES)
-        xg, wg = gl.nodes, gl.weights
-        nodes = np.concatenate(
-            [breaks[i] + (breaks[i + 1] - breaks[i]) * xg for i in range(len(breaks) - 1)]
-        )
-        wts = np.concatenate(
-            [(breaks[i + 1] - breaks[i]) * wg for i in range(len(breaks) - 1)]
-        )
-        zs = z[smooth][:, None]
-        vals = _legs_integrand(a, b, nodes[None, :], zs)
-        out[smooth] = vals @ wts
-
-    if sharp.any():
-        # Deterministic refinement: each sharp point gets its own panel
-        # fan, and all points are evaluated in one flattened pass.
-        idx = np.flatnonzero(sharp)
-        r_flat, w_flat, counts = _dip_panels(eps, r0[idx], width[idx])
-        z_flat = np.repeat(z[idx], counts)
-        contrib = _legs_integrand(a, b, r_flat, z_flat) * w_flat
-        starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-        out[idx] = np.add.reduceat(contrib, starts)
-
-    out += _arc_term(a, b, eps, z)
-    out += _ml_residue(a, b, z)
+    residues = math.pi / a <= 0.75 * math.pi
+    eps = min(1.0, 0.5 * float(((-z) ** (1.0 / a)).min())) if residues else 1.0
+    p, q, bre, bim2 = _contour_rule(a, b, eps, residues)
+    zc = z[:, None]
+    d = bre - zc
+    out = ((p - q * zc) / (d * d + bim2)).sum(axis=1)
+    if residues:
+        out += _ml_residue(a, b, z)
     return out

@@ -20,6 +20,7 @@ from fracbessel import specfun
 from fracbessel.specfun import MLParams, bessel_j, gamma, mittag_leffler, ml
 
 from _ml_reference import ML_REFERENCE
+from tools.gen_ml_reference import _taylor
 
 
 class TestGamma:
@@ -255,68 +256,50 @@ def test_exponential_property(z):
 
 
 # ---------------------------------------------------------------------------
-# sharp-dip panel fans: the array-built fan against the per-point loop
+# the contour against mpmath where the pole pair comes near the old collapsed
+# contour (the sharp dip) or the arc radius matters
 
 
-def _dip_panels_loop(eps, r0, width):
-    """Reference: one point at a time, edges merged through a set."""
-    x, w = np.polynomial.legendre.leggauss(24)
-    xg, wg = (x + 1.0) / 2.0, w / 2.0
-    nodes_l, wts_l, counts = [], [], []
-    for ri, wi in zip(r0.tolist(), width.tolist()):
-        marks = {eps, 95.0}
-        if eps < ri < 95.0:
-            marks.add(ri)
-        for m in (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0):
-            for pt in (ri - m * wi, ri + m * wi):
-                if eps < pt < 95.0:
-                    marks.add(pt)
-        for bk in specfun._LEG_BREAKS:
-            if eps < bk < 95.0:
-                marks.add(bk)
-        bks = sorted(marks)
-        for lo, hi in zip(bks[:-1], bks[1:]):
-            nodes_l.append(lo + (hi - lo) * xg)
-            wts_l.append((hi - lo) * wg)
-        counts.append(24 * (len(bks) - 1))
-    return np.concatenate(nodes_l), np.concatenate(wts_l), np.array(counts)
-
-
-def _assert_same_panels(eps, r0, width):
-    got = specfun._dip_panels(eps, r0, width)
-    want = _dip_panels_loop(eps, r0, width)
-    for g, w in zip(got, want):
-        assert np.array_equal(g, w)
-
-
-def test_dip_panels_match_loop_at_the_edges():
-    rng = np.random.default_rng(5)
-    r0 = rng.uniform(0.02, 94.9, 400)
-    width = np.exp(rng.uniform(np.log(1e-3), np.log(30.0), 400))
-    # edges on a break (7 - 4 = 3), on eps (0.4 - 0.2 with eps = 0.2)
-    # or on 95 (94 + 1), a dip hard by 95, and fans past both ends
-    r0 = np.concatenate([r0, [7.0, 13.0, 0.4, 94.0, 94.999, 50.0]])
-    width = np.concatenate([width, [1.0, 0.5, 0.2, 1.0, 0.01, 29.9]])
-    for eps in (0.2, 0.5 * float(r0.min()), 1.0):
-        keep = r0 >= 2.0 * eps  # the dispatcher keeps eps <= r0 / 2
-        _assert_same_panels(eps, r0[keep], width[keep])
-    _assert_same_panels(0.5, np.array([20.0]), np.array([3.0]))
+def _assert_matches_taylor(a, b, zs, got):
+    """|got - ref| <= 1e-10 max(|ref|, 1e-5): the frozen table's relative
+    gate, with a 1e-15 absolute floor at zeros of E."""
+    for z, g in zip(zs, got):
+        ref = float(_taylor(a, b, float(z)))
+        assert abs(g - ref) <= 1e-10 * max(abs(ref), 1e-5), (
+            f"E_{{{a},{b}}}({z!r}) = {g!r}, mpmath {ref!r}")
 
 
 @pytest.mark.parametrize("a,b", [(1.35, 0.6), (1.35, 1.35), (1.35, 1.6),
                                  (1.1, 1.0), (1.9, 1.2)])
-def test_sharp_dip_values_match_loop(a, b, monkeypatch):
-    """The evaluator with the array-built fan returns the very bits of
-    the per-point loop on seeded sharp-dip sets.  (1.9, 1.2) has no
-    dip, cos(pi alpha) > 0, so it checks the smooth legs are unmoved."""
+def test_sharp_dip_values_match_loop(a, b):
+    """The evaluator on seeded sharp-dip sets against mpmath's Taylor
+    loop, on a seeded subsample of each batch and on a one-point call.
+    (1.9, 1.2) has no dip, cos(pi alpha) > 0."""
     rng = np.random.default_rng(17)
     z = -np.exp(rng.uniform(np.log(0.5), np.log(200.0), 3000))
     p = MLParams(a, b)
     got = mittag_leffler(p, z)
-    one = mittag_leffler(p, -20.0)
-    monkeypatch.setattr(specfun, "_dip_panels", _dip_panels_loop)
-    assert np.array_equal(got, mittag_leffler(p, z))
-    assert one == mittag_leffler(p, -20.0)
+    pick = rng.choice(z.size, 24, replace=False)
+    _assert_matches_taylor(a, b, z[pick], got[pick])
+    _assert_matches_taylor(a, b, [-20.0], [mittag_leffler(p, -20.0)])
+
+
+@pytest.mark.parametrize("a,b,z", [(1.9, 0.6, -1.0230181821927944),
+                                   (1.7, 0.6, -0.9436044622177464),
+                                   (1.35, 1.0, -2.2151562573033607)])
+def test_contour_near_a_zero_at_the_arc_radius(a, b, z):
+    """Points near zeros of E with |z| ~ 1 reach the contour with an arc
+    radius below 1; 16 arc nodes lose about four digits here."""
+    _assert_matches_taylor(a, b, [z], [mittag_leffler(MLParams(a, b), z)])
+
+
+@pytest.mark.parametrize("a,b,z", [(0.04, 3.6, -0.77), (0.055, 3.9, -0.6),
+                                   (0.05, 0.2, -0.75), (0.09, 2.0, -0.69)])
+def test_small_alpha_below_unit_modulus(a, b, z):
+    """For small alpha and |z| < 1 the series runs out of terms and the
+    contour takes the point.  Its pole modulus |z|^{1/alpha} is then
+    tiny, and an arc radius below it lost every digit (1e6 for 0.15)."""
+    _assert_matches_taylor(a, b, [z], [mittag_leffler(MLParams(a, b), z)])
 
 
 # ---------------------------------------------------------------------------

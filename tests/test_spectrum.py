@@ -9,7 +9,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import quad as adaptive_quad
 from scipy.special import j0 as scipy_j0
-from scipy.special import roots_legendre
+from scipy.special import jv, roots_legendre
 
 from fracbessel.errors import NumericError
 from fracbessel.quadrature import QuadratureRule, gauss_jacobi_rule
@@ -250,6 +250,17 @@ class TestSynthesize:
         vals = basis[:, :2] @ np.array([0.5, -0.25])
         assert vals.shape == (3,)
         assert_allclose(vals[0], 0.25, rtol=1e-15)
+
+    def test_second_derivative_matches_j2(self, default_solution):
+        """The u_xx matrix from Bessel's equation, J1(y)/y - J0(y),
+        against (J2 - J0)/2, at the origin's limit and away from it."""
+        lams = default_solution.lams
+        xs = np.array([0.0, 1e-8, 0.5, 1.0])
+        lx = np.outer(xs, lams)
+        want = lams ** 2 / 2.0 * (jv(2, lx) - jv(0, lx))
+        got = radial_basis(default_solution, xs, 2)
+        assert np.all(np.abs(got - want) <= 1e-15 * lams ** 2)
+        assert np.array_equal(got[0], -lams ** 2 / 2.0)
 
 
 class TestInterlacing:

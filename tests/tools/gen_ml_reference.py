@@ -98,14 +98,24 @@ GRID_Z = [-1e8, -1e6, -4e4, -1000.0, -200.0, -80.0, -30.0, -12.0, -5.0,
 # use.  Those betas get their own block after the main grid.
 GRID_A_HIGH_B = [0.7, 1.2, 1.35, 1.5, 2.0]
 GRID_HIGH_B = [2.7, 2.95, 3.35, 3.75]
+# The evaluator's contour rays switch from short of the pole pair to
+# beyond it at alpha = 4/3, coming nearest to pi/2 just below it; at
+# alpha = 1.001 the pair sits next to the negative axis, and at 1.999
+# next to the imaginary axis, short of the alpha = 2 closed forms.  The
+# last block sits at those edges, on the band of |z| the contour serves.
+GRID_A_EDGE = [1.001, 1.3333, 1.3334, 1.999]
+GRID_B_EDGE = [0.6, 1.0, 1.6]
+GRID_Z_EDGE = [-3.0, -9.0, -30.0]
 
 
 def gen_table():
     rows = []
-    for grid_a, grid_b in ((GRID_A, GRID_B), (GRID_A_HIGH_B, GRID_HIGH_B)):
+    for grid_a, grid_b, grid_z in ((GRID_A, GRID_B, GRID_Z),
+                                   (GRID_A_HIGH_B, GRID_HIGH_B, GRID_Z),
+                                   (GRID_A_EDGE, GRID_B_EDGE, GRID_Z_EDGE)):
         for a in grid_a:
             for b in grid_b:
-                for z in GRID_Z:
+                for z in grid_z:
                     if z > 0 and z ** (1.0 / a) > 600.0:
                         continue  # overflow territory, no finite reference
                     rows.append((a, b, z, ml_reference(a, b, z)))
