@@ -90,8 +90,8 @@ class OperatorParams:
         return self.mu * (2.0 - self.alpha2)
 
 
-def rl_integral_right(sigma: float, g, t: float, quad: QuadratureRule = None,
-                      *, n: int = 256, singular_exponent: float = 0.0) -> float:
+def rl_integral_right(sigma: float, g, t, quad: QuadratureRule = None,
+                      *, n: int = 256, singular_exponent: float = 0.0):
     """Right-sided Riemann-Liouville integral of order sigma at t < 0.
 
     Computes (1/Gamma(sigma)) * integral_t^0 (s - t)^{sigma-1} g(s) ds
@@ -103,9 +103,10 @@ def rl_integral_right(sigma: float, g, t: float, quad: QuadratureRule = None,
     sigma : float
         Integration order, > 0.
     g : callable
-        Integrand on [t, 0]; must accept arrays.
-    t : float
-        Evaluation point, strictly negative.
+        Integrand on [t, 0]; must accept 1-d arrays.
+    t : float or 1-d array
+        Evaluation point(s), strictly negative.  For an array, g sees
+        the nodes of every point in one call and the result is an array.
     quad : QuadratureRule, optional
         Override rule; its exponent pair should be
         (sigma - 1, singular_exponent).
@@ -117,16 +118,19 @@ def rl_integral_right(sigma: float, g, t: float, quad: QuadratureRule = None,
     """
     if sigma <= 0.0:
         raise ValueError(f"integration order must be positive, got {sigma}")
-    if not t < 0.0:
+    tt = np.asarray(t, dtype=float)
+    if not np.all(tt < 0.0):
         raise ValueError(f"right-sided integral needs t < 0, got {t}")
     q = float(singular_exponent)
     if quad is None:
         quad = gauss_jacobi_rule(n, sigma - 1.0, q)
     x = quad.nodes
-    vals = np.asarray(g(t * (1.0 - x)), dtype=float)
+    pts = np.multiply.outer(tt, 1.0 - x)
+    vals = np.asarray(g(pts.ravel()), dtype=float).reshape(pts.shape)
     if q != 0.0:
         vals = vals * (1.0 - x) ** (-q)
-    return (-t) ** sigma / gamma(sigma) * float(quad.weights @ vals)
+    out = (-tt) ** sigma / gamma(sigma) * (vals @ quad.weights)
+    return float(out) if tt.ndim == 0 else out
 
 
 def ek_integral(gma: float, delta: float, beta: float, g, t: float,
@@ -246,7 +250,9 @@ def bi_ordinal_hilfer(op: OperatorParams, u, t: float,
     integral is evaluated by rl_integral_right, its second derivative
     by a central difference whose step shrinks with the sample point so
     the stencil never crosses t = 0, and the outer integral by another
-    Jacobi rule.
+    Jacobi rule.  The inner integral is taken at every stencil point of
+    every outer node in one rl_integral_right call, so u is sampled
+    once per derivative.
 
     Parameters
     ----------
@@ -278,13 +284,13 @@ def bi_ordinal_hilfer(op: OperatorParams, u, t: float,
     q = float(inner_exponent)
 
     if a == 0.0:
-        def inner(s: float) -> float:
-            return float(np.asarray(u(np.array([s])))[0])
+        def inner(s):
+            return np.asarray(u(s), dtype=float)
         e_default = max(q - 2.0, 0.0)
     else:
         rule_in = gauss_jacobi_rule(n, a - 1.0, q)
 
-        def inner(s: float) -> float:
+        def inner(s):
             return rl_integral_right(a, u, s, quad=rule_in,
                                      singular_exponent=q)
         e_default = q + a - 2.0
@@ -299,25 +305,25 @@ def bi_ordinal_hilfer(op: OperatorParams, u, t: float,
             f"too slowly at 0- for the integral composition to exist"
         )
 
-    def second(s: float) -> float:
-        h = fd_step if fd_step is not None else 3e-3 * abs(s)
-        h = min(h, 0.3 * abs(s))
-        if h <= 0.0 or s + h >= 0.0:
+    def second(s: np.ndarray) -> np.ndarray:
+        h = 3e-3 * np.abs(s) if fd_step is None else np.full(s.shape, fd_step)
+        h = np.minimum(h, 0.3 * np.abs(s))
+        bad = (h <= 0.0) | (s + h >= 0.0)
+        if np.any(bad):
             raise NumericError(
-                f"second-difference stencil at s={s:.3e} would cross t=0"
+                f"second-difference stencil at s={s[bad][0]:.3e} would "
+                f"cross t=0"
             )
-        up = inner(s + h)
-        u0 = inner(s)
-        um = inner(s - h)
+        up, u0, um = np.split(inner(np.concatenate([s + h, s, s - h])), 3)
         return (up - 2.0 * u0 + um) / (h * h)
 
     if c == 0.0:
-        return second(float(t))
+        return float(second(np.array([float(t)]))[0])
 
     if quad is None:
         quad = gauss_jacobi_rule(n, c - 1.0, e)
     x = quad.nodes
-    vals = np.array([second(float(t * (1.0 - xi))) for xi in x])
+    vals = second(t * (1.0 - x))
     if e != 0.0:
         vals = vals * (1.0 - x) ** (-e)
     return (-t) ** c / gamma(c) * float(quad.weights @ vals)

@@ -4,6 +4,12 @@ Every convolution kernel in the package has endpoint behaviour
 x^a (1-x)^b with known exponents, so the natural tool is Gauss-Jacobi:
 the rule absorbs the weight and sees only the smooth factor.  A plain
 Gauss-Legendre rule rounds out the set.
+
+Gauss-Jacobi nodes are the eigenvalues of the Jacobi matrix of the
+three-term recurrence (Golub-Welsch), taken with numpy's symmetric
+eigensolver and polished by one Newton step; the Jacobi polynomial
+values come from ``scipy.special``, which with numpy is all this module
+loads.  Gauss-Legendre rules come from numpy's ``leggauss``.
 """
 
 from __future__ import annotations
@@ -62,6 +68,59 @@ class QuadratureRule:
         return float(self.weights @ vals)
 
 
+def _golub_welsch(n: int, a: float, b: float):
+    """Gauss nodes and weights on [0, 1] for the weight x^a (1-x)^b.
+
+    A port of scipy's ``roots_jacobi`` (Golub-Welsch, Math. Comp. 23,
+    1969) with numpy's symmetric eigensolver in place of
+    ``eigvals_banded``, so building a rule loads no scipy.linalg.  The
+    recurrence, the single Newton step and (for a != b) the
+    log-normalised weight formula are scipy's, in its convention: the
+    weight (1-X)^alpha (1+X)^beta on [-1, 1] with alpha = b and
+    beta = a, so that X = 2x - 1 sends (1+X) -> 2x and (1-X) -> 2(1-x).
+    """
+    al, be = b, a
+    k = np.arange(n, dtype=float)
+    diag = np.where(
+        k == 0, (be - al) / (2 + al + be),
+        (be * be - al * al) / ((2.0 * k + al + be) * (2.0 * k + al + be + 2)))
+    k = k[1:]
+    off = (2.0 / (2.0 * k + al + be)
+           * np.sqrt((k + al) * (k + be) / (2 * k + al + be + 1))
+           * np.where(k == 1, 1.0,
+                      np.sqrt(k * (k + al + be) / (2.0 * k + al + be - 1))))
+    # eigvalsh reads the lower triangle of the symmetric Jacobi matrix
+    x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, -1))
+
+    def dp(x):  # P_n'
+        return (0.5 * (n + al + be + 1)
+                * _sp.eval_jacobi(n - 1, al + 1, be + 1, x))
+
+    # one Newton step on P_n, then weights 1/(P_{n-1} P_n'), each factor
+    # scaled by its geometric midrange so the product neither over- nor
+    # underflows
+    dy = dp(x)
+    x -= _sp.eval_jacobi(n, al, be, x) / dy
+    if a == b:
+        # scipy takes its Gegenbauer branch here.  P_{n-1} is badly
+        # conditioned at the end nodes, where its last roots nearly meet
+        # those of P_n (2e-8 of an end weight at a = b = -0.9, n = 400);
+        # at a root of P_n it equals (1 - X^2) P_n' up to a constant
+        # factor, which the normalisation below removes.
+        dy = dp(x)
+        fm = (1.0 - x * x) * dy
+    else:
+        fm = _sp.eval_jacobi(n - 1, al, be, x)
+    log_fm = np.log(np.abs(fm))
+    log_dy = np.log(np.abs(dy))
+    fm /= np.exp((log_fm.max() + log_fm.min()) / 2.0)
+    dy /= np.exp((log_dy.max() + log_dy.min()) / 2.0)
+    w = 1.0 / (fm * dy)
+    mu0 = 2.0 ** (al + be + 1) * _sp.beta(al + 1, be + 1)
+    w *= mu0 / w.sum()
+    return (x + 1.0) / 2.0, w / 2.0 ** (a + b + 1.0)
+
+
 @lru_cache(maxsize=256)
 def _jacobi_rule(n: int, a: float, b: float) -> QuadratureRule:
     """Memoized rule; root finding is the expensive part and the
@@ -72,12 +131,10 @@ def _jacobi_rule(n: int, a: float, b: float) -> QuadratureRule:
         nodes = (x + 1.0) / 2.0
         weights = w / 2.0
     else:
-        # scipy's convention weights (1-X)^alpha (1+X)^beta on [-1, 1];
-        # mapping X = 2x - 1 sends (1+X) -> 2x and (1-X) -> 2(1-x).
-        with np.errstate(invalid="ignore", divide="ignore"):  # benign scipy warning
-            x, w = _sp.roots_jacobi(n, b, a)
-        nodes = (x + 1.0) / 2.0
-        weights = w / 2.0 ** (a + b + 1.0)
+        # np.where also evaluates the branches it discards, which divide
+        # by zero at k = 0 when a + b = 0 and at k = 1 when a + b = -1
+        with np.errstate(invalid="ignore", divide="ignore"):
+            nodes, weights = _golub_welsch(n, a, b)
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return QuadratureRule(

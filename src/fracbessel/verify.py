@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .fracops import (bi_ordinal_hilfer, hyper_bessel_caputo,
                       rl_integral_right)
@@ -129,21 +128,58 @@ def weighted_spline_candidate(u, gamma2: float, span: float, *,
     """Cubic-spline surrogate of a right-sided weighted candidate.
 
     ``u`` must accept arrays of negative t.  The surrogate represents
-    h(q) = u(-q) q^{2-gamma2} on cube-graded knots over [0, span] and
-    returns u(t) = S((-t)^{1/3}) (-t)^{gamma2-2}, so operator oracles
-    can sample the candidate densely at negligible cost.  ``knot0`` is
-    the finite limit of u(t) (-t)^{2-gamma2} at t -> 0-.
+    h(q) = u(-q) q^{2-gamma2} on the cube-graded knots q_i = span (i/M)^3,
+    i = 0..M, and returns u(t) = S((-t)^{1/3}) (-t)^{gamma2-2}, so
+    operator oracles can sample the candidate densely at negligible
+    cost.  ``knot0`` is the finite limit of u(t) (-t)^{2-gamma2} at
+    t -> 0-.
+
+    S is the not-a-knot cubic spline through (s_i, h(q_i)) on the knots
+    s_i = q_i^{1/3}, which are uniform with step span^{1/3}/M.  Its
+    slopes come from one tridiagonal sweep and a point is evaluated in
+    the piece its index floor(s/step) names (the end pieces extend past
+    the knots).  Needs M >= 3: with three knots the two not-a-knot
+    conditions coincide.
     """
+    if M < 3:
+        raise ValueError(f"the not-a-knot spline needs M >= 3, got {M}")
     q = span * (np.arange(M + 1) / M) ** 3
-    vals = np.asarray(u(-q[1:]), dtype=float)
-    h = np.empty(M + 1)
-    h[0] = knot0
-    h[1:] = vals * q[1:] ** (2.0 - gamma2)
-    S = CubicSpline(np.cbrt(q), h)
+    y = np.empty(M + 1)
+    y[0] = knot0
+    y[1:] = np.asarray(u(-q[1:]), dtype=float) * q[1:] ** (2.0 - gamma2)
+    step = np.cbrt(span) / M
+    sec = np.diff(y) / step
+
+    # slopes m_i: m_{i-1} + 4 m_i + m_{i+1} = 3 (sec_{i-1} + sec_i) inside,
+    # with the not-a-knot rows m_0 + 2 m_1 and 2 m_{M-1} + m_M at the ends
+    sub = [1.0] * M + [2.0]
+    sup = [2.0] + [1.0] * M
+    diag = [1.0] + [4.0] * (M - 1) + [1.0]
+    rhs = ([(5.0 * sec[0] + sec[1]) / 2.0]
+           + (3.0 * (sec[:-1] + sec[1:])).tolist()
+           + [(sec[-2] + 5.0 * sec[-1]) / 2.0])
+    for i in range(1, M + 1):  # Thomas forward sweep
+        f = sub[i] / diag[i - 1]
+        diag[i] -= f * sup[i - 1]
+        rhs[i] -= f * rhs[i - 1]
+    m = [0.0] * (M + 1)
+    m[M] = rhs[M] / diag[M]
+    for i in range(M - 1, -1, -1):
+        m[i] = (rhs[i] - sup[i] * m[i + 1]) / diag[i]
+    m = np.array(m)
+
+    # piece i is y_i + m_i d + c2_i d^2 + c3_i d^3 with d = s - i step
+    k3 = (m[:-1] + m[1:] - 2.0 * sec) / step
+    c3 = k3 / step
+    c2 = (sec - m[:-1]) / step - k3
 
     def wrapped(t):
         qq = -np.asarray(t, dtype=float)
-        return S(np.cbrt(qq)) * qq ** (gamma2 - 2.0)
+        s = np.cbrt(qq)
+        i = np.clip(np.floor(s / step).astype(int), 0, M - 1)
+        d = s - i * step
+        return ((((c3[i] * d + c2[i]) * d + m[i]) * d + y[i])
+                * qq ** (gamma2 - 2.0))
 
     return wrapped
 

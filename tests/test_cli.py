@@ -2,8 +2,10 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -335,3 +337,38 @@ class TestSubprocessEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert "checks passed" in proc.stdout
         assert (out / "report.json").exists()
+
+    def test_run_loads_no_heavy_scipy_subpackage(self, tmp_path):
+        """Importing the package and a verified solve load numpy and
+        scipy.special only.  Tabulated forcing at theta != 0 (p != 1)
+        runs the forward hinge quadrature, the Gauss-Jacobi rules of
+        every oracle and the backward spline surrogate."""
+        xs = [i / 8 for i in range(9)]
+        ts = [-1.0 + i / 4 for i in range(9)]
+        samples = [[x ** 4 * (1 - x) ** 3 * (1 + 0.5 * t) for t in ts]
+                   for x in xs]
+        cfg_path = write_config(
+            tmp_path / "c.json",
+            problem={"forcing": {"kind": "tabulated", "x_grid": xs,
+                                 "t_grid": ts, "samples": samples},
+                     "N": 10},
+            flags={"verify_modes": 1})
+        heavy = ["scipy." + m for m in ("interpolate", "optimize", "linalg",
+                                        "sparse", "fft", "spatial",
+                                        "integrate", "stats")]
+        code = (
+            "import json, sys\n"
+            "import fracbessel, fracbessel.cli\n"
+            "rc = fracbessel.cli.main(sys.argv[1:])\n"
+            "print(json.dumps({'rc': rc, 'loaded': sorted(\n"
+            f"    m for m in {heavy!r} if m in sys.modules)}}))\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "solve", str(cfg_path),
+             "--out-dir", str(tmp_path / "out")],
+            capture_output=True, text=True, timeout=300, env=env)
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout.splitlines()[-1])
+        assert result == {"rc": EXIT_OK, "loaded": []}

@@ -115,11 +115,31 @@ class TestRightRLIntegral:
                                  singular_exponent=c)
         assert_allclose(got, want, rtol=1e-7)
 
+    def test_array_t_matches_scalar_calls(self):
+        """An array of t makes one integrand call for all its nodes and
+        returns what the scalar calls return."""
+        sigma, q = 0.4, -0.4
+        ts = -np.geomspace(1e-3, 1.0, 7)
+        calls = []
+
+        def g(s):
+            calls.append(np.shape(s))
+            return np.cos(3.0 * s) * (-s) ** q
+
+        got = rl_integral_right(sigma, g, ts, n=64, singular_exponent=q)
+        assert calls == [(7 * 64,)]
+        want = [rl_integral_right(sigma, g, float(t), n=64,
+                                  singular_exponent=q) for t in ts]
+        assert got.shape == ts.shape
+        assert_allclose(got, want, rtol=1e-14, atol=0.0)
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             rl_integral_right(0.0, lambda s: s, -0.5)
         with pytest.raises(ValueError):
             rl_integral_right(0.5, lambda s: s, 0.3)
+        with pytest.raises(ValueError):
+            rl_integral_right(0.5, lambda s: s, np.array([-0.5, 0.0]))
 
 
 class TestEKIntegral:

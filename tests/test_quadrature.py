@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.special import roots_jacobi
 
 from fracbessel.quadrature import (QuadratureRule, gauss_jacobi_rule,
                                    gauss_legendre_rule)
@@ -107,3 +108,67 @@ def test_rule_invariants_property(n, a, b):
     assert np.all(rule.weights > 0.0)
     # zeroth moment is the Beta function
     assert_allclose(rule.weights.sum(), beta_moment(a, b, 0), rtol=1e-11)
+
+
+def scipy_rule(n, a, b):
+    """scipy's Gauss-Jacobi rule carried to [0, 1] and the weight
+    x^a (1-x)^b (scipy puts its alpha at X = +1, that is at x = 1)."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        x, w = roots_jacobi(n, b, a)
+    return (x + 1.0) / 2.0, w / 2.0 ** (a + b + 1.0)
+
+
+def _seeded_pairs():
+    """n = 1, a + b = 0 and a + b = -1 (where the recurrence divides by
+    zero in the branches it discards), and general pairs, from a fixed
+    seed."""
+    rng = np.random.default_rng(909)
+    cases = []
+    for n, a, b in zip(rng.integers(2, 401, 12), rng.uniform(-0.9, 2.0, 12),
+                       rng.uniform(-0.9, 2.0, 12)):
+        cases.append((int(n), float(a), float(b)))
+    for n, a in zip(rng.integers(2, 401, 6), rng.uniform(-0.9, 0.9, 6)):
+        cases.append((int(n), float(a), -float(a)))
+    for n, a in zip(rng.integers(2, 401, 6), rng.uniform(-0.9, -0.1, 6)):
+        cases.append((int(n), float(a), -1.0 - float(a)))
+    for a, b in rng.uniform(-0.9, 2.0, (4, 2)):
+        cases.append((1, float(a), float(b)))
+    return cases
+
+
+@pytest.mark.parametrize("n,a,b", [
+    (64, -0.6, -0.4), (112, -0.6, -0.4), (160, -0.6, -0.4),
+    (192, 0.7, -0.7), (160, -0.75, -0.65),
+] + _seeded_pairs())
+def test_jacobi_matches_scipy_roots_jacobi(n, a, b):
+    """The numpy port reproduces scipy's rule: the first five are the
+    rules a CLI run at the README operator builds."""
+    x_ref, w_ref = scipy_rule(n, a, b)
+    rule = gauss_jacobi_rule(n, a, b)
+    assert np.max(np.abs(rule.nodes - x_ref)) <= 1e-15
+    assert np.max(np.abs(rule.weights - w_ref) / w_ref) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 64, 160, 400])
+@pytest.mark.parametrize("a", [0.15, 0.5, 1.35, 2.0])
+def test_symmetric_jacobi_matches_scipy(n, a):
+    """a = b, where scipy takes its Gegenbauer branch: nodes to 1e-15
+    and weights to 1e-14 of their sum.  For a = b < 0 scipy's end
+    weights are themselves off by 1.3e-8 relative (a = b = -0.95,
+    n = 400, against 40-digit mpmath), so the closed-form test below
+    stands in for it there."""
+    x_ref, w_ref = scipy_rule(n, a, a)
+    rule = gauss_jacobi_rule(n, a, a)
+    assert np.max(np.abs(rule.nodes - x_ref)) <= 1e-15
+    assert np.max(np.abs(rule.weights - w_ref)) <= 1e-14 * w_ref.sum()
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 64, 160, 400])
+def test_chebyshev_rule_closed_form(n):
+    """a = b = -1/2 is Gauss-Chebyshev: x_i = (1 + cos((2i-1) pi/2n))/2
+    with every weight pi/n."""
+    i = np.arange(n, 0, -1)
+    rule = gauss_jacobi_rule(n, -0.5, -0.5)
+    nodes = (1.0 + np.cos((2 * i - 1) * np.pi / (2 * n))) / 2.0
+    assert_allclose(rule.nodes, nodes, rtol=0.0, atol=1e-15)
+    assert_allclose(rule.weights, np.pi / n, rtol=1e-10)

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.interpolate import CubicSpline
 
 from fracbessel.fracops import OperatorParams
 from fracbessel.solver import Forcing, ProblemSpec, delta_limit, solve_modes
@@ -190,6 +191,31 @@ class TestSplineCandidate:
                                          knot0=rgamma(g2 - 1.0))
         ts = -np.geomspace(1e-5, 0.9, 25)
         assert_allclose(cand(ts), u(ts), rtol=1e-6)
+
+    @pytest.mark.parametrize("M", [3, 4, 400])
+    @pytest.mark.parametrize("phi", [
+        lambda q: np.exp(-q),
+        lambda q: np.cos(3.0 * q),
+        lambda q: 1.0 / (1.0 + q * q),
+    ])
+    def test_matches_scipy_not_a_knot_spline(self, M, phi):
+        """Same knots and end conditions as CubicSpline, to a few ulp of
+        the largest knot value, over the whole knot span."""
+        g2, span = 1.6, 0.8
+        q = span * (np.arange(M + 1) / M) ** 3
+        ref = CubicSpline(np.cbrt(q), phi(q))
+        cand = weighted_spline_candidate(
+            lambda t: phi(-t) * (-t) ** (g2 - 2.0), g2, span,
+            knot0=phi(0.0), M=M)
+        ts = -np.concatenate([np.linspace(1e-9, span, 2001), q[1:]])
+        w = (-ts) ** (g2 - 2.0)
+        err = np.abs(cand(ts) - ref(np.cbrt(-ts)) * w) / w
+        assert np.max(err) <= 8 * np.finfo(float).eps * np.max(np.abs(phi(q)))
+
+    def test_needs_four_knots(self):
+        with pytest.raises(ValueError):
+            weighted_spline_candidate(lambda t: np.ones_like(t), 1.6, 1.0,
+                                      knot0=1.0, M=2)
 
 
 class TestReportDataclasses:
