@@ -371,7 +371,8 @@ def _hinge_quadrature(alpha, beta, c, W, knots, D, q):
 
     Each Legendre panel [lo, hi] gets the node count that its distance
     to the nearer branch point (w = 0 of the kernel, w = W of y^q)
-    calls for; the first panel takes the w^{beta-1} weight exactly.
+    calls for; the first panel takes the w^{beta-1} weight exactly.  The
+    kernel values at the nodes of every mode come from one call.
     """
     out = np.zeros((len(c), len(W)))
     if not knots.size:
@@ -379,6 +380,7 @@ def _hinge_quadrature(alpha, beta, c, W, knots, D, q):
     ys = knots ** (1.0 / q)
     jac = gauss_jacobi_rule(_HINGE_NODES, beta - 1.0, 0.0)
     ratio = 4.0 ** (1.0 / alpha)
+    rows, zs = [], []  # (mode, nodes, weights, owning W) and kernel arguments
     for i, ci in enumerate(c):
         w0 = abs(ci) ** (-1.0 / alpha)
         his = []
@@ -414,12 +416,17 @@ def _hinge_quadrature(alpha, beta, c, W, knots, D, q):
             parts.append((w, span * rule.weights * w ** (beta - 1.0),
                           owner[sel]))
         w = np.concatenate([p[0].ravel() for p in parts])
-        wt = np.concatenate([p[1].ravel() for p in parts])
-        own = np.concatenate([np.repeat(p[2], p[0].shape[1]) for p in parts])
-        kern = mittag_leffler(MLParams(alpha=alpha, beta=beta),
-                              ci * w ** alpha)
+        rows.append((i, w, np.concatenate([p[1].ravel() for p in parts]),
+                     np.concatenate([np.repeat(p[2], p[0].shape[1])
+                                     for p in parts])))
+        zs.append(ci * w ** alpha)
+    if not rows:
+        return out
+    kern = mittag_leffler(MLParams(alpha=alpha, beta=beta), np.concatenate(zs))
+    ends = np.cumsum([z.size for z in zs])
+    for (i, w, wt, own), k in zip(rows, np.split(kern, ends[:-1])):
         g = np.maximum((W[own] - w)[:, None] ** q - knots, 0.0) @ D[i]
-        out[i] = np.bincount(own, wt * kern * g, minlength=len(W))
+        out[i] = np.bincount(own, wt * k * g, minlength=len(W))
     return out
 
 
@@ -446,7 +453,9 @@ def _conv(alpha: float, beta: float, c, W, f: TimeCoefficient, *,
     if inside.any():
         hinge = np.zeros((c.shape[0],) + X.shape)
         hinge[:, inside] = _power_kernel(alpha, beta, c, X[inside], 2.0)
-        out += np.einsum("kwj,kj->kw", hinge, D)
+        # each (mode, W) row is summed on its own, so that a mode's
+        # value does not depend on the other modes of the batch
+        out += (hinge * D[:, None, :]).sum(axis=2)
     return out
 
 
@@ -475,45 +484,65 @@ def compute_Gk(mode: ModeRecord, t: float) -> float:
                                      t)[0, 0])
 
 
-def compute_Fk(mode: ModeRecord, spec: ProblemSpec) -> float:
+def _mode_batch(mode):
+    """The records of ``mode`` (one ModeRecord or a sequence of them),
+    their lam_k, and whether a single record was given."""
+    single = isinstance(mode, ModeRecord)
+    modes = (mode,) if single else tuple(mode)
+    return modes, np.array([m.ev.lam for m in modes]), single
+
+
+def compute_Fk(mode, spec: ProblemSpec):
     """Right-hand side F_k of the mode system: the terminal value
     G_k(T) minus the weighted history convolutions at each xi_i, whose
-    kernel is w^{d2-g2+1} E_{d2,d2-g2+2}(-lam^2 w^{d2})."""
+    kernel is w^{d2-g2+1} E_{d2,d2-g2+2}(-lam^2 w^{d2}).
+
+    ``mode`` is one ModeRecord (a float is returned) or a sequence of
+    them (an array, with one Mittag-Leffler call per kernel for all).
+    """
+    modes, lams, single = _mode_batch(mode)
     op = spec.op
-    total = float(_forward_particular(op, [mode.ev.lam], mode.f_k,
-                                      spec.T)[0, 0])
-    d2, g2 = op.delta2, op.gamma2
-    for p_i, xi in spec.nonlocal_points:
-        if p_i != 0.0 and xi != 0.0:
-            total -= p_i * float(_conv(d2, d2 - g2 + 2.0, -mode.ev.lam ** 2,
-                                       -xi, mode.f_k, sign=-1.0)[0, 0])
-    return total
+    f = TimeCoefficient.stack([m.f_k for m in modes])
+    total = _forward_particular(op, lams, f, spec.T)[:, 0]
+    pts = [(p_i, xi) for p_i, xi in spec.nonlocal_points
+           if p_i != 0.0 and xi != 0.0]
+    if pts:
+        d2, g2 = op.delta2, op.gamma2
+        hist = _conv(d2, d2 - g2 + 2.0, -lams ** 2, [-xi for _, xi in pts], f,
+                     sign=-1.0)
+        for j, (p_i, _) in enumerate(pts):
+            total = total - p_i * hist[:, j]
+    return float(total[0]) if single else total
 
 
-def compute_Delta_k(mode: ModeRecord, spec: ProblemSpec,
-                    *, variant: str = None) -> float:
+def compute_Delta_k(mode, spec: ProblemSpec, *, variant: str = None):
     """Per-mode solvability determinant Delta_k.
 
     Bracket terms come from pushing the backward-side representation
     through the fractional integral of the non-local condition; the
     final term is the forward-side Mittag-Leffler factor at t = T.
+    ``mode`` is one ModeRecord (a float is returned) or a sequence of
+    them (an array, with one Mittag-Leffler call per kernel for all).
     """
+    modes, lams, single = _mode_batch(mode)
+    lam2 = lams ** 2
     op = spec.op
-    lam = mode.ev.lam
     v = variant if variant is not None else spec.delta_variant
     if v not in ("consistent", "paper-literal"):
         raise ValueError(f"unknown delta variant {v!r}")
     d2 = op.delta2
     pa = op.p ** op.alpha1 * gamma(op.alpha1)
-    e1 = MLParams(alpha=d2, beta=1.0)
-    e2 = MLParams(alpha=d2, beta=2.0)
-    total = 0.0
-    for p_i, xi in spec.nonlocal_points:
-        z = -lam ** 2 * ((-xi) ** d2 if v == "consistent" else (-xi))
-        total += p_i * (float(mittag_leffler(e1, z))
-                        + lam ** 2 * (-xi) / pa * float(mittag_leffler(e2, z)))
-    zT = -(lam ** 2 / op.p ** op.alpha1) * spec.T ** (op.alpha1 * op.p)
-    return total - float(mittag_leffler(MLParams(alpha=op.alpha1, beta=1.0), zT))
+    pts = spec.nonlocal_points
+    z = -lam2 * np.array([[(-xi) ** d2 if v == "consistent" else (-xi)]
+                          for _, xi in pts])
+    e1 = mittag_leffler(MLParams(alpha=d2, beta=1.0), z)
+    e2 = mittag_leffler(MLParams(alpha=d2, beta=2.0), z)
+    total = np.zeros(lam2.shape)
+    for i, (p_i, xi) in enumerate(pts):
+        total = total + p_i * (e1[i] + lam2 * (-xi) / pa * e2[i])
+    zT = -(lam2 / op.p ** op.alpha1) * spec.T ** (op.alpha1 * op.p)
+    out = total - mittag_leffler(MLParams(alpha=op.alpha1, beta=1.0), zT)
+    return float(out[0]) if single else out
 
 
 def delta_limit(spec: ProblemSpec, *, variant: str = None) -> float:
@@ -603,26 +632,27 @@ def _mode_coefficient_callables(spec: ProblemSpec, eigs) -> list:
 def solve_modes(spec: ProblemSpec) -> SeriesSolution:
     """Assemble all N modes and close the system.
 
-    Raises SolvabilityError at the first mode whose determinant falls
-    below spec.delta_floor; modes are processed in increasing k so the
-    reported index is deterministic.
+    Delta_k and F_k of every mode come from one call each.  Raises
+    SolvabilityError at the first k whose determinant falls below
+    spec.delta_floor, before any F_k is computed.
     """
     op = spec.op
     eigs = eigenvalue_table(spec.N, asymptotic=spec.asymptotic_eigenvalues)
     f_ks = _mode_coefficient_callables(spec, eigs)
     pa = op.p ** op.alpha1 * gamma(op.alpha1)
+    partial = [ModeRecord(ev=ev, f_k=f_k, op=op)
+               for ev, f_k in zip(eigs, f_ks)]
+    deltas = compute_Delta_k(partial, spec)
+    low = np.flatnonzero(np.abs(deltas) < spec.delta_floor)
+    if low.size:
+        raise SolvabilityError(eigs[low[0]].k, float(deltas[low[0]]),
+                               spec.delta_floor)
     modes = []
-    for ev, f_k in zip(eigs, f_ks):
-        partial = ModeRecord(ev=ev, f_k=f_k, op=op)
-        delta = compute_Delta_k(partial, spec)
-        if abs(delta) < spec.delta_floor:
-            raise SolvabilityError(ev.k, delta, spec.delta_floor)
-        F = compute_Fk(partial, spec)
-        tau = F / delta
-        modes.append(ModeRecord(
-            ev=ev, f_k=f_k, Delta_k=delta, F_k=F, tau_k=tau, phi_k=tau,
-            psi_k=-(ev.lam ** 2 / pa) * tau, op=op,
-        ))
+    for m, d, F in zip(partial, deltas.tolist(),
+                       compute_Fk(partial, spec).tolist()):
+        tau = F / d
+        modes.append(replace(m, Delta_k=d, F_k=F, tau_k=tau, phi_k=tau,
+                             psi_k=-(m.ev.lam ** 2 / pa) * tau))
     tail = abs(modes[-1].tau_k) * math.sqrt(spec.N)
     return SeriesSolution(spec=spec, modes=tuple(modes), tail_estimate=tail)
 

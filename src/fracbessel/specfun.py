@@ -22,6 +22,11 @@ accuracy-tracked cascade:
 The nominal regime boundaries (|z| around 5 and 50) are useful mental
 markers but carry no authority; the handoff is decided per point by
 the error tracking above.
+
+Every value depends on its own (alpha, beta, z, rtol) only: never on
+the other points of a call, their order or the chunk they fall in.
+Callers may therefore batch freely, and the solver evaluates each
+kernel for all modes in one call.
 """
 
 from __future__ import annotations
@@ -197,7 +202,7 @@ def _ml_core(a: float, b: float, z: np.ndarray, rtol: float) -> np.ndarray:
         safe, nmax = _series_safety(a, b, z, rtol)
         m = todo & safe
         if m.any():
-            val, ok = _series_block(a, b, z[m], rtol, nmax)
+            val, ok = _series_block(a, b, z[m], rtol, nmax[m])
             idx = np.flatnonzero(m)
             out[idx[ok]] = val[ok]
             todo[idx[ok]] = False
@@ -290,7 +295,8 @@ def _ml_alpha_two_int(bint: int, z: np.ndarray) -> np.ndarray:
 def _series_safety(a: float, b: float, z: np.ndarray, rtol: float):
     """Predict where the ascending series can reach ``rtol`` in float64.
 
-    Returns a boolean mask and the term budget.  The prediction relies
+    Returns a boolean mask and each point's term budget, 1.6 times its
+    stationary index plus 48.  The prediction relies
     on the largest-term magnitude max_n |z|^n / Gamma(b + a n), whose
     logarithm is evaluated at the stationary index.  Failures of the
     prediction are harmless: the series block re-measures cancellation
@@ -311,14 +317,28 @@ def _series_safety(a: float, b: float, z: np.ndarray, rtol: float):
     safe_neg = (ln_max < 600.0) & (lost <= 15.8 - digits_budget)
     safe_pos = ln_max < 650.0
     safe = np.where(z < 0.0, safe_neg, safe_pos)
-    cap = float(np.max(np.where(safe, nstar, 0.0), initial=0.0))
-    nmax = int(min(16384.0, 1.6 * cap + 48.0))
+    nmax = np.minimum(1.6 * np.where(safe, nstar, 0.0) + 48.0,
+                      16384.0).astype(int)
     return safe & (nstar <= 12000.0), nmax
 
 
-def _series_block(a: float, b: float, z: np.ndarray, rtol: float, nmax: int,
+def _series_block(a: float, b: float, z: np.ndarray, rtol: float, nmax,
                   force: bool = False):
-    """Compensated ascending series with measured-cancellation gating."""
+    """Compensated ascending series with measured-cancellation gating.
+
+    ``nmax`` is each point's term budget (one int serves every point).
+    A point's sum is final at the pass where it converges, overflows or
+    spends its budget: its compensation is then dropped, so the passes
+    that the other points still make add exactly zero to it, and no
+    value depends on the other points of the block.  Finished points
+    leave the work arrays once they are half of them.
+    """
+    budget = np.broadcast_to(np.asarray(nmax), z.shape)
+    s_out = np.empty(z.shape)
+    max_out = np.empty(z.shape)
+    conv_out = np.empty(z.shape, dtype=bool)
+    idx = np.arange(z.size)
+    zl = z
     s = np.full(z.shape, _sp.rgamma(b))
     comp = np.zeros_like(s)
     powz = np.ones_like(s)
@@ -327,13 +347,14 @@ def _series_block(a: float, b: float, z: np.ndarray, rtol: float, nmax: int,
     converged = np.zeros(z.shape, dtype=bool)
     calm = np.zeros(z.shape, dtype=np.int8)
     hump = (np.abs(z) ** (1.0 / a) - b) / a
+    spent = budget.min(initial=0)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(1, nmax + 1):
-            powz = np.where(live, powz * z, powz)
-            blown = live & ~np.isfinite(powz)
-            if blown.any():
-                live &= ~blown
+        for n in range(1, int(budget.max(initial=0)) + 1):
+            powz = powz * zl
+            left = live & ~np.isfinite(powz)
+            if left.any():
+                live &= ~left
             t = np.where(live, powz * _sp.rgamma(b + a * n), 0.0)
             y = t - comp
             snew = s + y
@@ -342,21 +363,39 @@ def _series_block(a: float, b: float, z: np.ndarray, rtol: float, nmax: int,
             at = np.abs(t)
             np.maximum(maxmag, at, out=maxmag)
             small = at <= 0.125 * rtol * np.maximum(np.abs(s), 1e-300)
-            calm = np.where(live & small & (n > hump), calm + 1, 0).astype(np.int8)
+            calm = np.where(live & small & (n > hump), calm + 1, 0)
             done = live & (calm >= 2)
             if done.any():
                 converged |= done
-                live &= ~done
-            if not live.any():
+                left |= done
+            if n >= spent:
+                left |= live & (n >= budget)
+            if not left.any():
+                continue
+            live &= ~left
+            nlive = int(np.count_nonzero(live))
+            if not nlive:
                 break
+            comp = np.where(live, comp, 0.0)
+            if 2 * nlive <= live.size:
+                gone = idx[~live]
+                s_out[gone] = s[~live]
+                max_out[gone] = maxmag[~live]
+                conv_out[gone] = converged[~live]
+                (idx, zl, s, comp, powz, maxmag, converged, calm, hump,
+                 budget) = (v[live] for v in (idx, zl, s, comp, powz, maxmag,
+                                              converged, calm, hump, budget))
+                live = np.ones(nlive, dtype=bool)
+                spent = budget.min()
 
-    cancel_ok = maxmag * (_EPS * 8.0) <= rtol * np.maximum(np.abs(s), 1e-300)
-    ok = converged & cancel_ok & np.isfinite(s)
+    s_out[idx], max_out[idx], conv_out[idx] = s, maxmag, converged
+    s = s_out
+    cancel_ok = max_out * (_EPS * 8.0) <= rtol * np.maximum(np.abs(s), 1e-300)
+    ok = conv_out & cancel_ok & np.isfinite(s)
     if force:
         # Positive-axis fallback: an overflowed partial sum means the
         # value itself exceeds float64 range.
         s = np.where(np.isfinite(s), s, np.inf)
-        return s, ok
     return s, ok
 
 
@@ -513,17 +552,24 @@ def _contour_rule(a: float, b: float, eps: float, residues: bool) -> tuple:
 def _contour_block(a: float, b: float, z: np.ndarray) -> np.ndarray:
     """E_{a,b}(z) for z < 0 on the contour of _contour_rule.
 
-    For a >= 4/3 the rays pass beyond the pole pair, and the arc radius
-    stays below half of every pole's modulus |z|^{1/a} so that the whole
-    pair's residues are added.  Otherwise the pair is enclosed wherever
-    it lies, and the arc is the unit circle.
+    For a >= 4/3 the rays pass beyond the pole pair and its residues are
+    added, so the arc must stay inside the pair: each point takes the
+    largest power of 2 at most half its pole modulus |z|^{1/a}, capped
+    at 1, and each such rung has its own rule.  Otherwise the pair is
+    enclosed wherever it lies, and the arc is the unit circle.
     """
     residues = math.pi / a <= 0.75 * math.pi
-    eps = min(1.0, 0.5 * float(((-z) ** (1.0 / a)).min())) if residues else 1.0
-    p, q, bre, bim2 = _contour_rule(a, b, eps, residues)
-    zc = z[:, None]
-    d = bre - zc
-    out = ((p - q * zc) / (d * d + bim2)).sum(axis=1)
+    eps = np.ones_like(z)
+    if residues:
+        _, e = np.frexp(0.5 * (-z) ** (1.0 / a))
+        eps = np.minimum(np.ldexp(1.0, e - 1), 1.0)
+    out = np.empty_like(z)
+    for rung in np.unique(eps):
+        m = eps == rung
+        p, q, bre, bim2 = _contour_rule(a, b, float(rung), residues)
+        zc = z[m][:, None]
+        d = bre - zc
+        out[m] = ((p - q * zc) / (d * d + bim2)).sum(axis=1)
     if residues:
         out += _ml_residue(a, b, z)
     return out

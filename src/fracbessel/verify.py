@@ -260,7 +260,8 @@ def _interface_profiles(sol: SeriesSolution, xs: np.ndarray,
     return out
 
 
-def check_gluing(sol: SeriesSolution, *, rel_tol: float = None) -> list:
+def check_gluing(sol: SeriesSolution, *, rel_tol: float = None,
+                 _scale: float = None) -> list:
     """The two interface conditions plus the coefficient transfer rules.
 
     Four rows: (a) exact coefficient identities; (b) the memory-weighted
@@ -273,7 +274,7 @@ def check_gluing(sol: SeriesSolution, *, rel_tol: float = None) -> list:
     spec = sol.spec
     op = spec.op
     rel = GLUING_REL if rel_tol is None else float(rel_tol)
-    unorm = _u_scale(sol)
+    unorm = _u_scale(sol) if _scale is None else _scale
     floor = 1e-300
     d2, g2 = op.delta2, op.gamma2
     checks = []
@@ -369,7 +370,8 @@ def check_gluing(sol: SeriesSolution, *, rel_tol: float = None) -> list:
     return checks
 
 
-def check_nonlocal(sol: SeriesSolution, *, rel_tol: float = None) -> list:
+def check_nonlocal(sol: SeriesSolution, *, rel_tol: float = None,
+                   _scale: float = None) -> list:
     """History condition at t = T via two independent routes.
 
     Route 1 shifts each mode analytically (index-shift identity of the
@@ -380,7 +382,7 @@ def check_nonlocal(sol: SeriesSolution, *, rel_tol: float = None) -> list:
     spec = sol.spec
     op = spec.op
     rel = NONLOCAL_REL if rel_tol is None else float(rel_tol)
-    unorm = _u_scale(sol)
+    unorm = _u_scale(sol) if _scale is None else _scale
     floor = 1e-300
     a = op.hilfer_inner_order
     g2 = op.gamma2
@@ -515,14 +517,9 @@ def check_delta_asymptote(spec: ProblemSpec, k_list) -> list:
     def zero(t):
         return np.zeros_like(np.asarray(t, dtype=float))
 
-    gaps, lams = [], []
-    for k in ks:
-        ev = eigs[k - 1]
-        d = compute_Delta_k(ModeRecord(ev=ev, f_k=zero), spec)
-        gaps.append(abs(d - L))
-        lams.append(ev.lam)
-    gaps = np.array(gaps)
-    lams = np.array(lams)
+    probes = [ModeRecord(ev=eigs[k - 1], f_k=zero) for k in ks]
+    gaps = np.abs(compute_Delta_k(probes, spec) - L)
+    lams = np.array([m.ev.lam for m in probes])
 
     ratios = gaps[1:] / np.maximum(gaps[:-1], 1e-300)
     worst_ratio = float(np.max(ratios)) if len(ratios) else 0.0
@@ -621,8 +618,10 @@ def verify_solution(sol: SeriesSolution, *, k_max: int = 10,
     """Run every check and assemble the report, deterministic order."""
     checks = []
     checks.extend(check_boundary(sol, tol=boundary_tol))
-    checks.extend(check_gluing(sol, rel_tol=gluing_rel))
-    checks.extend(check_nonlocal(sol, rel_tol=nonlocal_rel))
+    # both relative gates scale with the same sup |u|
+    scale = _u_scale(sol)
+    checks.extend(check_gluing(sol, rel_tol=gluing_rel, _scale=scale))
+    checks.extend(check_nonlocal(sol, rel_tol=nonlocal_rel, _scale=scale))
     checks.extend(check_mode_odes(sol, min(k_max, sol.spec.N),
                                   rel_tol=mode_ode_rel))
     checks.extend(check_delta_asymptote(sol.spec, delta_k_list))

@@ -15,7 +15,8 @@ from fracbessel.cli import (EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK,
                             EXIT_SOLVABILITY, ConfigError, main, parse_config)
 from fracbessel.fracops import OperatorParams
 from fracbessel.solver import (Forcing, ModeRecord, ProblemSpec,
-                               compute_Delta_k, eval_u, solve_modes)
+                               compute_Delta_k, compute_Fk, eval_u,
+                               mode_matrix, solve_modes)
 from fracbessel.spectrum import bessel_zero
 
 OPERATOR = {"alpha1": 0.7, "theta": 0.2, "alpha2": 1.5, "beta2": 1.2,
@@ -255,6 +256,45 @@ class TestMainRuns:
         bad.write_text("{not json")
         assert main(["solve", str(bad)]) == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
+
+
+class TestModeBatching:
+    def test_batched_modes_equal_one_mode_calls(self, tmp_path):
+        """Delta_k, F_k and tau_k of a CLI solve, which computes every
+        mode in one call per kernel, are the bits of one-mode calls (at
+        xi = -0.5 mode 1's determinant argument is -2.27, next to where
+        the contour takes over).  For tabulated forcing at theta != 0,
+        whose forward side runs the hinge quadrature, mode_matrix over
+        all modes equals its one-mode rows on both sides of t = 0."""
+        cfg_path = write_config(
+            tmp_path / "c.json",
+            problem={"nonlocal_points": [[0.6, -0.5]], "N": 12},
+            flags={"verify_modes": 1})
+        out = tmp_path / "out"
+        assert main(["solve", str(cfg_path), "--out-dir", str(out)]) == EXIT_OK
+        spec = parse_config(cfg_path).spec
+        rows = (out / "modes.csv").read_text().splitlines()[1:]
+        assert len(rows) == 12
+        for row, m in zip(rows, solve_modes(spec).modes):
+            _, _, delta, F, tau, _ = (float(v) for v in row.split(","))
+            one = ModeRecord(ev=m.ev, f_k=m.f_k, op=spec.op)
+            d1 = compute_Delta_k(one, spec)
+            F1 = compute_Fk(one, spec)
+            assert (delta, F, tau) == (d1, F1, F1 / d1)
+
+        xs = np.linspace(0.0, 1.0, 9)
+        tg = np.linspace(-1.0, 1.0, 9)
+        samples = [[x ** 4 * (1 - x) ** 3 * (1 + 0.5 * math.sin(2 * t))
+                    for t in tg] for x in xs]
+        tab = Forcing(kind="tabulated", x_grid=tuple(xs), t_grid=tuple(tg),
+                      samples=tuple(map(tuple, samples)))
+        sol = solve_modes(ProblemSpec(
+            op=OperatorParams(**OPERATOR), T=1.0,
+            nonlocal_points=((0.6, -0.5),), forcing=tab, N=12))
+        ts = [-1.0, -0.3, -0.05, 0.0, 0.04, 0.3, 0.7, 1.0]
+        full = mode_matrix(sol, ts)
+        for k in range(12):
+            assert np.array_equal(full[k], mode_matrix(sol, ts, modes=[k])[0])
 
 
 class TestSolvabilityExit:

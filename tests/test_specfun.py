@@ -396,3 +396,61 @@ def test_asymp_values_match_loop(a, b, monkeypatch):
     got = mittag_leffler(p, z)
     monkeypatch.setattr(specfun, "_asymp_block", _asymp_block_loop)
     assert np.array_equal(got, mittag_leffler(p, z))
+
+
+# ---------------------------------------------------------------------------
+# pointwise values: a batch returns the bits of one-point calls
+
+
+def _regime_mix(rng, band_lo, band_hi, sign=-1.0):
+    """Seeded arguments over every regime on both half-axes, with 60
+    extra points in the band [band_lo, band_hi] of |z| on the side
+    ``sign``, shuffled."""
+    z = np.concatenate([
+        -np.exp(rng.uniform(np.log(1e-3), np.log(1e7), 120)),
+        np.exp(rng.uniform(np.log(1e-2), np.log(30.0), 40)),
+        sign * np.exp(rng.uniform(np.log(band_lo), np.log(band_hi), 60)),
+        [0.0, -1.0, 1.0],
+    ])
+    return rng.permutation(z)
+
+
+@pytest.mark.parametrize("a,b,lo,hi,sign", [
+    (0.3, 1.0, 0.5, 2.0, -1.0),       # series at small alpha, |z| ~ 1
+    (0.04, 3.6, 0.5, 1.2, -1.0),      # series out of terms, then contour
+    (1.35, 1.0, 2.0, 3.0, -1.0),      # contour with residues, arc below 1
+    (1.9, 0.6, 0.9, 100.0, -1.0),     # the same, alpha near 2
+    (0.7, 1.0, 3.0, 60.0, -1.0),      # contour, alpha < 1
+    (0.7, 0.7, 1e3, 1e7, -1.0),       # asymptotic
+    (0.3, 1.0, 0.95, 2.05, 1.0),      # forced series on the positive axis
+    (1.0, 0.5, 30.0, 60.0, -1.0),     # alpha = 1, both sides of z = -40
+    (2.0, 3.0, 0.3, 0.7, -1.0),       # alpha = 2, integer beta, |z| ~ 0.5
+])
+def test_values_are_pointwise(a, b, lo, hi, sign):
+    """Each value of a shuffled batch mixing every regime is the very
+    bits of its own one-point call."""
+    rng = np.random.default_rng(41)
+    z = _regime_mix(rng, lo, hi, sign)
+    p = MLParams(a, b)
+    with np.errstate(over="ignore"):
+        got = mittag_leffler(p, z)
+        want = np.array([mittag_leffler(p, zz) for zz in z])
+    assert np.array_equal(got, want)
+
+
+def test_values_are_pointwise_across_chunks():
+    """A batch of more than one 4096-point chunk: a seeded subsample,
+    the points on either side of the chunk boundary among them, equals
+    its one-point calls, and the shuffled batch gives the same bits."""
+    rng = np.random.default_rng(43)
+    z = np.concatenate([_regime_mix(rng, 2.0, 100.0) for _ in range(24)])
+    z = np.unique(z)
+    assert z.size > 4096
+    p = MLParams(1.35, 1.0)
+    got = mittag_leffler(p, z)
+    perm = rng.permutation(z.size)
+    assert np.array_equal(mittag_leffler(p, z[perm]), got[perm])
+    pick = np.concatenate([rng.choice(z.size, 150, replace=False),
+                           [4094, 4095, 4096, 4097, z.size - 1]])
+    want = np.array([mittag_leffler(p, z[i]) for i in pick])
+    assert np.array_equal(got[pick], want)
