@@ -7,8 +7,12 @@ the verification layer compare "what the formula claims" against "what
 the operator actually does" without circularity.
 
 Conventions.  The right-sided operators live on t < 0 and integrate
-from t up to 0; the Erdelyi-Kober family lives on t > 0.  Callables
-must accept numpy arrays of evaluation points.
+from t up to 0; the Erdelyi-Kober family lives on t > 0.  Every oracle
+takes a float or a 1-d array of t and gives a float or one value per t.
+It calls its integrand once, on the quadrature nodes and stencil points
+of every t together, and sums each t on its own row, so a value never
+depends on the other t of the call.  rl_integral_right also takes a g
+that returns one row per node, and then gives one row per t.
 """
 
 from __future__ import annotations
@@ -90,6 +94,22 @@ class OperatorParams:
         return self.mu * (2.0 - self.alpha2)
 
 
+def _rule_sum(g, tt: np.ndarray, scaled, damp, weights) -> np.ndarray:
+    """sum_i weights_i damp_i g(t scaled_i) for each t of the 1-d tt, its
+    own row each, from one g call (a batch g: one row per t)."""
+    pts = np.multiply.outer(tt, scaled)
+    vals = np.asarray(g(pts.ravel()), dtype=float)
+    vals = np.moveaxis(vals.reshape(pts.shape + vals.shape[1:]), 1, -1)
+    return (vals * damp * weights).sum(axis=-1)
+
+
+def _shaped(shape: tuple, out: np.ndarray):
+    """out, one value (or row) per t, in the shape of t: a float for a
+    scalar t."""
+    out = out.reshape(shape + out.shape[1:])
+    return float(out) if out.ndim == 0 else out
+
+
 def rl_integral_right(sigma: float, g, t, quad: QuadratureRule = None,
                       *, n: int = 256, singular_exponent: float = 0.0):
     """Right-sided Riemann-Liouville integral of order sigma at t < 0.
@@ -103,10 +123,11 @@ def rl_integral_right(sigma: float, g, t, quad: QuadratureRule = None,
     sigma : float
         Integration order, > 0.
     g : callable
-        Integrand on [t, 0]; must accept 1-d arrays.
+        Integrand on [t, 0]; takes a 1-d array of nodes and returns one
+        value per node, or one row of values per node (a batch of
+        integrands, one column each, giving one row per t).
     t : float or 1-d array
-        Evaluation point(s), strictly negative.  For an array, g sees
-        the nodes of every point in one call and the result is an array.
+        Evaluation point(s), strictly negative.
     quad : QuadratureRule, optional
         Override rule; its exponent pair should be
         (sigma - 1, singular_exponent).
@@ -118,24 +139,21 @@ def rl_integral_right(sigma: float, g, t, quad: QuadratureRule = None,
     """
     if sigma <= 0.0:
         raise ValueError(f"integration order must be positive, got {sigma}")
-    tt = np.asarray(t, dtype=float)
+    tt = np.asarray(t, dtype=float).reshape(-1)
     if not np.all(tt < 0.0):
         raise ValueError(f"right-sided integral needs t < 0, got {t}")
     q = float(singular_exponent)
     if quad is None:
         quad = gauss_jacobi_rule(n, sigma - 1.0, q)
     x = quad.nodes
-    pts = np.multiply.outer(tt, 1.0 - x)
-    vals = np.asarray(g(pts.ravel()), dtype=float).reshape(pts.shape)
-    if q != 0.0:
-        vals = vals * (1.0 - x) ** (-q)
-    out = (-tt) ** sigma / gamma(sigma) * (vals @ quad.weights)
-    return float(out) if tt.ndim == 0 else out
+    out = _rule_sum(g, tt, 1.0 - x, (1.0 - x) ** (-q), quad.weights)
+    scale = (-tt) ** sigma / gamma(sigma)
+    return _shaped(np.shape(t), (scale * out.T).T)
 
 
-def ek_integral(gma: float, delta: float, beta: float, g, t: float,
+def ek_integral(gma: float, delta: float, beta: float, g, t,
                 quad: QuadratureRule = None, *, n: int = 256,
-                singular_exponent: float = 0.0) -> float:
+                singular_exponent: float = 0.0):
     """Erdelyi-Kober fractional integral I^{gma,delta}_beta g at t > 0.
 
     After the substitution v = (tau/t)^beta the definition collapses to
@@ -153,7 +171,8 @@ def ek_integral(gma: float, delta: float, beta: float, g, t: float,
         raise ValueError(f"integral order must be positive, got {delta}")
     if beta <= 0.0:
         raise ValueError(f"index beta must be positive, got {beta}")
-    if not t > 0.0:
+    tt = np.asarray(t, dtype=float).reshape(-1)
+    if not np.all(tt > 0.0):
         raise ValueError(f"Erdelyi-Kober integral needs t > 0, got {t}")
     q = float(singular_exponent)
     if gma + q <= -1.0:
@@ -161,54 +180,57 @@ def ek_integral(gma: float, delta: float, beta: float, g, t: float,
     if quad is None:
         quad = gauss_jacobi_rule(n, gma + q, delta - 1.0)
     v = quad.nodes
-    vals = np.asarray(g(t * v ** (1.0 / beta)), dtype=float)
-    if q != 0.0:
-        vals = vals * v ** (-q)
-    return float(quad.weights @ vals) / gamma(delta)
+    out = _rule_sum(g, tt, v ** (1.0 / beta), v ** (-q), quad.weights)
+    return _shaped(np.shape(t), out / gamma(delta))
 
 
-def ek_derivative(gma: float, delta: float, beta: float, g, t: float,
+def ek_derivative(gma: float, delta: float, beta: float, g, t,
                   *, n: int = 256, fd_step: float = None,
-                  singular_exponent: float = 0.0) -> float:
+                  singular_exponent: float = 0.0):
     """Erdelyi-Kober fractional derivative D^{gma,delta}_beta g at t > 0.
 
     Applies the product Pi_{j=1..m}(gma + j + (t/beta) d/dt) to the
     integral I^{gma+delta, m-delta}_beta g with m = ceil(delta).  The
     inner integral is smooth in t for the solution class, so the outer
-    first-order factors are safe to evaluate by central differences.
+    first-order factors are safe to evaluate by central differences;
+    their nested stencils are gathered before g is called.
     """
     if delta <= 0.0:
         raise ValueError(f"derivative order must be positive, got {delta}")
-    if not t > 0.0:
+    tt = np.asarray(t, dtype=float).reshape(-1)
+    if not np.all(tt > 0.0):
         raise ValueError(f"Erdelyi-Kober derivative needs t > 0, got {t}")
     m = math.ceil(delta)
 
     if m == delta:
-        def inner(s: float) -> float:
-            return float(np.asarray(g(np.array([s])))[0])
+        def inner(s):
+            return np.asarray(g(s), dtype=float)
     else:
         rule = gauss_jacobi_rule(n, gma + delta + float(singular_exponent),
                                  (m - 1) - delta)
 
-        def inner(s: float) -> float:
+        def inner(s):
             return ek_integral(gma + delta, m - delta, beta, g, s,
                                quad=rule, singular_exponent=singular_exponent)
 
-    def factored(j: int, s: float) -> float:
+    def factored(j: int, s: np.ndarray) -> np.ndarray:
         # (gma + j + (s/beta) d/ds) applied to the (j-1)-fold composite.
         f = inner if j == 1 else (lambda x: factored(j - 1, x))
-        h = fd_step if fd_step is not None else max(1e-6, 1e-3 * s)
-        h = min(h, 0.45 * s)
-        deriv = (f(s + h) - f(s - h)) / (2.0 * h)
-        if not math.isfinite(deriv):
-            raise NumericError(f"finite difference failed at t={s:.3e}")
-        return (gma + j) * f(s) + (s / beta) * deriv
+        h = np.minimum(np.maximum(1e-6, 1e-3 * s) if fd_step is None
+                       else fd_step, 0.45 * s)
+        up, mid, down = np.split(f(np.concatenate([s + h, s, s - h])), 3)
+        deriv = (up - down) / (2.0 * h)
+        bad = ~np.isfinite(deriv)
+        if np.any(bad):
+            raise NumericError(
+                f"finite difference failed at t={s[bad][0]:.3e}")
+        return (gma + j) * mid + (s / beta) * deriv
 
-    return factored(m, float(t))
+    return _shaped(np.shape(t), factored(m, tt))
 
 
-def hyper_bessel_caputo(op: OperatorParams, u, u0: float, t: float,
-                        *, n: int = 256, fd_step: float = None) -> float:
+def hyper_bessel_caputo(op: OperatorParams, u, u0: float, t,
+                        *, n: int = 256, fd_step: float = None):
     """Regularized hyper-Bessel Caputo derivative of order alpha1 at t > 0.
 
     Evaluates p^{alpha1} t^{-p alpha1} D^{-alpha1, alpha1}_p (u - u0)
@@ -220,7 +242,8 @@ def hyper_bessel_caputo(op: OperatorParams, u, u0: float, t: float,
     """
     a = op.alpha1
     p = op.p
-    if not t > 0.0:
+    tt = np.asarray(t, dtype=float).reshape(-1)
+    if not np.all(tt > 0.0):
         raise ValueError(f"hyper-Bessel derivative needs t > 0, got {t}")
 
     def w(s):
@@ -228,21 +251,24 @@ def hyper_bessel_caputo(op: OperatorParams, u, u0: float, t: float,
 
     if a == 1.0:
         # The operator degenerates to t^theta d/dt.
-        h = fd_step if fd_step is not None else max(1e-8, 1e-4 * t)
-        h = min(h, 0.45 * t)
-        d1 = (float(w(np.array([t + h]))[0]) - float(w(np.array([t - h]))[0])) / (2.0 * h)
-        d2 = (float(w(np.array([t + h / 2]))[0]) - float(w(np.array([t - h / 2]))[0])) / h
-        return t ** op.theta * ((4.0 * d2 - d1) / 3.0)
+        h = np.minimum(np.maximum(1e-8, 1e-4 * tt) if fd_step is None
+                       else fd_step, 0.45 * tt)
+        wp, wm, hp, hm = np.split(
+            w(np.concatenate([tt + h, tt - h, tt + h / 2, tt - h / 2])), 4)
+        d1 = (wp - wm) / (2.0 * h)
+        d2 = (hp - hm) / h
+        out = tt ** op.theta * ((4.0 * d2 - d1) / 3.0)
+    else:
+        out = p ** a * tt ** (-p * a) * ek_derivative(
+            -a, a, p, w, tt, n=n, fd_step=fd_step, singular_exponent=a)
+    return _shaped(np.shape(t), out)
 
-    return p ** a * t ** (-p * a) * ek_derivative(
-        -a, a, p, w, t, n=n, fd_step=fd_step, singular_exponent=a)
 
-
-def bi_ordinal_hilfer(op: OperatorParams, u, t: float,
+def bi_ordinal_hilfer(op: OperatorParams, u, t,
                       quad: QuadratureRule = None, *, n: int = 256,
                       inner_exponent: float = 0.0,
                       outer_exponent: float = None,
-                      fd_step: float = None) -> float:
+                      fd_step: float = None):
     """Right-sided bi-ordinal Hilfer derivative at t < 0.
 
     Composition I^{c}_{0-} (d/dt)^2 I^{a}_{0-} u with inner order
@@ -251,8 +277,7 @@ def bi_ordinal_hilfer(op: OperatorParams, u, t: float,
     by a central difference whose step shrinks with the sample point so
     the stencil never crosses t = 0, and the outer integral by another
     Jacobi rule.  The inner integral is taken at every stencil point of
-    every outer node in one rl_integral_right call, so u is sampled
-    once per derivative.
+    every outer node of every t in one rl_integral_right call.
 
     Parameters
     ----------
@@ -272,12 +297,13 @@ def bi_ordinal_hilfer(op: OperatorParams, u, t: float,
     NumericError
         If t sits so close to 0 that no finite-difference stencil fits.
     """
-    if not t < 0.0:
+    tt = np.asarray(t, dtype=float).reshape(-1)
+    if not np.all(tt < 0.0):
         raise ValueError(f"bi-ordinal derivative needs t < 0, got {t}")
-    if -t < 1e-4:
+    if np.any(-tt < 1e-4):
         raise NumericError(
-            f"evaluation point t={t:.3e} is too close to 0: the interior "
-            f"finite-difference step underflows; use |t| >= 1e-4"
+            f"evaluation point t={tt.max():.3e} is too close to 0: the "
+            f"interior finite-difference step underflows; use |t| >= 1e-4"
         )
     a = op.hilfer_inner_order
     c = op.hilfer_outer_order
@@ -318,12 +344,9 @@ def bi_ordinal_hilfer(op: OperatorParams, u, t: float,
         return (up - 2.0 * u0 + um) / (h * h)
 
     if c == 0.0:
-        return float(second(np.array([float(t)]))[0])
-
+        return _shaped(np.shape(t), second(tt))
     if quad is None:
         quad = gauss_jacobi_rule(n, c - 1.0, e)
     x = quad.nodes
-    vals = second(t * (1.0 - x))
-    if e != 0.0:
-        vals = vals * (1.0 - x) ** (-e)
-    return (-t) ** c / gamma(c) * float(quad.weights @ vals)
+    out = _rule_sum(second, tt, 1.0 - x, (1.0 - x) ** (-e), quad.weights)
+    return _shaped(np.shape(t), (-tt) ** c / gamma(c) * out)

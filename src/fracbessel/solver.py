@@ -424,8 +424,14 @@ def _hinge_quadrature(alpha, beta, c, W, knots, D, q):
         return out
     kern = mittag_leffler(MLParams(alpha=alpha, beta=beta), np.concatenate(zs))
     ends = np.cumsum([z.size for z in zs])
+    # sum_{s_j < v} D_j (v - s_j) = v sum D_j - sum D_j s_j over the
+    # knots below v, from running sums over the sorted knots
+    cum_d = np.cumsum(np.pad(D, ((0, 0), (1, 0))), axis=1)
+    cum_ds = np.cumsum(np.pad(D * knots, ((0, 0), (1, 0))), axis=1)
     for (i, w, wt, own), k in zip(rows, np.split(kern, ends[:-1])):
-        g = np.maximum((W[own] - w)[:, None] ** q - knots, 0.0) @ D[i]
+        v = (W[own] - w) ** q
+        j = np.searchsorted(knots, v)
+        g = v * cum_d[i, j] - cum_ds[i, j]
         out[i] = np.bincount(own, wt * k * g, minlength=len(W))
     return out
 

@@ -51,6 +51,9 @@ _ULP_FLOOR = 2.0 ** -55
 # ray; with 16 on the arc, points near zeros of E at |z| ~ 1 lose digits.
 _ARC_NODES = 32
 _RAY_NODES = 16
+# points per block of the contour sum, which bounds its (points x nodes)
+# temporaries; each point's sum is its own row, so blocks never change it
+_CONTOUR_ROWS = 512
 
 
 def gamma(x: float) -> float:
@@ -565,11 +568,13 @@ def _contour_block(a: float, b: float, z: np.ndarray) -> np.ndarray:
         eps = np.minimum(np.ldexp(1.0, e - 1), 1.0)
     out = np.empty_like(z)
     for rung in np.unique(eps):
-        m = eps == rung
+        idx = np.flatnonzero(eps == rung)
         p, q, bre, bim2 = _contour_rule(a, b, float(rung), residues)
-        zc = z[m][:, None]
-        d = bre - zc
-        out[m] = ((p - q * zc) / (d * d + bim2)).sum(axis=1)
+        for lo in range(0, idx.size, _CONTOUR_ROWS):
+            sel = idx[lo:lo + _CONTOUR_ROWS]
+            zc = z[sel][:, None]
+            d = bre - zc
+            out[sel] = ((p - q * zc) / (d * d + bim2)).sum(axis=1)
     if residues:
         out += _ml_residue(a, b, z)
     return out

@@ -146,8 +146,10 @@ def fourier_bessel_table(g, eigs: Sequence[Eigenvalue],
     return c1
 
 
-def fourier_bessel_coeff(g, ev: Eigenvalue, quad: QuadratureRule = None) -> float:
+def fourier_bessel_coeff(g, ev: Eigenvalue, quad: QuadratureRule = None):
     """Weighted projection (2 / J1(lam_k)^2) int_0^1 x g(x) J0(lam_k x) dx
-    of a scalar-valued g onto one mode: ``fourier_bessel_table`` for
-    that mode alone, with the same convergence check and ``quad`` hook."""
-    return float(fourier_bessel_table(g, (ev,), quad)[0])
+    of g onto one mode: ``fourier_bessel_table`` for that mode alone, with
+    the same convergence check and ``quad`` hook.  A float for a
+    scalar-valued g, one value per column for a batch g."""
+    out = fourier_bessel_table(g, (ev,), quad)[0]
+    return float(out) if out.ndim == 0 else out

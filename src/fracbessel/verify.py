@@ -184,27 +184,6 @@ def weighted_spline_candidate(u, gamma2: float, span: float, *,
     return wrapped
 
 
-def _mode_fn(sol: SeriesSolution, idx: int):
-    """u_k(t) of one mode, vectorized over t."""
-    return lambda t: mode_matrix(sol, t, modes=[idx])[0]
-
-
-def _series_rows(sol: SeriesSolution, xs, node_sets) -> list:
-    """u(x_j, s) as a callable of the node array s, one per x_j, for the
-    quadrature oracles.
-
-    Every array in node_sets, the exact nodes an oracle will pass, is
-    evaluated up front in one mode_matrix call shared by all x_j.
-    """
-    basis = radial_basis(sol, xs)
-    vals = basis @ mode_matrix(sol, np.concatenate(node_sets))
-    ends = np.cumsum([len(s) for s in node_sets])[:-1]
-    table = {s.tobytes(): block
-             for s, block in zip(node_sets, np.split(vals, ends, axis=1))}
-    return [lambda s, j=j: table[np.asarray(s, dtype=float).tobytes()][j]
-            for j in range(len(xs))]
-
-
 # ---------------------------------------------------------------------------
 # individual checks
 
@@ -237,7 +216,8 @@ def check_boundary(sol: SeriesSolution, *, tol: float = None) -> list:
 
 def _interface_profiles(sol: SeriesSolution, xs: np.ndarray,
                         ws: np.ndarray, n: int = 64) -> np.ndarray:
-    """(I^a u)(x, -w) for each w by right-RL quadrature of eval_u.
+    """(I^a u)(x, -w), one row per w and one column per x, by one right-RL
+    quadrature of the series at every x.
 
     The rule absorbs both the kernel power and the (-s)^{gamma2-2}
     growth of the backward branch, so the remaining integrand is mild.
@@ -245,19 +225,12 @@ def _interface_profiles(sol: SeriesSolution, xs: np.ndarray,
     op = sol.spec.op
     a = op.hilfer_inner_order
     g2 = op.gamma2
-    out = np.empty((len(ws), len(xs)))
+    basis = radial_basis(sol, xs).T
     if a == 0.0:
-        for i, w in enumerate(ws):
-            out[i] = eval_u(sol, xs, -float(w))
-        return out
+        return mode_matrix(sol, -ws).T @ basis
     rule = gauss_jacobi_rule(n, a - 1.0, g2 - 2.0)
-    rows = _series_rows(sol, xs,
-                        [-float(w) * (1.0 - rule.nodes) for w in ws])
-    for i, w in enumerate(ws):
-        for j, g in enumerate(rows):
-            out[i, j] = rl_integral_right(a, g, -float(w), quad=rule,
-                                          singular_exponent=g2 - 2.0)
-    return out
+    return rl_integral_right(a, lambda s: mode_matrix(sol, s).T @ basis,
+                             -ws, quad=rule, singular_exponent=g2 - 2.0)
 
 
 def check_gluing(sol: SeriesSolution, *, rel_tol: float = None,
@@ -348,10 +321,9 @@ def check_gluing(sol: SeriesSolution, *, rel_tol: float = None,
         ts = np.geomspace(t_hi / 20.0, t_hi, 8)
         h = 0.02 * ts
         vals = mode_matrix(sol, np.concatenate([ts + h, ts - h]))
-        fk = [fourier_bessel_coeff(lambda x, v=v: radial_basis(sol, x) @ v,
-                                   m.ev, quad=proj_rule) for v in vals.T]
-        gk = (ts ** (1.0 - pa1) * (np.array(fk[:len(ts)])
-                                   - np.array(fk[len(ts):])) / (2.0 * h))
+        fk = fourier_bessel_coeff(lambda x: radial_basis(sol, x) @ vals,
+                                  m.ev, quad=proj_rule)
+        gk = ts ** (1.0 - pa1) * (fk[:len(ts)] - fk[len(ts):]) / (2.0 * h)
         es2, coef2 = _power_fit(ts, gk, (0.0, pa1, 1.0, 2.0 * pa1))
         b0 = float(coef2[_expo_index(es2, 0.0)])
         target = (p ** (1.0 - a1)
@@ -406,28 +378,21 @@ def check_nonlocal(sol: SeriesSolution, *, rel_tol: float = None,
     # route 2: direct quadrature of the assembled series at two node
     # counts; xi = 0 contributions fall back to the value trace, which
     # check_gluing exercises independently
-    r2 = -uT.copy()
+    r2 = -uT
     err = np.zeros(len(xs))
-    hist = [float(xi) for pi, xi in spec.nonlocal_points
-            if pi != 0.0 and xi != 0.0]
-    if a > 0.0 and hist:
-        rule_lo = gauss_jacobi_rule(112, a - 1.0, g2 - 2.0)
-        rule_hi = gauss_jacobi_rule(160, a - 1.0, g2 - 2.0)
-        rows = _series_rows(sol, xs, [xi * (1.0 - r.nodes) for xi in hist
-                                      for r in (rule_hi, rule_lo)])
-    for pi, xi in spec.nonlocal_points:
-        if pi == 0.0:
-            continue
-        if xi == 0.0 or a == 0.0:
-            r2 = r2 + pi * eval_u(sol, xs, float(xi))
-            continue
-        for j, g in enumerate(rows):
-            v_hi = rl_integral_right(a, g, float(xi), quad=rule_hi,
-                                     singular_exponent=g2 - 2.0)
-            v_lo = rl_integral_right(a, g, float(xi), quad=rule_lo,
-                                     singular_exponent=g2 - 2.0)
-            r2[j] += pi * v_hi
-            err[j] += abs(pi) * abs(v_hi - v_lo)
+    pis, xis = np.array(spec.nonlocal_points, dtype=float).reshape(-1, 2).T
+    live = pis != 0.0
+    quad = live & (xis != 0.0) & (a > 0.0)
+    for pi, xi in zip(pis[live & ~quad], xis[live & ~quad]):
+        r2 = r2 + pi * eval_u(sol, xs, float(xi))
+    if quad.any():
+        # the series at every x and history point, one call per rule
+        v_hi, v_lo = (rl_integral_right(
+            a, lambda s: mode_matrix(sol, s).T @ basis, xis[quad],
+            quad=gauss_jacobi_rule(nodes, a - 1.0, g2 - 2.0),
+            singular_exponent=g2 - 2.0) for nodes in (160, 112))
+        r2 = r2 + pis[quad] @ v_hi
+        err = np.abs(pis[quad]) @ np.abs(v_hi - v_lo)
     res2 = float(np.max(np.abs(r2)))
     checks.append(CheckResult(
         "nonlocal_oracle_route", 0.0, res2, tol_n, res2 <= tol_n,
@@ -460,43 +425,39 @@ def check_mode_odes(sol: SeriesSolution, k_max: int, *,
     rel = MODE_ODE_REL if rel_tol is None else float(rel_tol)
     T = spec.T
     d2, g2 = op.delta2, op.gamma2
-    fwd_ts = (0.25 * T, 0.55 * T, 0.85 * T)
-    bwd_ts = (-0.75 * T, -0.4 * T)
-    floor = 1e-300
+    fwd_ts = T * np.array([0.25, 0.55, 0.85])
+    bwd_ts = T * np.array([-0.75, -0.4])
     checks = []
     for idx in range(k_max):
         m = sol.modes[idx]
-        lam = m.ev.lam
-        uk = _mode_fn(sol, idx)
+        lam2 = m.ev.lam ** 2
 
-        uvals = uk(np.array(fwd_ts))
-        fvals = np.asarray(m.f_k(np.array(fwd_ts)), dtype=float)
-        scale = max(lam ** 2 * float(np.max(np.abs(uvals))),
-                    float(np.max(np.abs(fvals))), floor)
-        worst = 0.0
-        for t, uv, fv in zip(fwd_ts, uvals, fvals):
-            Lu = hyper_bessel_caputo(op, uk, float(m.tau_k), float(t),
-                                     n=192)
-            worst = max(worst, abs(Lu + lam ** 2 * uv - fv) / scale)
+        def uk(t):
+            return mode_matrix(sol, t, modes=[idx])[0]
+
+        def residual(ts, Lu):
+            # |L u_k + lam^2 u_k - f_k| over ts, relative to the larger
+            # of lam^2 |u_k| and |f_k| there
+            uvals = uk(ts)
+            fvals = np.asarray(m.f_k(ts), dtype=float)
+            scale = max(lam2 * float(np.max(np.abs(uvals))),
+                        float(np.max(np.abs(fvals))), 1e-300)
+            return float(np.max(np.abs(Lu + lam2 * uvals - fvals) / scale))
+
+        worst = residual(fwd_ts, hyper_bessel_caputo(
+            op, uk, float(m.tau_k), fwd_ts, n=192))
         checks.append(CheckResult(
             f"mode_ode_forward_k{m.ev.k:02d}", 0.0, worst, rel,
             worst <= rel,
             "relaxation equation residual on t > 0, derivative by "
             "independent quadrature oracle"))
 
-        uvals = uk(np.array(bwd_ts))
-        fvals = np.asarray(m.f_k(np.array(bwd_ts)), dtype=float)
-        scale = max(lam ** 2 * float(np.max(np.abs(uvals))),
-                    float(np.max(np.abs(fvals))), floor)
-        span = 1.02 * max(-t for t in bwd_ts)
         uspl = weighted_spline_candidate(
-            uk, g2, span, knot0=m.phi_k * rgamma(g2 - 1.0))
-        worst = 0.0
-        for t, uv, fv in zip(bwd_ts, uvals, fvals):
-            Du = bi_ordinal_hilfer(op, uspl, float(t), n=160,
-                                   inner_exponent=g2 - 2.0,
-                                   outer_exponent=d2 - 2.0)
-            worst = max(worst, abs(Du + lam ** 2 * uv - fv) / scale)
+            uk, g2, 1.02 * float(np.max(-bwd_ts)),
+            knot0=m.phi_k * rgamma(g2 - 1.0))
+        worst = residual(bwd_ts, bi_ordinal_hilfer(
+            op, uspl, bwd_ts, n=160, inner_exponent=g2 - 2.0,
+            outer_exponent=d2 - 2.0))
         checks.append(CheckResult(
             f"mode_ode_backward_k{m.ev.k:02d}", 0.0, worst, rel,
             worst <= rel,

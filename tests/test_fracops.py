@@ -7,13 +7,16 @@ package's own Mittag-Leffler evaluator unless the test is explicitly a
 cross-check of two package routes.
 """
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import quad as adaptive_quad
 
+from fracbessel import fracops
 from fracbessel.errors import NumericError
 from fracbessel.fracops import (OperatorParams, bi_ordinal_hilfer,
                                 ek_derivative, ek_integral,
@@ -133,6 +136,31 @@ class TestRightRLIntegral:
         assert got.shape == ts.shape
         assert_allclose(got, want, rtol=1e-14, atol=0.0)
 
+    def test_batch_g_matches_per_column_calls(self):
+        """A g returning one row per node makes one call and gives one
+        row per t, each column what the one-column g gives."""
+        sigma, q = 0.4, -0.4
+        ts = -np.geomspace(1e-3, 1.0, 5)
+        freqs = (1.0, 2.0, 3.5)
+        calls = []
+
+        def batch(s):
+            calls.append(np.shape(s))
+            return np.column_stack([np.cos(f * s) * (-s) ** q
+                                    for f in freqs])
+
+        got = rl_integral_right(sigma, batch, ts, n=64, singular_exponent=q)
+        assert calls == [(5 * 64,)]
+        assert got.shape == (5, 3)
+        for j, f in enumerate(freqs):
+            want = rl_integral_right(sigma, lambda s: np.cos(f * s) * (-s) ** q,
+                                     ts, n=64, singular_exponent=q)
+            assert_allclose(got[:, j], want, rtol=1e-14, atol=0.0)
+        row = rl_integral_right(sigma, batch, float(ts[2]), n=64,
+                                singular_exponent=q)
+        assert row.shape == (3,)
+        assert_allclose(row, got[2], rtol=1e-14, atol=0.0)
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             rl_integral_right(0.0, lambda s: s, -0.5)
@@ -176,6 +204,22 @@ class TestEKIntegral:
         want = num / gamma(d)
         got = ek_integral(0.0, d, 1.0, g, t)
         assert_allclose(got, want, rtol=1e-8)
+
+    def test_array_t_matches_scalar_calls(self):
+        g, d, b, c = 0.7, 0.4, 1.25, 1.5
+        ts = np.geomspace(0.05, 2.0, 6)
+        calls = []
+
+        def f(s):
+            calls.append(np.shape(s))
+            return np.cos(s) * s ** c
+
+        got = ek_integral(g, d, b, f, ts, n=64, singular_exponent=c / b)
+        assert calls == [(6 * 64,)]
+        want = [ek_integral(g, d, b, f, float(t), n=64,
+                            singular_exponent=c / b) for t in ts]
+        assert got.shape == ts.shape
+        assert_allclose(got, want, rtol=1e-14, atol=0.0)
 
     def test_validation(self):
         one = lambda s: np.ones_like(s)
@@ -222,6 +266,25 @@ class TestEKDerivative:
         # central difference is exact on linear functions
         got = ek_derivative(0.0, 1.0, 1.0, lambda s: np.asarray(s), 0.4)
         assert_allclose(got, 0.8, rtol=1e-10)
+
+    @pytest.mark.parametrize("d,stencil", [(0.75, 3), (1.6, 9), (2.0, 9)])
+    def test_array_t_matches_scalar_calls(self, d, stencil):
+        """Every point of the (for d > 1 nested) stencils of every t goes
+        to g in one call, and each value equals its scalar call."""
+        g, b, c, n = 0.2, 1.3, 1.6, 64
+        ts = np.geomspace(0.05, 0.9, 5)
+        calls = []
+
+        def f(s):
+            calls.append(np.shape(s))
+            return np.cos(s) * s ** c
+
+        got = ek_derivative(g, d, b, f, ts, n=n)
+        nodes = 1 if d == math.ceil(d) else n
+        assert calls == [(5 * stencil * nodes,)]
+        want = [ek_derivative(g, d, b, f, float(t), n=n) for t in ts]
+        assert got.shape == ts.shape
+        assert_allclose(got, want, rtol=1e-14, atol=0.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -275,6 +338,22 @@ class TestHyperBesselCaputo:
         want = -lam ** 2 * float(u(np.array([t]))[0])
         assert_allclose(got, want, rtol=1e-4)
 
+    @pytest.mark.parametrize("alpha1,per_t", [(0.7, 3 * 64), (1.0, 4)])
+    def test_array_t_matches_scalar_calls(self, alpha1, per_t):
+        op = OperatorParams(alpha1, 0.3, 1.5, 1.2, 0.5)
+        ts = np.array([0.2, 0.45, 0.8])
+        calls = []
+
+        def u(s):
+            calls.append(np.shape(s))
+            return 0.3 + s ** (op.p * alpha1) * np.cos(s)
+
+        got = hyper_bessel_caputo(op, u, 0.3, ts, n=64)
+        assert calls == [(3 * per_t,)]
+        want = [hyper_bessel_caputo(op, u, 0.3, float(t), n=64) for t in ts]
+        assert got.shape == ts.shape
+        assert_allclose(got, want, rtol=1e-14, atol=0.0)
+
     def test_domain(self, default_op):
         with pytest.raises(ValueError):
             hyper_bessel_caputo(default_op, lambda s: s, 0.0, -0.2)
@@ -311,6 +390,25 @@ class TestBiOrdinalHilfer:
         got = bi_ordinal_hilfer(default_op, lambda s: (-s) ** c, t,
                                 inner_exponent=c)
         assert_allclose(got, want, rtol=1e-4)
+
+    @pytest.mark.parametrize("mu,per_t", [(0.0, 3 * 32), (0.5, 32 * 3 * 32)])
+    def test_array_t_matches_scalar_calls(self, mu, per_t):
+        """c = 0 (mu = 0) differences the inner integral at t itself,
+        c > 0 at every outer node; either way u is sampled once."""
+        op = OperatorParams(0.7, 0.2, 1.5, 1.2, mu)
+        ts = np.array([-0.7, -0.4, -0.15])
+        calls = []
+
+        def u(s):
+            calls.append(np.shape(s))
+            return (-s) ** 3 * np.cos(s)
+
+        got = bi_ordinal_hilfer(op, u, ts, n=32, inner_exponent=3.0)
+        assert calls == [(3 * per_t,)]
+        want = [bi_ordinal_hilfer(op, u, float(t), n=32, inner_exponent=3.0)
+                for t in ts]
+        assert got.shape == ts.shape
+        assert_allclose(got, want, rtol=1e-14, atol=0.0)
 
     def test_too_close_to_zero(self, default_op):
         with pytest.raises(NumericError):
@@ -375,3 +473,21 @@ class TestCauchyPlugBack:
             u(0.3)
         with pytest.raises(ValueError):
             u(np.array([-0.5, 0.0]))
+
+
+def test_fracops_imports_no_solver_side_module():
+    """The oracles share no code with the construction: fracops.py
+    imports nothing from solver, verify or spectrum."""
+    banned = {"solver", "verify", "spectrum"}
+    tree = ast.parse(Path(fracops.__file__).read_text())
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            names = [base] + [f"{base}.{a.name}" for a in node.names]
+        else:
+            continue
+        found += [n for n in names if banned & set(n.split("."))]
+    assert not found, f"fracops imports {found}"

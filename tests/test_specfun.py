@@ -8,6 +8,7 @@ integral); a table entry exists only where the routes agreed.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -454,3 +455,28 @@ def test_values_are_pointwise_across_chunks():
                            [4094, 4095, 4096, 4097, z.size - 1]])
     want = np.array([mittag_leffler(p, z[i]) for i in pick])
     assert np.array_equal(got[pick], want)
+
+
+@pytest.mark.parametrize("a,lo,hi", [(1.35, 9.0, 90.0), (0.7, 3.6, 9.5)])
+def test_contour_call_memory(a, lo, hi, monkeypatch):
+    """One 4096-point call served wholly by the contour keeps its traced
+    peak under 10 MiB: the (points x rule nodes) temporaries are built
+    for one block of rows at a time, not for the whole chunk."""
+    rng = np.random.default_rng(47)
+    z = -np.exp(rng.uniform(math.log(lo), math.log(hi), 4096))
+    served = []
+    contour = specfun._contour_block
+
+    def counted(a_, b_, zz):
+        served.append(zz.size)
+        return contour(a_, b_, zz)
+
+    monkeypatch.setattr(specfun, "_contour_block", counted)
+    tracemalloc.start()
+    try:
+        mittag_leffler(MLParams(a, 1.0), z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(served) == z.size
+    assert peak < 10 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"

@@ -8,6 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.interpolate import CubicSpline
 
+from fracbessel import verify
 from fracbessel.fracops import OperatorParams
 from fracbessel.solver import Forcing, ProblemSpec, delta_limit, solve_modes
 from fracbessel.specfun import MLParams, mittag_leffler, rgamma
@@ -151,6 +152,30 @@ class TestModeOdeValidation:
         sol = solve_modes(spec)
         with pytest.raises(ValueError, match="exceeds N"):
             check_mode_odes(sol, 3)
+
+
+class TestModeOdeSampling:
+    def test_at_most_four_mode_matrix_calls_per_mode(self, default_op,
+                                                     monkeypatch):
+        """Each oracle stage samples a verified mode in one call: the
+        forward values, the forward oracle, the backward values and the
+        spline candidate."""
+        spec = ProblemSpec(
+            op=default_op, T=1.0, nonlocal_points=((0.6, -1.0),),
+            forcing=Forcing(kind="separable_builtin", space_poly=(1.0,),
+                            time_poly=(1.0, 0.5)), N=4)
+        sol = solve_modes(spec)
+        calls = []
+        real = verify.mode_matrix
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("modes"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(verify, "mode_matrix", counted)
+        rows = check_mode_odes(sol, 2)
+        assert all(r.passed for r in rows)
+        assert 0 < len(calls) <= 4 * 2
 
 
 class TestDeltaAsymptote:
