@@ -21,7 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -64,12 +64,20 @@ class RunConfig:
     report_path: str = "report.json"
     hypothesis_note: str = "satisfied"
     verify_modes: int = 10
-    tolerances: dict = field(default_factory=dict)
 
 
 def _require(cond: bool, msg: str):
     if not cond:
         raise ConfigError(msg)
+
+
+def _whole(value, name: str) -> int:
+    """value as an int: a ConfigError unless it is a whole number, so
+    50 and 50.0 pass and "ten", null, true and 7.9 do not."""
+    _require(isinstance(value, (int, float)) and not isinstance(value, bool)
+             and float(value).is_integer(),
+             f"{name} must be a whole number, got {value!r}")
+    return int(value)
 
 
 def _load_forcing_csv(path: Path) -> Forcing:
@@ -125,7 +133,6 @@ def _build_forcing(raw: dict, base_dir: Path) -> Forcing:
 
 _EIGEN_CHOICES = ("true", "asymptotic")
 _VARIANT_CHOICES = ("consistent", "paper-literal")
-_TOL_KEYS = ("boundary_tol", "gluing_rel", "nonlocal_rel", "mode_ode_rel")
 
 
 def parse_config(path, *, overrides: dict = None,
@@ -135,7 +142,8 @@ def parse_config(path, *, overrides: dict = None,
     overrides maps a subset of {'modes', 'eigen', 'delta_variant'} to
     command-line values that win over both the flags block and the
     problem block.  Raises ConfigError on any problem; JSON syntax
-    errors are reported with their line and column.
+    errors are reported with their line and column.  The verification
+    gates are fixed, so a 'flags.tolerances' block is an error too.
     """
     overrides = overrides or {}
     path = Path(path)
@@ -155,6 +163,9 @@ def parse_config(path, *, overrides: dict = None,
     _require(isinstance(op_raw, dict), "'problem.operator' must be an object")
     flags = doc.get("flags", {})
     _require(isinstance(flags, dict), "'flags' must be an object")
+    _require("tolerances" not in flags,
+             "'flags.tolerances' is not supported: the verification gates "
+             "are fixed")
 
     # precedence: command line > flags block > problem block > defaults
     variant = prob.get("delta_variant", "consistent")
@@ -169,7 +180,7 @@ def parse_config(path, *, overrides: dict = None,
     _require(eigen in _EIGEN_CHOICES,
              f"eigenvalue mode must be one of {_EIGEN_CHOICES}, got {eigen!r}")
 
-    n_modes = int(overrides.get("modes", prob.get("N", 50)))
+    n_modes = _whole(overrides.get("modes", prob.get("N", 50)), "N")
 
     try:
         op = OperatorParams(
@@ -192,9 +203,9 @@ def parse_config(path, *, overrides: dict = None,
 
     grid = doc.get("grid", {})
     _require(isinstance(grid, dict), "'grid' must be an object")
-    nx = int(grid.get("nx", 21))
-    nt_pos = int(grid.get("nt_pos", 9))
-    nt_neg = int(grid.get("nt_neg", 9))
+    nx = _whole(grid.get("nx", 21), "grid.nx")
+    nt_pos = _whole(grid.get("nt_pos", 9), "grid.nt_pos")
+    nt_neg = _whole(grid.get("nt_neg", 9), "grid.nt_neg")
     _require(nx >= 2, f"grid.nx must be at least 2, got {nx}")
     _require(nt_pos >= 2, f"grid.nt_pos must be at least 2, got {nt_pos}")
     _require(nt_neg >= 2, f"grid.nt_neg must be at least 2, got {nt_neg}")
@@ -202,13 +213,8 @@ def parse_config(path, *, overrides: dict = None,
     outputs = doc.get("outputs", {})
     _require(isinstance(outputs, dict), "'outputs' must be an object")
 
-    tol_raw = flags.get("tolerances", {})
-    _require(isinstance(tol_raw, dict), "'flags.tolerances' must be an object")
-    bad = sorted(set(tol_raw) - set(_TOL_KEYS))
-    _require(not bad, f"unknown tolerance keys {bad}; valid: {list(_TOL_KEYS)}")
-    tols = {k: float(v) for k, v in tol_raw.items()}
-
-    verify_modes = int(flags.get("verify_modes", min(10, spec.N)))
+    verify_modes = _whole(flags.get("verify_modes", min(10, spec.N)),
+                          "flags.verify_modes")
     _require(1 <= verify_modes <= spec.N,
              f"flags.verify_modes must lie in [1, N={spec.N}], "
              f"got {verify_modes}")
@@ -229,7 +235,7 @@ def parse_config(path, *, overrides: dict = None,
         solution_path=str(outputs.get("solution", "solution.csv")),
         mode_table_path=str(outputs.get("modes", "modes.csv")),
         report_path=str(outputs.get("report", "report.json")),
-        hypothesis_note=note, verify_modes=verify_modes, tolerances=tols)
+        hypothesis_note=note, verify_modes=verify_modes)
 
 
 def _fmt(v: float) -> str:
@@ -277,8 +283,7 @@ def run(cfg: RunConfig, out_dir=".") -> int:
     out.mkdir(parents=True, exist_ok=True)
     try:
         sol = solve_modes(cfg.spec)
-        report = verify_solution(sol, k_max=cfg.verify_modes,
-                                 **cfg.tolerances)
+        report = verify_solution(sol, k_max=cfg.verify_modes)
         _write_solution_grid(cfg, sol, out / cfg.solution_path)
         _write_mode_table(sol, out / cfg.mode_table_path)
     except SolvabilityError as exc:

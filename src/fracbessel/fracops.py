@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError
-from .quadrature import QuadratureRule, gauss_jacobi_rule
+from .quadrature import gauss_jacobi_rule
 from .specfun import gamma
 
 __all__ = [
@@ -110,8 +110,8 @@ def _shaped(shape: tuple, out: np.ndarray):
     return float(out) if out.ndim == 0 else out
 
 
-def rl_integral_right(sigma: float, g, t, quad: QuadratureRule = None,
-                      *, n: int = 256, singular_exponent: float = 0.0):
+def rl_integral_right(sigma: float, g, t, *, n: int = 256,
+                      singular_exponent: float = 0.0):
     """Right-sided Riemann-Liouville integral of order sigma at t < 0.
 
     Computes (1/Gamma(sigma)) * integral_t^0 (s - t)^{sigma-1} g(s) ds
@@ -128,11 +128,9 @@ def rl_integral_right(sigma: float, g, t, quad: QuadratureRule = None,
         integrands, one column each, giving one row per t).
     t : float or 1-d array
         Evaluation point(s), strictly negative.
-    quad : QuadratureRule, optional
-        Override rule; its exponent pair should be
-        (sigma - 1, singular_exponent).
     n : int, optional
-        Node count when the rule is built here.
+        Node count of the Gauss-Jacobi rule with exponent pair
+        (sigma - 1, singular_exponent).
     singular_exponent : float, optional
         Known power q such that g(s) * (-s)^{-q} stays smooth at s -> 0-.
         The rule absorbs (1-x)^q exactly instead of fighting it.
@@ -143,8 +141,7 @@ def rl_integral_right(sigma: float, g, t, quad: QuadratureRule = None,
     if not np.all(tt < 0.0):
         raise ValueError(f"right-sided integral needs t < 0, got {t}")
     q = float(singular_exponent)
-    if quad is None:
-        quad = gauss_jacobi_rule(n, sigma - 1.0, q)
+    quad = gauss_jacobi_rule(n, sigma - 1.0, q)
     x = quad.nodes
     out = _rule_sum(g, tt, 1.0 - x, (1.0 - x) ** (-q), quad.weights)
     scale = (-tt) ** sigma / gamma(sigma)
@@ -152,16 +149,15 @@ def rl_integral_right(sigma: float, g, t, quad: QuadratureRule = None,
 
 
 def ek_integral(gma: float, delta: float, beta: float, g, t,
-                quad: QuadratureRule = None, *, n: int = 256,
-                singular_exponent: float = 0.0):
+                *, n: int = 256, singular_exponent: float = 0.0):
     """Erdelyi-Kober fractional integral I^{gma,delta}_beta g at t > 0.
 
     After the substitution v = (tau/t)^beta the definition collapses to
 
         (1/Gamma(delta)) * integral_0^1 (1-v)^{delta-1} v^gma g(t v^{1/beta}) dv
 
-    with every power of t cancelling, so a Gauss-Jacobi rule with pair
-    (gma + singular_exponent, delta - 1) does all the work.
+    with every power of t cancelling, so an n-node Gauss-Jacobi rule
+    with pair (gma + singular_exponent, delta - 1) does all the work.
 
     ``singular_exponent`` plays the same role as in rl_integral_right:
     a known power q with g(t v^{1/beta}) ~ v^q near v = 0 (that is,
@@ -177,16 +173,14 @@ def ek_integral(gma: float, delta: float, beta: float, g, t,
     q = float(singular_exponent)
     if gma + q <= -1.0:
         raise ValueError("weight exponent gma + singular_exponent must exceed -1")
-    if quad is None:
-        quad = gauss_jacobi_rule(n, gma + q, delta - 1.0)
+    quad = gauss_jacobi_rule(n, gma + q, delta - 1.0)
     v = quad.nodes
     out = _rule_sum(g, tt, v ** (1.0 / beta), v ** (-q), quad.weights)
     return _shaped(np.shape(t), out / gamma(delta))
 
 
 def ek_derivative(gma: float, delta: float, beta: float, g, t,
-                  *, n: int = 256, fd_step: float = None,
-                  singular_exponent: float = 0.0):
+                  *, n: int = 256, singular_exponent: float = 0.0):
     """Erdelyi-Kober fractional derivative D^{gma,delta}_beta g at t > 0.
 
     Applies the product Pi_{j=1..m}(gma + j + (t/beta) d/dt) to the
@@ -206,18 +200,14 @@ def ek_derivative(gma: float, delta: float, beta: float, g, t,
         def inner(s):
             return np.asarray(g(s), dtype=float)
     else:
-        rule = gauss_jacobi_rule(n, gma + delta + float(singular_exponent),
-                                 (m - 1) - delta)
-
         def inner(s):
-            return ek_integral(gma + delta, m - delta, beta, g, s,
-                               quad=rule, singular_exponent=singular_exponent)
+            return ek_integral(gma + delta, m - delta, beta, g, s, n=n,
+                               singular_exponent=singular_exponent)
 
     def factored(j: int, s: np.ndarray) -> np.ndarray:
         # (gma + j + (s/beta) d/ds) applied to the (j-1)-fold composite.
         f = inner if j == 1 else (lambda x: factored(j - 1, x))
-        h = np.minimum(np.maximum(1e-6, 1e-3 * s) if fd_step is None
-                       else fd_step, 0.45 * s)
+        h = np.minimum(np.maximum(1e-6, 1e-3 * s), 0.45 * s)
         up, mid, down = np.split(f(np.concatenate([s + h, s, s - h])), 3)
         deriv = (up - down) / (2.0 * h)
         bad = ~np.isfinite(deriv)
@@ -230,7 +220,7 @@ def ek_derivative(gma: float, delta: float, beta: float, g, t,
 
 
 def hyper_bessel_caputo(op: OperatorParams, u, u0: float, t,
-                        *, n: int = 256, fd_step: float = None):
+                        *, n: int = 256):
     """Regularized hyper-Bessel Caputo derivative of order alpha1 at t > 0.
 
     Evaluates p^{alpha1} t^{-p alpha1} D^{-alpha1, alpha1}_p (u - u0)
@@ -251,8 +241,7 @@ def hyper_bessel_caputo(op: OperatorParams, u, u0: float, t,
 
     if a == 1.0:
         # The operator degenerates to t^theta d/dt.
-        h = np.minimum(np.maximum(1e-8, 1e-4 * tt) if fd_step is None
-                       else fd_step, 0.45 * tt)
+        h = np.minimum(np.maximum(1e-8, 1e-4 * tt), 0.45 * tt)
         wp, wm, hp, hm = np.split(
             w(np.concatenate([tt + h, tt - h, tt + h / 2, tt - h / 2])), 4)
         d1 = (wp - wm) / (2.0 * h)
@@ -260,24 +249,23 @@ def hyper_bessel_caputo(op: OperatorParams, u, u0: float, t,
         out = tt ** op.theta * ((4.0 * d2 - d1) / 3.0)
     else:
         out = p ** a * tt ** (-p * a) * ek_derivative(
-            -a, a, p, w, tt, n=n, fd_step=fd_step, singular_exponent=a)
+            -a, a, p, w, tt, n=n, singular_exponent=a)
     return _shaped(np.shape(t), out)
 
 
-def bi_ordinal_hilfer(op: OperatorParams, u, t,
-                      quad: QuadratureRule = None, *, n: int = 256,
+def bi_ordinal_hilfer(op: OperatorParams, u, t, *, n: int = 256,
                       inner_exponent: float = 0.0,
-                      outer_exponent: float = None,
-                      fd_step: float = None):
+                      outer_exponent: float = None):
     """Right-sided bi-ordinal Hilfer derivative at t < 0.
 
     Composition I^{c}_{0-} (d/dt)^2 I^{a}_{0-} u with inner order
     a = (1-mu)(2-beta2) and outer order c = mu(2-alpha2).  The inner
     integral is evaluated by rl_integral_right, its second derivative
-    by a central difference whose step shrinks with the sample point so
-    the stencil never crosses t = 0, and the outer integral by another
-    Jacobi rule.  The inner integral is taken at every stencil point of
-    every outer node of every t in one rl_integral_right call.
+    by a central difference with step 3e-3 |s|, which shrinks with the
+    sample point s so the stencil never crosses t = 0, and the outer
+    integral by another Jacobi rule; both rules have n nodes.  The
+    inner integral is taken at every stencil point of every outer node
+    of every t in one rl_integral_right call.
 
     Parameters
     ----------
@@ -289,8 +277,6 @@ def bi_ordinal_hilfer(op: OperatorParams, u, t,
         at 0 for functions whose inner image is smooth); the weighted
         solution class needs the caller to pass its own exponent, since
         the Mittag-Leffler structure is not visible from q alone.
-    fd_step : float, optional
-        Fixed second-difference step; default scales as 3e-3 |s|.
 
     Raises
     ------
@@ -314,11 +300,8 @@ def bi_ordinal_hilfer(op: OperatorParams, u, t,
             return np.asarray(u(s), dtype=float)
         e_default = max(q - 2.0, 0.0)
     else:
-        rule_in = gauss_jacobi_rule(n, a - 1.0, q)
-
         def inner(s):
-            return rl_integral_right(a, u, s, quad=rule_in,
-                                     singular_exponent=q)
+            return rl_integral_right(a, u, s, n=n, singular_exponent=q)
         e_default = q + a - 2.0
         if e_default > -0.25:
             # inner image at least this smooth; do not absorb anything
@@ -332,8 +315,7 @@ def bi_ordinal_hilfer(op: OperatorParams, u, t,
         )
 
     def second(s: np.ndarray) -> np.ndarray:
-        h = 3e-3 * np.abs(s) if fd_step is None else np.full(s.shape, fd_step)
-        h = np.minimum(h, 0.3 * np.abs(s))
+        h = 3e-3 * np.abs(s)
         bad = (h <= 0.0) | (s + h >= 0.0)
         if np.any(bad):
             raise NumericError(
@@ -345,8 +327,7 @@ def bi_ordinal_hilfer(op: OperatorParams, u, t,
 
     if c == 0.0:
         return _shaped(np.shape(t), second(tt))
-    if quad is None:
-        quad = gauss_jacobi_rule(n, c - 1.0, e)
+    quad = gauss_jacobi_rule(n, c - 1.0, e)
     x = quad.nodes
     out = _rule_sum(second, tt, 1.0 - x, (1.0 - x) ** (-e), quad.weights)
     return _shaped(np.shape(t), (-tt) ** c / gamma(c) * out)

@@ -2,8 +2,8 @@
 
 Every convolution kernel in the package has endpoint behaviour
 x^a (1-x)^b with known exponents, so the natural tool is Gauss-Jacobi:
-the rule absorbs the weight and sees only the smooth factor.  A plain
-Gauss-Legendre rule rounds out the set.
+the rule absorbs the weight and sees only the smooth factor.  The plain
+Gauss-Legendre rule is its (0, 0) member.
 
 Gauss-Jacobi nodes are the eigenvalues of the Jacobi matrix of the
 three-term recurrence (Golub-Welsch), taken with numpy's symmetric
@@ -40,11 +40,9 @@ class QuadratureRule:
     ``exponent_pair = (0, 0)`` are ordinary quadrature.
     """
 
-    kind: str
     nodes: np.ndarray
     weights: np.ndarray
     exponent_pair: tuple = (0.0, 0.0)
-    degree: int = 0
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -61,11 +59,6 @@ class QuadratureRule:
     @property
     def n(self) -> int:
         return self.nodes.size
-
-    def integrate(self, h) -> float:
-        """Apply the rule to a callable h evaluated at the nodes."""
-        vals = np.asarray(h(self.nodes), dtype=float)
-        return float(self.weights @ vals)
 
 
 def _golub_welsch(n: int, a: float, b: float):
@@ -137,13 +130,7 @@ def _jacobi_rule(n: int, a: float, b: float) -> QuadratureRule:
             nodes, weights = _golub_welsch(n, a, b)
     nodes.setflags(write=False)
     weights.setflags(write=False)
-    return QuadratureRule(
-        kind="gauss_jacobi",
-        nodes=nodes,
-        weights=weights,
-        exponent_pair=(a, b),
-        degree=2 * n - 1,
-    )
+    return QuadratureRule(nodes=nodes, weights=weights, exponent_pair=(a, b))
 
 
 def gauss_jacobi_rule(n: int, a: float, b: float) -> QuadratureRule:
@@ -168,14 +155,7 @@ def gauss_jacobi_rule(n: int, a: float, b: float) -> QuadratureRule:
     return _jacobi_rule(int(n), float(a), float(b))
 
 
-@lru_cache(maxsize=256)
 def gauss_legendre_rule(n: int) -> QuadratureRule:
-    """Plain Gauss-Legendre rule on [0, 1], shared and memoized."""
-    rule = gauss_jacobi_rule(n, 0.0, 0.0)
-    return QuadratureRule(
-        kind="gauss_legendre",
-        nodes=rule.nodes,
-        weights=rule.weights,
-        exponent_pair=(0.0, 0.0),
-        degree=rule.degree,
-    )
+    """Plain Gauss-Legendre rule on [0, 1]: the shared Gauss-Jacobi rule
+    with exponent pair (0, 0)."""
+    return gauss_jacobi_rule(n, 0.0, 0.0)

@@ -22,7 +22,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import SolvabilityError
+from .errors import NumericError, SolvabilityError
 from .fracops import OperatorParams
 from .quadrature import gauss_jacobi_rule, gauss_legendre_rule
 from .specfun import MLParams, bessel_j, gamma, mittag_leffler
@@ -559,16 +559,25 @@ def delta_limit(spec: ProblemSpec, *, variant: str = None) -> float:
     paper-literal variant loses the (-xi) power.  At |xi| = 1 the two
     limits agree.  At xi = 0 the bracket is E_{delta2,1}(0) = 1 for
     every k, so that point adds its weight p_i.
+
+    Raises NumericError at delta2 = 2 when some xi is not 0: the bracket
+    then holds E_{2,1}(-x^2) = cos(x) at an x that grows with lam, which
+    has no limit.
     """
     op = spec.op
     v = variant if variant is not None else spec.delta_variant
     pa = op.p ** op.alpha1 * gamma(op.alpha1)
-    denom = pa * gamma(2.0 - op.delta2)
+    denom = pa * gamma(2.0 - op.delta2) if op.delta2 != 2.0 else None
     total = 0.0
     for p_i, xi in spec.nonlocal_points:
         if xi == 0.0:
             total += p_i
             continue
+        if denom is None:
+            raise NumericError(
+                f"Delta_k has no large-k limit at delta2 = 2: at xi = {xi} "
+                "its bracket holds E_(2,1)(-x^2) = cos(x) with x growing "
+                "like lambda_k")
         w = (-xi) ** (1.0 - op.delta2) if v == "consistent" else 1.0
         total += p_i * w / denom
     return total

@@ -23,8 +23,8 @@ The nominal regime boundaries (|z| around 5 and 50) are useful mental
 markers but carry no authority; the handoff is decided per point by
 the error tracking above.
 
-Every value depends on its own (alpha, beta, z, rtol) only: never on
-the other points of a call, their order or the chunk they fall in.
+Every value depends on its own (alpha, beta, z) only: never on the
+other points of a call, their order or the chunk they fall in.
 Callers may therefore batch freely, and the solver evaluates each
 kernel for all modes in one call.
 """
@@ -41,8 +41,10 @@ from scipy import special as _sp
 from .errors import NumericError
 from .quadrature import gauss_legendre_rule
 
-__all__ = ["MLParams", "gamma", "rgamma", "bessel_j", "mittag_leffler", "ml"]
+__all__ = ["MLParams", "gamma", "rgamma", "bessel_j", "mittag_leffler"]
 
+# relative accuracy every value is held to
+_RTOL = 1e-12
 _EPS = float(np.finfo(float).eps)
 # below 2^-55 |s| a term cannot move the float64 partial sum s
 _ULP_FLOOR = 2.0 ** -55
@@ -129,7 +131,7 @@ class MLParams:
         object.__setattr__(self, "beta", b)
 
 
-def mittag_leffler(p: MLParams, z, *, rtol: float = 1e-12):
+def mittag_leffler(p: MLParams, z):
     """Evaluate E_{alpha,beta}(z) for real z, scalar or array.
 
     Parameters
@@ -141,17 +143,15 @@ def mittag_leffler(p: MLParams, z, *, rtol: float = 1e-12):
         regime and is honoured down to -1e8 and beyond; large positive
         arguments may overflow to ``inf``, which is the honest answer
         for an entire function of exponential order.
-    rtol : float, optional
-        Target relative accuracy, clipped to [1e-14, 1e-2].
 
     Returns
     -------
     float or ndarray
-        E_{alpha,beta}(z), matching the shape of ``z``.
+        E_{alpha,beta}(z), matching the shape of ``z``, to a relative
+        accuracy of 1e-12.
     """
     if not isinstance(p, MLParams):
         raise TypeError("first argument must be an MLParams instance")
-    rtol = float(min(max(rtol, 1e-14), 1e-2))
     arr = np.asarray(z, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise ValueError("mittag_leffler requires finite z")
@@ -164,23 +164,18 @@ def mittag_leffler(p: MLParams, z, *, rtol: float = 1e-12):
     # Chunk large batches so the series work arrays stay cache-sized.
     for lo in range(0, uniq.size, 4096):
         sl = slice(lo, min(lo + 4096, uniq.size))
-        vals[sl] = _ml_core(p.alpha, p.beta, uniq[sl].copy(), rtol)
+        vals[sl] = _ml_core(p.alpha, p.beta, uniq[sl].copy())
     out = vals[inv]
     if arr.ndim == 0:
         return float(out[0])
     return out.reshape(arr.shape)
 
 
-def ml(alpha: float, beta: float, z, *, rtol: float = 1e-12):
-    """Shorthand for ``mittag_leffler(MLParams(alpha, beta), z)``."""
-    return mittag_leffler(MLParams(alpha, beta), z, rtol=rtol)
-
-
 # ---------------------------------------------------------------------------
 # dispatcher
 
 
-def _ml_core(a: float, b: float, z: np.ndarray, rtol: float) -> np.ndarray:
+def _ml_core(a: float, b: float, z: np.ndarray) -> np.ndarray:
     out = np.full(z.shape, np.nan)
     todo = np.ones(z.shape, dtype=bool)
 
@@ -191,27 +186,31 @@ def _ml_core(a: float, b: float, z: np.ndarray, rtol: float) -> np.ndarray:
 
     if a == 1.0:
         if todo.any():
-            out[todo] = _ml_alpha_one(b, z[todo], rtol)
+            out[todo] = _ml_alpha_one(b, z[todo])
         return out
 
     if a == 2.0 and abs(b - round(b)) < 1e-12 and 1 <= round(b) <= 9:
-        # Closed trigonometric forms, stable once |z| is not tiny.
-        m = todo & (np.abs(z) >= 0.5)
+        # Closed trigonometric forms.  Their recurrence in b loses a
+        # factor of about (m-1)(m-2)/|z| at its step to E_{2,m}, so they
+        # hold only once |z| is not small against b (4.6e-11 at b = 9,
+        # z = -0.5, where the cascade gives 6e-17).
+        bint = int(round(b))
+        m = todo & (np.abs(z) >= max(0.5, bint - 1.0))
         if m.any():
-            out[m] = _ml_alpha_two_int(int(round(b)), z[m])
+            out[m] = _ml_alpha_two_int(bint, z[m])
             todo &= ~m
 
     if todo.any():
-        safe, nmax = _series_safety(a, b, z, rtol)
+        safe, nmax = _series_safety(a, b, z)
         m = todo & safe
         if m.any():
-            val, ok = _series_block(a, b, z[m], rtol, nmax[m])
+            val, ok = _series_block(a, b, z[m], nmax[m])
             idx = np.flatnonzero(m)
             out[idx[ok]] = val[ok]
             todo[idx[ok]] = False
 
     if todo.any():
-        val, ok = _asymp_block(a, b, z[todo], rtol)
+        val, ok = _asymp_block(a, b, z[todo])
         idx = np.flatnonzero(todo)
         out[idx[ok]] = val[ok]
         todo[idx[ok]] = False
@@ -224,7 +223,7 @@ def _ml_core(a: float, b: float, z: np.ndarray, rtol: float) -> np.ndarray:
     if todo.any():
         # Positive arguments that dodged both expansions: force the
         # series with a generous term budget; overflow becomes inf.
-        val, _ = _series_block(a, b, z[todo], rtol, 16384, force=True)
+        val, _ = _series_block(a, b, z[todo], 16384, force=True)
         out[todo] = val
         todo &= False
 
@@ -235,7 +234,7 @@ def _ml_core(a: float, b: float, z: np.ndarray, rtol: float) -> np.ndarray:
 # closed forms
 
 
-def _ml_alpha_one(b: float, z: np.ndarray, rtol: float) -> np.ndarray:
+def _ml_alpha_one(b: float, z: np.ndarray) -> np.ndarray:
     if abs(b - 1.0) < 1e-14:
         with np.errstate(over="ignore"):
             return np.exp(z)
@@ -261,7 +260,7 @@ def _ml_alpha_one(b: float, z: np.ndarray, rtol: float) -> np.ndarray:
     if far.any():
         # Optimally truncated algebraic expansion; the exponentially
         # small e^z correction is below 1e-14 relative for z < -40.
-        v, ok = _asymp_block(1.0, bb, z[far], rtol)
+        v, ok = _asymp_block(1.0, bb, z[far])
         if not bool(np.all(ok)):
             raise NumericError("alpha=1 asymptotic branch failed to converge")
         val[far] = v
@@ -273,10 +272,19 @@ def _ml_alpha_one(b: float, z: np.ndarray, rtol: float) -> np.ndarray:
 
 def _ml_alpha_two_int(bint: int, z: np.ndarray) -> np.ndarray:
     neg = z < 0.0
-    rt = np.sqrt(np.abs(z))
-    e1 = np.where(neg, np.cos(rt), np.cosh(np.minimum(rt, 710.0)))
-    with np.errstate(invalid="ignore"):
-        e2 = np.where(neg, np.sin(rt) / rt, np.sinh(np.minimum(rt, 710.0)) / rt)
+    x = np.abs(z)
+    rt = np.sqrt(x)
+    # rt is off sqrt(x) by d = (x - rt^2) / (2 rt), up to half an ulp,
+    # which moves cos(rt) by 5e-12 of 1/|z| near its zeros at |z| ~ 3000;
+    # x - rt^2 is exact with rt split into 26-bit halves (Dekker)
+    c = 134217729.0 * rt
+    hi = c - (c - rt)
+    lo = rt - hi
+    d = (((x - hi * hi) - 2.0 * hi * lo) - lo * lo) / (2.0 * rt)
+    cos, sin = np.cos(rt), np.sin(rt)
+    e1 = np.where(neg, cos - d * sin, np.cosh(np.minimum(rt, 710.0)))
+    e2 = np.where(neg, (sin + d * cos) / rt,
+                  np.sinh(np.minimum(rt, 710.0)) / rt)
     if bint == 1:
         return e1
     if bint == 2:
@@ -295,8 +303,8 @@ def _ml_alpha_two_int(bint: int, z: np.ndarray) -> np.ndarray:
 # power series
 
 
-def _series_safety(a: float, b: float, z: np.ndarray, rtol: float):
-    """Predict where the ascending series can reach ``rtol`` in float64.
+def _series_safety(a: float, b: float, z: np.ndarray):
+    """Predict where the ascending series can reach _RTOL in float64.
 
     Returns a boolean mask and each point's term budget, 1.6 times its
     stationary index plus 48.  The prediction relies
@@ -315,7 +323,7 @@ def _series_safety(a: float, b: float, z: np.ndarray, rtol: float):
             0.0,
         )
         ln_max = np.where(np.isfinite(ln_max), ln_max, np.inf)
-    digits_budget = -math.log10(rtol)
+    digits_budget = -math.log10(_RTOL)
     lost = (ln_max + np.log1p(x) + 5.0) / math.log(10.0)
     safe_neg = (ln_max < 600.0) & (lost <= 15.8 - digits_budget)
     safe_pos = ln_max < 650.0
@@ -325,7 +333,7 @@ def _series_safety(a: float, b: float, z: np.ndarray, rtol: float):
     return safe & (nstar <= 12000.0), nmax
 
 
-def _series_block(a: float, b: float, z: np.ndarray, rtol: float, nmax,
+def _series_block(a: float, b: float, z: np.ndarray, nmax,
                   force: bool = False):
     """Compensated ascending series with measured-cancellation gating.
 
@@ -365,7 +373,7 @@ def _series_block(a: float, b: float, z: np.ndarray, rtol: float, nmax,
             s = snew
             at = np.abs(t)
             np.maximum(maxmag, at, out=maxmag)
-            small = at <= 0.125 * rtol * np.maximum(np.abs(s), 1e-300)
+            small = at <= 0.125 * _RTOL * np.maximum(np.abs(s), 1e-300)
             calm = np.where(live & small & (n > hump), calm + 1, 0)
             done = live & (calm >= 2)
             if done.any():
@@ -393,7 +401,7 @@ def _series_block(a: float, b: float, z: np.ndarray, rtol: float, nmax,
 
     s_out[idx], max_out[idx], conv_out[idx] = s, maxmag, converged
     s = s_out
-    cancel_ok = max_out * (_EPS * 8.0) <= rtol * np.maximum(np.abs(s), 1e-300)
+    cancel_ok = max_out * (_EPS * 8.0) <= _RTOL * np.maximum(np.abs(s), 1e-300)
     ok = conv_out & cancel_ok & np.isfinite(s)
     if force:
         # Positive-axis fallback: an overflowed partial sum means the
@@ -446,7 +454,7 @@ def _asymp_coefs(a: float, b: float, nmax: int) -> tuple:
     return tuple(renv), tuple(rg)
 
 
-def _asymp_block(a: float, b: float, z: np.ndarray, rtol: float, nmax: int = 160):
+def _asymp_block(a: float, b: float, z: np.ndarray, nmax: int = 160):
     """E ~ residues - sum_{n>=1} z^{-n}/Gamma(b - a n), optimally truncated.
 
     Truncation control uses a smooth envelope of the coefficient size,
@@ -459,7 +467,7 @@ def _asymp_block(a: float, b: float, z: np.ndarray, rtol: float, nmax: int = 160
     smallest one so far; that smallest envelope is its error estimate.
 
     Each pass works on the live points only.  A point also stops once
-    its envelope is below both 2^-55 |s| and rtol |residues - s|: the
+    its envelope is below both 2^-55 |s| and _RTOL |residues - s|: the
     envelope keeps falling while the point is live, so every later term
     is below half an ulp of the partial sum s and cannot move it, and
     the error estimate already passes.  Value and accept flag are
@@ -485,7 +493,7 @@ def _asymp_block(a: float, b: float, z: np.ndarray, rtol: float, nmax: int = 160
             snew = sl + p * rg[n]
             done = env < _ULP_FLOOR * np.abs(snew)
             if done.any():
-                done &= env <= rtol * np.maximum(np.abs(rl - snew), 1e-300)
+                done &= env <= _RTOL * np.maximum(np.abs(rl - snew), 1e-300)
             out = grew | done
             if out.any():
                 s[idx[out]] = np.where(grew, sl, snew)[out]
@@ -500,7 +508,7 @@ def _asymp_block(a: float, b: float, z: np.ndarray, rtol: float, nmax: int = 160
     err = np.where(np.isfinite(minenv), minenv, np.inf)
     total = res - s
     with np.errstate(invalid="ignore"):
-        ok = err <= rtol * np.maximum(np.abs(total), 1e-300)
+        ok = err <= _RTOL * np.maximum(np.abs(total), 1e-300)
     ok |= ~np.isfinite(total) & (z > 0.0)  # inf on the positive axis is final
     return total, ok
 

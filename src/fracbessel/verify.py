@@ -49,6 +49,9 @@ MODE_ODE_REL = 1e-3
 # The per-mode fit lands near 2.5e-5 at default parameters.
 DERIVATIVE_MODEL_REL = 1e-3
 
+# the k at which verify_solution samples the Delta_k gap to its limit
+DELTA_K_LADDER = (10, 25, 50, 100, 200)
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -187,9 +190,8 @@ def weighted_spline_candidate(u, gamma2: float, span: float, *,
 # ---------------------------------------------------------------------------
 # individual checks
 
-def check_boundary(sol: SeriesSolution, *, tol: float = None) -> list:
+def check_boundary(sol: SeriesSolution) -> list:
     """Wall value at x = 1 and the vanishing axis flux x u_x at x -> 0+."""
-    atol = BOUNDARY_TOL if tol is None else float(tol)
     T = sol.spec.T
     ts = [0.0]
     ts.extend(np.linspace(0.15 * T, T, 6))
@@ -198,16 +200,16 @@ def check_boundary(sol: SeriesSolution, *, tol: float = None) -> list:
     vals = mode_matrix(sol, ts)
     wall = float(np.max(np.abs(radial_basis(sol, 1.0) @ vals)))
     checks = [CheckResult(
-        "boundary_wall_value", 0.0, wall, atol, wall <= atol,
+        "boundary_wall_value", 0.0, wall, BOUNDARY_TOL, wall <= BOUNDARY_TOL,
         "zero Dirichlet value at the outer wall over a t sample; with "
         "refined eigenvalues this sits at roundoff")]
 
     xsmall = (1e-2, 1e-3, 1e-4)
     flux = [float(np.max(np.abs(x * (radial_basis(sol, x, 1) @ vals))))
             for x in xsmall]
-    ok = flux[0] >= flux[1] >= flux[2] and flux[2] <= atol
+    ok = flux[0] >= flux[1] >= flux[2] and flux[2] <= BOUNDARY_TOL
     checks.append(CheckResult(
-        "boundary_axis_flux", 0.0, flux[2], atol, ok,
+        "boundary_axis_flux", 0.0, flux[2], BOUNDARY_TOL, ok,
         "x u_x sampled at x = 1e-2, 1e-3, 1e-4 gives "
         f"{flux[0]:.3e}, {flux[1]:.3e}, {flux[2]:.3e}; the sequence must "
         "not increase and the last sample must clear the tolerance"))
@@ -228,13 +230,11 @@ def _interface_profiles(sol: SeriesSolution, xs: np.ndarray,
     basis = radial_basis(sol, xs).T
     if a == 0.0:
         return mode_matrix(sol, -ws).T @ basis
-    rule = gauss_jacobi_rule(n, a - 1.0, g2 - 2.0)
     return rl_integral_right(a, lambda s: mode_matrix(sol, s).T @ basis,
-                             -ws, quad=rule, singular_exponent=g2 - 2.0)
+                             -ws, n=n, singular_exponent=g2 - 2.0)
 
 
-def check_gluing(sol: SeriesSolution, *, rel_tol: float = None,
-                 _scale: float = None) -> list:
+def check_gluing(sol: SeriesSolution, *, _scale: float = None) -> list:
     """The two interface conditions plus the coefficient transfer rules.
 
     Four rows: (a) exact coefficient identities; (b) the memory-weighted
@@ -246,7 +246,6 @@ def check_gluing(sol: SeriesSolution, *, rel_tol: float = None,
     """
     spec = sol.spec
     op = spec.op
-    rel = GLUING_REL if rel_tol is None else float(rel_tol)
     unorm = _u_scale(sol) if _scale is None else _scale
     floor = 1e-300
     d2, g2 = op.delta2, op.gamma2
@@ -284,7 +283,7 @@ def check_gluing(sol: SeriesSolution, *, rel_tol: float = None,
 
     u0p = eval_u(sol, xs, 0.0)
     res_b = float(np.max(np.abs(val_lim - u0p)))
-    tol_b = rel * max(unorm, floor)
+    tol_b = GLUING_REL * max(unorm, floor)
     checks.append(CheckResult(
         "gluing_value_trace", 0.0, res_b, tol_b, res_b <= tol_b,
         "limit of the memory-weighted backward value matches u(x, 0+) "
@@ -294,7 +293,7 @@ def check_gluing(sol: SeriesSolution, *, rel_tol: float = None,
     dpsi = radial_basis(sol, xs) @ sol.psis
     scale_c = max(float(np.max(np.abs(dpsi))), unorm, floor)
     res_c = float(np.max(np.abs(deriv_left - dpsi)))
-    tol_c = rel * scale_c
+    tol_c = GLUING_REL * scale_c
     checks.append(CheckResult(
         "gluing_derivative_trace", 0.0, res_c, tol_c, res_c <= tol_c,
         "t-derivative of the weighted backward branch attains the "
@@ -342,8 +341,7 @@ def check_gluing(sol: SeriesSolution, *, rel_tol: float = None,
     return checks
 
 
-def check_nonlocal(sol: SeriesSolution, *, rel_tol: float = None,
-                   _scale: float = None) -> list:
+def check_nonlocal(sol: SeriesSolution, *, _scale: float = None) -> list:
     """History condition at t = T via two independent routes.
 
     Route 1 shifts each mode analytically (index-shift identity of the
@@ -353,7 +351,6 @@ def check_nonlocal(sol: SeriesSolution, *, rel_tol: float = None,
     """
     spec = sol.spec
     op = spec.op
-    rel = NONLOCAL_REL if rel_tol is None else float(rel_tol)
     unorm = _u_scale(sol) if _scale is None else _scale
     floor = 1e-300
     a = op.hilfer_inner_order
@@ -369,7 +366,7 @@ def check_nonlocal(sol: SeriesSolution, *, rel_tol: float = None,
             terms = terms + pi * mode_matrix(sol, [xi], order=a)[:, 0]
     r1 = terms @ basis - uT
     res1 = float(np.max(np.abs(r1)))
-    tol_n = rel * max(unorm, floor)
+    tol_n = NONLOCAL_REL * max(unorm, floor)
     checks = [CheckResult(
         "nonlocal_identity_route", 0.0, res1, tol_n, res1 <= tol_n,
         "weighted history average minus the terminal value, each mode "
@@ -388,8 +385,7 @@ def check_nonlocal(sol: SeriesSolution, *, rel_tol: float = None,
     if quad.any():
         # the series at every x and history point, one call per rule
         v_hi, v_lo = (rl_integral_right(
-            a, lambda s: mode_matrix(sol, s).T @ basis, xis[quad],
-            quad=gauss_jacobi_rule(nodes, a - 1.0, g2 - 2.0),
+            a, lambda s: mode_matrix(sol, s).T @ basis, xis[quad], n=nodes,
             singular_exponent=g2 - 2.0) for nodes in (160, 112))
         r2 = r2 + pis[quad] @ v_hi
         err = np.abs(pis[quad]) @ np.abs(v_hi - v_lo)
@@ -408,8 +404,7 @@ def check_nonlocal(sol: SeriesSolution, *, rel_tol: float = None,
     return checks
 
 
-def check_mode_odes(sol: SeriesSolution, k_max: int, *,
-                    rel_tol: float = None) -> list:
+def check_mode_odes(sol: SeriesSolution, k_max: int) -> list:
     """Plug each mode back into its own fractional ODE via the oracles.
 
     Forward side: the hyper-Bessel Caputo oracle samples the mode
@@ -422,7 +417,6 @@ def check_mode_odes(sol: SeriesSolution, k_max: int, *,
     op = spec.op
     if k_max > spec.N:
         raise ValueError(f"k_max={k_max} exceeds N={spec.N}")
-    rel = MODE_ODE_REL if rel_tol is None else float(rel_tol)
     T = spec.T
     d2, g2 = op.delta2, op.gamma2
     fwd_ts = T * np.array([0.25, 0.55, 0.85])
@@ -447,8 +441,8 @@ def check_mode_odes(sol: SeriesSolution, k_max: int, *,
         worst = residual(fwd_ts, hyper_bessel_caputo(
             op, uk, float(m.tau_k), fwd_ts, n=192))
         checks.append(CheckResult(
-            f"mode_ode_forward_k{m.ev.k:02d}", 0.0, worst, rel,
-            worst <= rel,
+            f"mode_ode_forward_k{m.ev.k:02d}", 0.0, worst, MODE_ODE_REL,
+            worst <= MODE_ODE_REL,
             "relaxation equation residual on t > 0, derivative by "
             "independent quadrature oracle"))
 
@@ -459,8 +453,8 @@ def check_mode_odes(sol: SeriesSolution, k_max: int, *,
             op, uspl, bwd_ts, n=160, inner_exponent=g2 - 2.0,
             outer_exponent=d2 - 2.0))
         checks.append(CheckResult(
-            f"mode_ode_backward_k{m.ev.k:02d}", 0.0, worst, rel,
-            worst <= rel,
+            f"mode_ode_backward_k{m.ev.k:02d}", 0.0, worst, MODE_ODE_REL,
+            worst <= MODE_ODE_REL,
             "two-parameter evolution equation residual on t < 0 via the "
             "composition oracle on a spline surrogate"))
     return checks
@@ -489,19 +483,15 @@ def check_delta_asymptote(spec: ProblemSpec, k_list) -> list:
         "delta_gap_monotone", 0.0, worst_ratio, 1.0, worst_ratio < 1.0,
         f"|Delta_k - L| along k = {ks}: {note_vals}; L = {L:.10e}")]
 
-    try:
-        other = delta_limit(spec, variant="paper-literal"
-                            if spec.delta_variant == "consistent"
-                            else "consistent")
-        variant_note = f"; other-variant limit {other:.10e}"
-    except ValueError:
-        variant_note = ""
+    other = delta_limit(spec, variant="paper-literal"
+                        if spec.delta_variant == "consistent"
+                        else "consistent")
     slope = float(np.polyfit(np.log(lams), np.log(np.maximum(gaps, 1e-300)),
                              1)[0])
     checks.append(CheckResult(
         "delta_gap_rate", -2.0, slope, 0.25, abs(slope + 2.0) <= 0.25,
         "log-log rate of the gap, expected inverse-square in the "
-        f"frequency{variant_note}"))
+        f"frequency; other-variant limit {other:.10e}"))
     return checks
 
 
@@ -570,21 +560,16 @@ def check_decay_rates(sol: SeriesSolution) -> list:
     return checks
 
 
-def verify_solution(sol: SeriesSolution, *, k_max: int = 10,
-                    boundary_tol: float = None,
-                    gluing_rel: float = None,
-                    nonlocal_rel: float = None,
-                    mode_ode_rel: float = None,
-                    delta_k_list=(10, 25, 50, 100, 200)) -> VerificationReport:
+def verify_solution(sol: SeriesSolution, *,
+                    k_max: int = 10) -> VerificationReport:
     """Run every check and assemble the report, deterministic order."""
     checks = []
-    checks.extend(check_boundary(sol, tol=boundary_tol))
+    checks.extend(check_boundary(sol))
     # both relative gates scale with the same sup |u|
     scale = _u_scale(sol)
-    checks.extend(check_gluing(sol, rel_tol=gluing_rel, _scale=scale))
-    checks.extend(check_nonlocal(sol, rel_tol=nonlocal_rel, _scale=scale))
-    checks.extend(check_mode_odes(sol, min(k_max, sol.spec.N),
-                                  rel_tol=mode_ode_rel))
-    checks.extend(check_delta_asymptote(sol.spec, delta_k_list))
+    checks.extend(check_gluing(sol, _scale=scale))
+    checks.extend(check_nonlocal(sol, _scale=scale))
+    checks.extend(check_mode_odes(sol, min(k_max, sol.spec.N)))
+    checks.extend(check_delta_asymptote(sol.spec, DELTA_K_LADDER))
     checks.extend(check_decay_rates(sol))
     return VerificationReport.from_checks(checks)

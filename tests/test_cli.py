@@ -62,7 +62,6 @@ class TestParseConfig:
         assert not spec.asymptotic_eigenvalues
         assert (cfg.nx, cfg.nt_pos, cfg.nt_neg) == (21, 9, 9)
         assert cfg.verify_modes == 10
-        assert cfg.tolerances == {}
         assert cfg.hypothesis_note == "satisfied"
         assert cfg.solution_path == "solution.csv"
 
@@ -92,11 +91,43 @@ class TestParseConfig:
                            match=r"ordering fails at indices \[1\]"):
             parse_config(p)
 
-    def test_unknown_tolerance_key(self, tmp_path):
+    def test_tolerances_block_rejected(self, tmp_path, capsys):
+        # the verification gates are fixed: a config cannot loosen them
         p = write_config(tmp_path / "c.json",
-                         flags={"tolerances": {"bogus_tol": 1.0}})
-        with pytest.raises(ConfigError, match="unknown tolerance keys"):
+                         flags={"tolerances": {"boundary_tol": 1.0}})
+        with pytest.raises(ConfigError, match="flags.tolerances"):
             parse_config(p)
+        assert main(["solve", str(p), "--out-dir", str(tmp_path)]) == 1
+        assert "config error: 'flags.tolerances'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("block,key,value", [
+        ("problem", "N", "ten"), ("problem", "N", None),
+        ("problem", "N", 7.9), ("problem", "N", True),
+        ("grid", "nx", "ten"), ("grid", "nt_pos", 2.5),
+        ("grid", "nt_neg", [3]),
+        ("flags", "verify_modes", None), ("flags", "verify_modes", "2"),
+    ])
+    def test_integer_fields_need_whole_numbers(self, tmp_path, capsys,
+                                               block, key, value):
+        defaults = {"problem": {}, "grid": {"nx": 5, "nt_pos": 3, "nt_neg": 3},
+                    "flags": {"verify_modes": 2}}
+        p = write_config(tmp_path / "c.json",
+                         **{block: {**defaults[block], key: value}})
+        assert main(["solve", str(p), "--out-dir", str(tmp_path)]) == 1
+        name = key if block == "problem" else f"{block}.{key}"
+        err = capsys.readouterr().err
+        assert f"config error: {name} must be a whole number" in err
+        assert "Traceback" not in err
+
+    def test_whole_floats_parse(self, tmp_path):
+        p = write_config(tmp_path / "c.json", problem={"N": 12.0},
+                         grid={"nx": 5.0, "nt_pos": 3, "nt_neg": 3.0},
+                         flags={"verify_modes": 2.0})
+        cfg = parse_config(p)
+        assert (cfg.spec.N, cfg.nx, cfg.nt_neg, cfg.verify_modes) == \
+            (12, 5, 3, 2)
+        assert all(type(v) is int for v in
+                   (cfg.spec.N, cfg.nx, cfg.nt_neg, cfg.verify_modes))
 
     def test_verify_modes_range(self, tmp_path):
         p = write_config(tmp_path / "c.json",
@@ -351,6 +382,23 @@ class TestNumericExit:
         err = capsys.readouterr().err
         assert "numeric failure: ValueError: stray failure" in err
         assert "Traceback" not in err
+
+    def test_delta2_two_exits_numeric(self, tmp_path, capsys):
+        """At alpha2 = beta2 = 2 Delta_k oscillates and has no limit for
+        the asymptote check: a typed numeric failure, not a domain error
+        from Gamma(0)."""
+        cfg_path = write_config(
+            tmp_path / "c.json",
+            problem={"operator": {**OPERATOR, "alpha2": 2.0, "beta2": 2.0},
+                     "N": 4},
+            flags={"verify_modes": 1})
+        rc = main(["solve", str(cfg_path), "--out-dir",
+                   str(tmp_path / "out")])
+        assert rc == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert ("numeric failure: Delta_k has no large-k limit at "
+                "delta2 = 2") in err
+        assert "ValueError" not in err
 
     def test_zero_history_time_solves(self, tmp_path):
         """A non-local point at xi = 0 passes the config and now solves

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from fracbessel.errors import SolvabilityError
+from fracbessel.errors import NumericError, SolvabilityError
 from fracbessel.fracops import OperatorParams
 from fracbessel.quadrature import gauss_jacobi_rule
 from fracbessel.solver import (Forcing, ModeRecord, ProblemSpec,
@@ -276,6 +276,18 @@ class TestDeltaK:
                 for k in (10, 100)]
         assert gaps[1] < gaps[0]
         assert gaps[1] <= 1e-3
+
+    def test_limit_at_delta2_two(self):
+        """At delta2 = 2 the bracket holds E_{2,1}(-x^2) = cos(x), so a
+        point with xi < 0 has no limit: a NumericError, under both
+        variants.  A point at xi = 0 still adds its weight."""
+        op = OperatorParams(alpha1=0.7, theta=0.2, alpha2=2.0, beta2=2.0,
+                            mu=0.5)
+        assert op.delta2 == 2.0
+        for v in ("consistent", "paper-literal"):
+            with pytest.raises(NumericError, match="no large-k limit"):
+                delta_limit(small_spec(op), variant=v)
+        assert delta_limit(small_spec(op, points=((0.4, 0.0),))) == 0.4
 
 
 class TestTerminalCondition:

@@ -217,7 +217,7 @@ class TestBatchedProjection:
         named = int(re.search(r"k=(\d+)", str(info.value)).group(1))
         panels = math.ceil(table[-1].lam / math.pi)
         c0, c1 = (fourier_bessel_table(g, table, quad=QuadratureRule(
-            "composite", *_panel_rule(n, ()))) for n in (panels, 2 * panels))
+            *_panel_rule(n, ()))) for n in (panels, 2 * panels))
         bad = np.abs(c0 - c1) > 1e-8 * (1.0 + np.abs(c1))
         assert named == 1 + int(np.argmax(bad)) > 1
         assert not bad[:named - 1].any()

@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 from scipy.interpolate import CubicSpline
 
 from fracbessel import verify
+from fracbessel.errors import NumericError
 from fracbessel.fracops import OperatorParams
 from fracbessel.solver import Forcing, ProblemSpec, delta_limit, solve_modes
 from fracbessel.specfun import MLParams, mittag_leffler, rgamma
@@ -109,8 +110,9 @@ class TestConvolutionAccuracyRegressions:
 
 
 class TestCustomTolerances:
-    def test_boundary_gate_is_honored(self, default_solution):
-        rows = check_boundary(default_solution, tol=1e-30)
+    def test_boundary_gate_is_honored(self, default_solution, monkeypatch):
+        monkeypatch.setattr(verify, "BOUNDARY_TOL", 1e-30)
+        rows = check_boundary(default_solution)
         assert any(not c.passed for c in rows)
         for c in rows:
             assert c.tolerance == pytest.approx(1e-30)
@@ -193,6 +195,14 @@ class TestDeltaAsymptote:
         assert all(c.passed for c in rows)
         rate = next(c for c in rows if c.name == "delta_gap_rate")
         assert_allclose(rate.measured_value, -2.0, atol=0.1)
+
+    def test_no_limit_at_delta2_two(self):
+        op = OperatorParams(alpha1=0.7, theta=0.2, alpha2=2.0, beta2=2.0,
+                            mu=0.5)
+        spec = ProblemSpec(op=op, T=1.0, nonlocal_points=((0.6, -1.0),),
+                           forcing=Forcing(kind="separable_builtin"), N=4)
+        with pytest.raises(NumericError, match="delta2 = 2"):
+            check_delta_asymptote(spec, (10, 25, 50))
 
     def test_k_list_must_increase(self, default_spec):
         with pytest.raises(ValueError):
