@@ -7,13 +7,17 @@ negative real axis, at arguments running from 0 down to about
 covers that range in float64.  The evaluator therefore runs an
 accuracy-tracked cascade:
 
-* ascending power series with compensated summation, attempted only
-  where a cheap estimate of the largest term says cancellation cannot
-  eat the requested digits, and accepted only after the measured
-  largest term confirms it;
+* the ascending power series, planned per point before a term is
+  summed: its largest term, the larger of 1/Gamma(beta) and the term at
+  the hump index, gates it where cancellation would eat the requested
+  digits, and a term count from Newton steps on Stirling's form says
+  where it stops.  The points are sorted by count and the terms summed
+  in tiles of (terms x points still summing) with Sum2, a running sum
+  plus the running sum of its TwoSum errors; the measured largest term
+  and the last term accept the value;
 * the algebraic asymptotic expansion with optimal truncation, plus the
   exponential residue pair that appears for alpha > 1, accepted when
-  the first omitted term is small enough;
+  the first omitted term is small enough, summed in the same tiles;
 * a Hankel-contour quadrature for the band in between, where neither
   expansion reaches tolerance: one fixed rule per (alpha, beta) on an
   arc and two rays turned at least pi/8 away from the pole pair, plus
@@ -56,6 +60,19 @@ _RAY_NODES = 16
 # points per block of the contour sum, which bounds its (points x nodes)
 # temporaries; each point's sum is its own row, so blocks never change it
 _CONTOUR_ROWS = 512
+
+# The series and asymptotic sums run in tiles of K terms by the points
+# still summing, K = _TILE_CELLS // points clamped to [1, _TILE_TERMS]:
+# a call of a few dozen points makes a few tiles, and a 4096-point chunk
+# one term per tile.
+_TILE_CELLS = 4096
+_TILE_TERMS = 64
+# the longest series; a point that needs more goes to the next regime
+_SERIES_TERMS = 16384
+# natural-log budget of the series' predicted cancellation on the
+# negative axis: 15.8 float64 digits less the digits of _RTOL
+_SERIES_LOST = (15.8 + math.log10(_RTOL)) * math.log(10.0)
+_HALF_LN_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
 def gamma(x: float) -> float:
@@ -193,19 +210,20 @@ def _ml_core(a: float, b: float, z: np.ndarray) -> np.ndarray:
         # Closed trigonometric forms.  Their recurrence in b loses a
         # factor of about (m-1)(m-2)/|z| at its step to E_{2,m}, so they
         # hold only once |z| is not small against b (4.6e-11 at b = 9,
-        # z = -0.5, where the cascade gives 6e-17).
+        # z = -0.5, where the cascade gives 6e-17), and on the positive
+        # axis only while cosh(sqrt(z)) is finite.
         bint = int(round(b))
-        m = todo & (np.abs(z) >= max(0.5, bint - 1.0))
+        m = todo & (np.abs(z) >= max(0.5, bint - 1.0)) & (z <= 709.0 ** 2)
         if m.any():
             out[m] = _ml_alpha_two_int(bint, z[m])
             todo &= ~m
 
     if todo.any():
-        safe, nmax = _series_safety(a, b, z)
-        m = todo & safe
-        if m.any():
-            val, ok = _series_block(a, b, z[m], nmax[m])
-            idx = np.flatnonzero(m)
+        idx = np.flatnonzero(todo)
+        safe, count = _series_plan(a, b, z[idx])
+        if safe.any():
+            idx = idx[safe]
+            val, ok = _series_block(a, b, z[idx], count[safe])
             out[idx[ok]] = val[ok]
             todo[idx[ok]] = False
 
@@ -222,8 +240,9 @@ def _ml_core(a: float, b: float, z: np.ndarray) -> np.ndarray:
 
     if todo.any():
         # Positive arguments that dodged both expansions: force the
-        # series with a generous term budget; overflow becomes inf.
-        val, _ = _series_block(a, b, z[todo], 16384, force=True)
+        # series, at most _SERIES_TERMS terms; overflow becomes inf.
+        _, count = _series_plan(a, b, z[todo], force=True)
+        val, _ = _series_block(a, b, z[todo], count, force=True)
         out[todo] = val
         todo &= False
 
@@ -282,9 +301,9 @@ def _ml_alpha_two_int(bint: int, z: np.ndarray) -> np.ndarray:
     lo = rt - hi
     d = (((x - hi * hi) - 2.0 * hi * lo) - lo * lo) / (2.0 * rt)
     cos, sin = np.cos(rt), np.sin(rt)
-    e1 = np.where(neg, cos - d * sin, np.cosh(np.minimum(rt, 710.0)))
-    e2 = np.where(neg, (sin + d * cos) / rt,
-                  np.sinh(np.minimum(rt, 710.0)) / rt)
+    with np.errstate(over="ignore"):  # cosh of the negative axis' roots
+        e1 = np.where(neg, cos - d * sin, np.cosh(rt))
+        e2 = np.where(neg, (sin + d * cos) / rt, np.sinh(rt) / rt)
     if bint == 1:
         return e1
     if bint == 2:
@@ -303,111 +322,175 @@ def _ml_alpha_two_int(bint: int, z: np.ndarray) -> np.ndarray:
 # power series
 
 
-def _series_safety(a: float, b: float, z: np.ndarray):
-    """Predict where the ascending series can reach _RTOL in float64.
+def _series_plan(a: float, b: float, z: np.ndarray, force: bool = False):
+    """Plan each point's ascending series before any term is summed.
 
-    Returns a boolean mask and each point's term budget, 1.6 times its
-    stationary index plus 48.  The prediction relies
-    on the largest-term magnitude max_n |z|^n / Gamma(b + a n), whose
-    logarithm is evaluated at the stationary index.  Failures of the
-    prediction are harmless: the series block re-measures cancellation
-    and reports failure, handing the point to the next regime.
+    Returns the gate and each point's term count N (0 where the gate
+    fails, unless ``force``).  Both rest on the point's largest term,
+    the larger of the first non-zero term, 1/Gamma(b) unless b is a
+    pole, and the term at the hump index n* = (|z|^{1/a} - b)/a,
+    where the term ratio |z|/(b + a n)^a falls through 1.  N is where
+    the log term n ln|z| - lnGamma(b + a n) falls ln(eps/4) below the
+    largest term, from two Newton steps in y = b + a n on Stirling's
+    form of lnGamma without its 1/(12y) correction.  That form never
+    exceeds lnGamma, so its crossing is at or past the true one, and
+    it is concave in y; started where it falls by at least 1 per unit
+    of y, each step lands at or past its crossing, so N is never short.
+    The gate asks that cancellation leave the target's digits on the
+    negative axis and that the sum stay in float64 range; the series
+    block measures both again.
     """
     x = np.abs(z)
+    lnx = np.log(x)
     with np.errstate(over="ignore", invalid="ignore"):
-        top = x ** (1.0 / a)
-        nstar = np.maximum((top - b) / a, 0.0)
-        ln_max = np.where(
-            nstar > 0.0,
-            nstar * np.log(np.maximum(x, 1e-300)) - _sp.gammaln(np.maximum(b + a * nstar, 1e-300)),
-            0.0,
-        )
-        ln_max = np.where(np.isfinite(ln_max), ln_max, np.inf)
-    digits_budget = -math.log10(_RTOL)
-    lost = (ln_max + np.log1p(x) + 5.0) / math.log(10.0)
-    safe_neg = (ln_max < 600.0) & (lost <= 15.8 - digits_budget)
-    safe_pos = ln_max < 650.0
-    safe = np.where(z < 0.0, safe_neg, safe_pos)
-    nmax = np.minimum(1.6 * np.where(safe, nstar, 0.0) + 48.0,
-                      16384.0).astype(int)
-    return safe & (nstar <= 12000.0), nmax
-
-
-def _series_block(a: float, b: float, z: np.ndarray, nmax,
-                  force: bool = False):
-    """Compensated ascending series with measured-cancellation gating.
-
-    ``nmax`` is each point's term budget (one int serves every point).
-    A point's sum is final at the pass where it converges, overflows or
-    spends its budget: its compensation is then dropped, so the passes
-    that the other points still make add exactly zero to it, and no
-    value depends on the other points of the block.  Finished points
-    leave the work arrays once they are half of them.
-    """
-    budget = np.broadcast_to(np.asarray(nmax), z.shape)
-    s_out = np.empty(z.shape)
-    max_out = np.empty(z.shape)
-    conv_out = np.empty(z.shape, dtype=bool)
-    idx = np.arange(z.size)
-    zl = z
-    s = np.full(z.shape, _sp.rgamma(b))
-    comp = np.zeros_like(s)
-    powz = np.ones_like(s)
-    maxmag = np.abs(s)
-    live = np.ones(z.shape, dtype=bool)
-    converged = np.zeros(z.shape, dtype=bool)
-    calm = np.zeros(z.shape, dtype=np.int8)
-    hump = (np.abs(z) ** (1.0 / a) - b) / a
-    spent = budget.min(initial=0)
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(1, int(budget.max(initial=0)) + 1):
-            powz = powz * zl
-            left = live & ~np.isfinite(powz)
-            if left.any():
-                live &= ~left
-            t = np.where(live, powz * _sp.rgamma(b + a * n), 0.0)
-            y = t - comp
-            snew = s + y
-            comp = (snew - s) - y
-            s = snew
-            at = np.abs(t)
-            np.maximum(maxmag, at, out=maxmag)
-            small = at <= 0.125 * _RTOL * np.maximum(np.abs(s), 1e-300)
-            calm = np.where(live & small & (n > hump), calm + 1, 0)
-            done = live & (calm >= 2)
-            if done.any():
-                converged |= done
-                left |= done
-            if n >= spent:
-                left |= live & (n >= budget)
-            if not left.any():
-                continue
-            live &= ~left
-            nlive = int(np.count_nonzero(live))
-            if not nlive:
-                break
-            comp = np.where(live, comp, 0.0)
-            if 2 * nlive <= live.size:
-                gone = idx[~live]
-                s_out[gone] = s[~live]
-                max_out[gone] = maxmag[~live]
-                conv_out[gone] = converged[~live]
-                (idx, zl, s, comp, powz, maxmag, converged, calm, hump,
-                 budget) = (v[live] for v in (idx, zl, s, comp, powz, maxmag,
-                                              converged, calm, hump, budget))
-                live = np.ones(nlive, dtype=bool)
-                spent = budget.min()
-
-    s_out[idx], max_out[idx], conv_out[idx] = s, maxmag, converged
-    s = s_out
-    cancel_ok = max_out * (_EPS * 8.0) <= _RTOL * np.maximum(np.abs(s), 1e-300)
-    ok = conv_out & cancel_ok & np.isfinite(s)
+        r = x ** (1.0 / a)
+        nstar = np.maximum((r - b) / a, 0.0)
+        ln_max = nstar * lnx - _sp.gammaln(b + a * nstar)
+        k = 0
+        while _sp.rgamma(b + a * k) == 0.0:
+            k += 1
+        ln_max = np.maximum(ln_max, k * lnx - _sp.gammaln(b + a * k))
+    ln_max = np.where(np.isnan(ln_max), np.inf, ln_max)
+    lost = ln_max + np.log1p(x) + 5.0
+    safe = np.where(z < 0.0,
+                    (ln_max < 600.0) & (lost <= _SERIES_LOST),
+                    ln_max < 650.0)
+    count = np.zeros(z.shape, dtype=np.int64)
+    plan = np.ones(z.shape, dtype=bool) if force else safe
+    if plan.any():
+        lx, lr = lnx[plan], lnx[plan] / a
+        target = ln_max[plan] + math.log(0.25 * _EPS)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            y = np.maximum(max(b, 1.0), math.exp(1.5) * r[plan])
+            for _ in range(2):
+                ly = np.log(y)
+                g = ((y - b) / a) * lx - ((y - 0.5) * ly - y + _HALF_LN_2PI)
+                y = np.maximum(y - (g - target) / (lr - ly + 0.5 / y),
+                               max(b, 1e-300))
+            n = np.maximum(np.ceil((y - b) / a), 1.0)
+        n = np.where(n <= _SERIES_TERMS, n, _SERIES_TERMS + 1.0)
+        count[plan] = n
     if force:
-        # Positive-axis fallback: an overflowed partial sum means the
-        # value itself exceeds float64 range.
+        return safe, np.minimum(count, _SERIES_TERMS)
+    safe &= count <= _SERIES_TERMS
+    return safe, np.where(safe, count, 0)
+
+
+@lru_cache(maxsize=256)
+def _series_coefs(a: float, b: float, size: int) -> np.ndarray:
+    """1/Gamma(b + a n) for n = 0..size-1, at the exact value of b + a n.
+
+    b + a n is split into hi + lo without rounding (Dekker's product,
+    the integer n having at most 26 bits, then TwoSum), and the
+    coefficient is 1/Gamma(hi) + lo (1/Gamma)'(hi) with
+    (1/Gamma)' = -psi/Gamma, which is (-1)^k k! at the pole -k.  Taking
+    1/Gamma at the rounded b + a n instead puts up to 190 ulp of error
+    in a term at b = 9, since x psi(x) amplifies the rounding.
+    """
+    n = np.arange(size, dtype=float)
+    p = a * n
+    c = 134217729.0 * a
+    ah = c - (c - a)
+    hi = p + b
+    bb = hi - p
+    lo = ((p - (hi - bb)) + (b - bb)) + ((ah * n - p) + (a - ah) * n)
+    rg = _sp.rgamma(hi)
+    with np.errstate(invalid="ignore"):
+        drg = -_sp.psi(hi) * rg
+    pole = (hi <= 0.0) & (hi == np.round(hi))
+    k = -hi[pole]
+    drg[pole] = np.where(k % 2.0 == 1.0, -1.0, 1.0) * _sp.gamma(k + 1.0)
+    coef = rg + lo * drg
+    coef.setflags(write=False)
+    return coef
+
+
+def _series_block(a: float, b: float, z: np.ndarray, count,
+                  force: bool = False):
+    """Ascending series of every point to its own term count N.
+
+    The points are sorted by count, so the points still summing at term
+    n are a prefix of the sorted arrays.  The terms are taken in tiles
+    of K terms by those points, K = _TILE_CELLS // points clamped to
+    [1, _TILE_TERMS]: a tile wider than it is tall runs one term at a
+    time, a taller one runs ufunc.accumulate down its terms.  Each
+    point keeps its running sum s and the running sum of the TwoSum
+    errors of s (Sum2 of Ogita, Rump and Oishi, SIAM J. Sci. Comput.
+    26, 2005), both in term order; a point's terms past N are zero and
+    move neither, so no value depends on the tiles or on the other
+    points.  A point is accepted when its term N is at most
+    0.125 _RTOL |s|, its largest term times 8 eps is at most _RTOL |s|
+    (cancellation), and s is finite.
+    """
+    order = np.argsort(-count, kind="stable")
+    zs, cnt = z[order], count[order]
+    nmax = int(cnt[0]) if cnt.size else 0
+    # live[n]: the points whose count reaches n, a prefix of the arrays
+    live = np.zeros(nmax + 2, dtype=np.int64)
+    live[:-1] = np.cumsum(np.bincount(cnt, minlength=nmax + 1)[::-1])[::-1]
+    live = live.tolist()
+    coef = _series_coefs(a, b, 1 << max(6, nmax.bit_length()))
+    s = np.full(zs.shape, coef[0])
+    e = np.zeros_like(s)
+    p = np.ones_like(s)
+    big = np.abs(s)
+    last = np.zeros_like(s)
+    n = 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        while n <= nmax:
+            m = live[n]
+            k = min(max(_TILE_CELLS // m, 1), _TILE_TERMS, nmax + 1 - n)
+            if k < m:
+                for i in range(n, n + k):
+                    m = live[i]
+                    pm = p[:m]
+                    pm *= zs[:m]
+                    t = pm * coef[i]
+                    sm = s[:m]
+                    sn = sm + t
+                    bb = sn - sm
+                    e[:m] += (sm - (sn - bb)) + (t - bb)
+                    sm[...] = sn
+                    np.maximum(big[:m], np.abs(t), out=big[:m])
+                    j = live[i + 1]
+                    if j < m:
+                        last[j:m] = t[j:]
+            else:
+                zm = zs[:m]
+                pt = np.empty((k, m))
+                pt[0] = p[:m] * zm
+                pt[1:] = zm
+                np.multiply.accumulate(pt, axis=0, out=pt)
+                t = pt * coef[n:n + k, None]
+                t[np.arange(n, n + k)[:, None] > cnt[:m]] = 0.0
+                st = np.empty((k + 1, m))
+                st[0] = s[:m]
+                st[1:] = t
+                np.add.accumulate(st, axis=0, out=st)
+                bb = st[1:] - st[:-1]
+                et = np.empty_like(st)
+                et[0] = e[:m]
+                et[1:] = (st[:-1] - (st[1:] - bb)) + (t - bb)
+                np.add.accumulate(et, axis=0, out=et)
+                p[:m], s[:m], e[:m] = pt[-1], st[-1], et[-1]
+                np.maximum(big[:m], np.abs(t).max(axis=0), out=big[:m])
+                j = live[n + k]
+                if j < m:
+                    last[j:m] = t[cnt[j:m] - n, np.arange(j, m)]
+            n += k
+        s += e
+        mag = np.maximum(np.abs(s), 1e-300)
+        ok = ((np.abs(last) <= 0.125 * _RTOL * mag)
+              & (big * (_EPS * 8.0) <= _RTOL * mag) & np.isfinite(s))
+    if force:
+        # Positive-axis fallback: an overflowed sum means the value
+        # itself exceeds float64 range.
         s = np.where(np.isfinite(s), s, np.inf)
-    return s, ok
+    val = np.empty_like(s)
+    val[order] = s
+    acc = np.empty_like(ok)
+    acc[order] = ok
+    return val, acc
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +510,12 @@ def _ml_residue(a: float, b: float, z: np.ndarray) -> np.ndarray:
         pos = z > 0.0
         if pos.any():
             r = z[pos] ** (1.0 / a)
-            out[pos] = (r ** (1.0 - b)) * np.exp(np.minimum(r, 745.0)) / a
+            v = (r ** (1.0 - b)) * np.exp(np.minimum(r, 745.0)) / a
+            # past exp's range the product is inf or nan; logs keep the
+            # values that r^(1-b) brings back into range
+            big = ~np.isfinite(v)
+            v[big] = np.exp(r[big] + (1.0 - b) * np.log(r[big]) - math.log(a))
+            out[pos] = v
         if a > 1.0:
             neg = z < 0.0
             if neg.any():
@@ -440,8 +528,8 @@ def _ml_residue(a: float, b: float, z: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=256)
 def _asymp_coefs(a: float, b: float, nmax: int) -> tuple:
-    """Per term n = 1..nmax of the asymptotic sum: the coefficient
-    1/Gamma(b - a n) and its smooth envelope (see _asymp_block)."""
+    """Per term n = 1..nmax of the asymptotic sum: the smooth envelope of
+    the coefficient (see _asymp_block) and the coefficient 1/Gamma(b - a n)."""
     renv, rg = [], []
     with np.errstate(over="ignore"):
         for n in range(1, nmax + 1):
@@ -451,7 +539,10 @@ def _asymp_coefs(a: float, b: float, nmax: int) -> tuple:
             else:
                 renv.append(float(np.exp(_sp.gammaln(1.0 - x))) / math.pi)
             rg.append(_sp.rgamma(x))
-    return tuple(renv), tuple(rg)
+    renv, rg = np.array(renv), np.array(rg)
+    renv.setflags(write=False)
+    rg.setflags(write=False)
+    return renv, rg
 
 
 def _asymp_block(a: float, b: float, z: np.ndarray, nmax: int = 160):
@@ -466,12 +557,19 @@ def _asymp_block(a: float, b: float, z: np.ndarray, nmax: int = 160):
     stops at the first term whose envelope does not fall below the
     smallest one so far; that smallest envelope is its error estimate.
 
-    Each pass works on the live points only.  A point also stops once
-    its envelope is below both 2^-55 |s| and _RTOL |residues - s|: the
-    envelope keeps falling while the point is live, so every later term
-    is below half an ulp of the partial sum s and cannot move it, and
-    the error estimate already passes.  Value and accept flag are
-    therefore those of running every point to its envelope minimum.
+    A point also stops once its envelope is below both 2^-55 |s| and
+    _RTOL |residues - s|: the envelope keeps falling while the point
+    runs, so every later term is below half an ulp of the partial sum s
+    and cannot move it, and the error estimate already passes.  Value
+    and accept flag are therefore those of running every point to its
+    envelope minimum.
+
+    The points still running are summed in the tiles of _series_block:
+    a tile wider than it is tall runs one term at a time and drops each
+    point at its stop, a taller one runs ufunc.accumulate down its
+    terms (powers, partial sums, running minimum of the envelope) and
+    finds each point's first stop in it.  Both take the very operations
+    of the term-by-term loop in its order.
     """
     renv, rg = _asymp_coefs(a, b, nmax)
     res = _ml_residue(a, b, z)
@@ -483,26 +581,61 @@ def _asymp_block(a: float, b: float, z: np.ndarray, nmax: int = 160):
     sl = np.zeros_like(zi)
     me = np.full(zi.shape, np.inf)
     rl = res[idx]
+    n = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(nmax):
-            if not idx.size:
-                break
-            p = p * zi
-            env = np.abs(p) * renv[n]
-            grew = env >= me
-            snew = sl + p * rg[n]
-            done = env < _ULP_FLOOR * np.abs(snew)
-            if done.any():
-                done &= env <= _RTOL * np.maximum(np.abs(rl - snew), 1e-300)
-            out = grew | done
-            if out.any():
-                s[idx[out]] = np.where(grew, sl, snew)[out]
-                minenv[idx[out]] = np.where(grew, me, env)[out]
-                keep = ~out
-                idx, zi, p, rl = idx[keep], zi[keep], p[keep], rl[keep]
-                snew, me, env = snew[keep], me[keep], env[keep]
-            sl = snew
-            me = np.minimum(me, env)
+        while idx.size and n < nmax:
+            m = idx.size
+            k = min(max(_TILE_CELLS // m, 1), _TILE_TERMS, nmax - n)
+            if k < m:
+                for i in range(n, n + k):
+                    p = p * zi
+                    env = np.abs(p) * renv[i]
+                    grew = env >= me
+                    snew = sl + p * rg[i]
+                    done = env < _ULP_FLOOR * np.abs(snew)
+                    if done.any():
+                        done &= env <= _RTOL * np.maximum(np.abs(rl - snew),
+                                                          1e-300)
+                    out = grew | done
+                    if out.any():
+                        s[idx[out]] = np.where(grew, sl, snew)[out]
+                        minenv[idx[out]] = np.where(grew, me, env)[out]
+                        keep = ~out
+                        idx, zi, p, rl = idx[keep], zi[keep], p[keep], rl[keep]
+                        snew, me, env = snew[keep], me[keep], env[keep]
+                    sl = snew
+                    me = np.minimum(me, env)
+                    if not idx.size:
+                        break
+            else:
+                pt = np.empty((k, m))
+                pt[0] = p * zi
+                pt[1:] = zi
+                np.multiply.accumulate(pt, axis=0, out=pt)
+                env = np.abs(pt) * renv[n:n + k, None]
+                # me[j]: the smallest envelope before term j
+                me = np.concatenate([me[None], env])
+                np.minimum.accumulate(me, axis=0, out=me)
+                st = np.empty((k + 1, m))
+                st[0] = sl
+                st[1:] = pt * rg[n:n + k, None]
+                np.add.accumulate(st, axis=0, out=st)
+                grew = env >= me[:-1]
+                done = ((env < _ULP_FLOOR * np.abs(st[1:]))
+                        & (env <= _RTOL * np.maximum(np.abs(rl - st[1:]),
+                                                     1e-300)))
+                out = grew | done
+                stop = out.any(axis=0)
+                if stop.any():
+                    j = np.flatnonzero(stop)
+                    i = out[:, j].argmax(axis=0)
+                    g = grew[i, j]
+                    s[idx[j]] = np.where(g, st[i, j], st[i + 1, j])
+                    minenv[idx[j]] = np.where(g, me[i, j], env[i, j])
+                keep = ~stop
+                idx, zi, rl = idx[keep], zi[keep], rl[keep]
+                p, sl, me = pt[-1, keep], st[-1, keep], me[-1, keep]
+            n += k
     s[idx] = sl
     minenv[idx] = me
     err = np.where(np.isfinite(minenv), minenv, np.inf)

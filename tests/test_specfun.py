@@ -294,9 +294,14 @@ def test_contour_near_a_zero_at_the_arc_radius(a, b, z):
 @pytest.mark.parametrize("a,b,z", [(0.04, 3.6, -0.77), (0.055, 3.9, -0.6),
                                    (0.05, 0.2, -0.75), (0.09, 2.0, -0.69)])
 def test_small_alpha_below_unit_modulus(a, b, z):
-    """For small alpha and |z| < 1 the series runs out of terms and the
-    contour takes the point.  Its pole modulus |z|^{1/alpha} is then
-    tiny, and an arc radius below it lost every digit (1e6 for 0.15)."""
+    """For small alpha and |z| < 1 the series needs 63 to 119 terms; its
+    planned count gives them, so the series accepts the point.  Under a
+    fixed 48-term budget the contour took it, where a pole modulus
+    |z|^{1/alpha} below the arc radius lost every digit (1e6 for 0.15)."""
+    zz = np.array([z])
+    safe, count = specfun._series_plan(a, b, zz)
+    _, ok = specfun._series_block(a, b, zz, count)
+    assert safe[0] and ok[0], f"count {count[0]}"
     _assert_matches_taylor(a, b, [z], [mittag_leffler(MLParams(a, b), z)])
 
 
@@ -331,6 +336,125 @@ def test_alpha_two_integer_beta_against_mpmath(b):
     i = int(np.argmax(err))
     assert err[i] <= 1e-12, (
         f"E_{{2,{b}}}({z[i]!r}) = {got[i]!r}, mpmath {ref[i]!r}")
+
+
+@pytest.mark.parametrize("b", range(1, 10))
+def test_alpha_two_integer_beta_positive_axis(b):
+    """E_{2,b} at integer b on the positive axis past the closed forms'
+    range: within 1e-12 of mpmath where E fits in float64 and inf where
+    it does not.  Clipping sqrt(z) at 710 gave finite wrong values
+    (E_{2,1}(6e5) = 1.1e308, E_{2,6}(1e300) < 0), and 5.1e5 has finite
+    values for b >= 2 whose e^sqrt(z) alone overflows."""
+    zs = [4e5, 5.1e5, 6e5, 1e6, 1e300]
+    got = mittag_leffler(MLParams(2.0, float(b)), np.array(zs))
+    top = mp.mpf(np.finfo(float).max)
+    with mp.workdps(40):
+        rg = [None] + [1 / mp.gamma(m) for m in range(1, b)]
+        for z, g in zip(zs, got):
+            zm = mp.mpf(z)
+            x = mp.sqrt(zm)
+            m, ref = (1, mp.cosh(x)) if b % 2 else (2, mp.sinh(x) / x)
+            while m < b:
+                ref = (ref - rg[m]) / zm
+                m += 2
+            if ref > top:
+                assert g == math.inf, f"E_{{2,{b}}}({z}) = {g!r}, mpmath {ref}"
+            else:
+                assert abs(g - float(ref)) <= 1e-12 * float(ref), (
+                    f"E_{{2,{b}}}({z}) = {g!r}, mpmath {ref}")
+
+
+# ---------------------------------------------------------------------------
+# ascending series: planned term counts, Sum2 in tiles, exact Gamma arguments
+
+
+def _assert_rel_taylor(a, b, z, got, rtol=1e-12):
+    ref = np.array([float(_taylor(a, b, float(x))) for x in z])
+    rel = np.abs(got - ref) / np.abs(ref)
+    i = int(np.argmax(rel))
+    assert rel[i] <= rtol, (
+        f"E_{{{a},{b}}}({z[i]!r}) = {got[i]!r}, mpmath {ref[i]!r}, "
+        f"rel {rel[i]:.2e}; {np.count_nonzero(rel > rtol)} points above")
+
+
+@pytest.mark.parametrize("a,b", [(2.0, 9.0 + 1e-9), (2.0, 8.9), (1.99, 9.0),
+                                 (1.9, 9.0)])
+def test_large_beta_near_alpha_two(a, b):
+    """The series gate takes the real largest term.  With the hump index
+    at 0 it is 1/Gamma(b), 2.5e-5 at b = 9; a gate that took 1 there
+    sent points without cancellation to the contour, which missed 1e-12
+    at up to 20 of these 80 points per pair."""
+    rng = np.random.default_rng(53)
+    z = -np.exp(rng.uniform(np.log(10.0), np.log(200.0), 80))
+    _assert_rel_taylor(a, b, z, mittag_leffler(MLParams(a, b), z))
+
+
+def test_exact_gamma_argument_at_beta_nine():
+    """At (1.35, 9) a term 1/Gamma(b + a n) taken at the rounded b + a n
+    is off by up to 190 ulp, which x psi(x) amplifies from the rounding;
+    the series accepted E_{1.35,9}(-59.4334) at 2.0e-12 so."""
+    rng = np.random.default_rng(59)
+    z = -np.exp(rng.uniform(np.log(10.0), np.log(200.0), 80))
+    z = np.concatenate([z, [-59.4334, -57.2218]])
+    _assert_rel_taylor(1.35, 9.0, z, mittag_leffler(MLParams(1.35, 9.0), z))
+
+
+# the (alpha, beta) pairs of the solver's kernels at the README operator
+_SOLVER_PAIRS = [(0.7, 1.0), (0.7, 0.7), (1.35, 1.35), (1.35, 0.6),
+                 (1.35, 1.6), (1.35, 2.0), (1.35, 2.75), (1.35, 3.75)]
+
+
+@pytest.mark.parametrize("a,b", _SOLVER_PAIRS)
+def test_series_accepted_points_match_taylor(a, b):
+    """Every point the series accepts is within 1e-12 of mpmath."""
+    rng = np.random.default_rng(61)
+    z = -np.exp(rng.uniform(np.log(1e-3), np.log(15.0), 60))
+    safe, count = specfun._series_plan(a, b, z)
+    val, ok = specfun._series_block(a, b, z[safe], count[safe])
+    assert np.count_nonzero(ok) >= 20
+    _assert_rel_taylor(a, b, z[safe][ok], val[ok])
+
+
+@pytest.mark.parametrize("a,b", _SOLVER_PAIRS + [
+    (0.3, 1.0), (0.04, 3.6), (0.05, 0.2), (1.35, 9.0), (2.0, 9.0),
+    (1.5, -0.5), (0.8, 0.0), (0.3, -1.4)])
+def test_series_count_is_never_short(a, b):
+    """The term after each planned point's count is at most eps/4 of its
+    largest term, on both half-axes; logs of the terms from lgamma."""
+    rng = np.random.default_rng(67)
+    z = np.concatenate([-np.exp(rng.uniform(np.log(1e-6), np.log(300.0), 150)),
+                        np.exp(rng.uniform(np.log(1e-6), np.log(50.0), 50))])
+    safe, count = specfun._series_plan(a, b, z)
+    assert np.count_nonzero(safe) >= 100
+    floor = math.log(specfun._EPS / 4.0)
+    for zz, n_last in zip(z[safe], count[safe]):
+        lnx = math.log(abs(zz))
+        ln_terms = [n * lnx - math.lgamma(b + a * n)
+                    if (b + a * n > 0.0 or b + a * n != round(b + a * n))
+                    else -math.inf for n in range(n_last + 2)]
+        assert ln_terms[-1] <= max(ln_terms[:-1]) + floor, (
+            f"E_{{{a},{b}}}({zz!r}): count {n_last} is short")
+
+
+@pytest.mark.parametrize("a,b", [(0.7, 1.0), (1.35, 1.35), (0.3, 1.0),
+                                 (1.35, 9.0)])
+def test_values_do_not_depend_on_tiles(a, b):
+    """Seeded points over the series and asymptotic regimes give the same
+    bits alone, in batches of 3, 64, 700 and 5000 (tiles of 64 terms
+    down to one) and shuffled."""
+    rng = np.random.default_rng(71)
+    z = -np.exp(rng.uniform(np.log(1e-3), np.log(1e7), 5000))
+    p = MLParams(a, b)
+    whole = mittag_leffler(p, z)
+    perm = rng.permutation(z.size)
+    assert np.array_equal(mittag_leffler(p, z[perm]), whole[perm])
+    for size in (3, 64, 700):
+        parts = [mittag_leffler(p, z[lo:min(lo + size, 700)])
+                 for lo in range(0, 700, size)]
+        assert np.array_equal(np.concatenate(parts), whole[:700])
+    pick = rng.choice(z.size, 60, replace=False)
+    alone = np.array([mittag_leffler(p, z[i]) for i in pick])
+    assert np.array_equal(alone, whole[pick])
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +570,7 @@ def _regime_mix(rng, band_lo, band_hi, sign=-1.0):
 
 @pytest.mark.parametrize("a,b,lo,hi,sign", [
     (0.3, 1.0, 0.5, 2.0, -1.0),       # series at small alpha, |z| ~ 1
-    (0.04, 3.6, 0.5, 1.2, -1.0),      # series out of terms, then contour
+    (0.04, 3.6, 0.5, 1.2, -1.0),      # long series, then contour
     (1.35, 1.0, 2.0, 3.0, -1.0),      # contour with residues, arc below 1
     (1.9, 0.6, 0.9, 100.0, -1.0),     # the same, alpha near 2
     (0.7, 1.0, 3.0, 60.0, -1.0),      # contour, alpha < 1

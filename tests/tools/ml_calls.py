@@ -1,0 +1,162 @@
+"""Tabulate the Mittag-Leffler core calls of one run, grouped by size.
+
+Run from the repository root, either on a config through ``cli.run``
+(artifacts go to a temporary directory) or on a library solve at N modes
+followed by u, u_x and u_xx on a 201 x 12 grid, as the benchmark's
+solve-large-n workload does:
+
+    OPENBLAS_NUM_THREADS=1 python3 tests/tools/ml_calls.py config CONFIG.json
+    OPENBLAS_NUM_THREADS=1 python3 tests/tools/ml_calls.py solve 64
+
+Every call of ``specfun._ml_core`` (one per 4096-point chunk of the
+distinct arguments of a ``mittag_leffler`` call) is timed and put in a
+group by its size: at most 64 points, 65 to 1024, or more.  Each group
+prints its calls, points and seconds, and how many of its points each
+regime served: the alpha = 1 and alpha = 2 closed forms, the ascending
+series, the asymptotic sum, the contour, and the forced positive-axis
+series.  The wrappers are installed on the module from outside; nothing
+in the package changes.
+"""
+
+import sys
+import tempfile
+import time
+from collections import defaultdict
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "src"))
+
+from fracbessel import cli, specfun, solver  # noqa: E402
+from fracbessel.fracops import OperatorParams  # noqa: E402
+
+GROUPS = ((64, "<= 64"), (1024, "65-1024"), (None, "> 1024"))
+REGIMES = ("alpha_one", "alpha_two", "series", "asymptotic", "contour",
+           "forced")
+
+
+def _group(size: int) -> str:
+    for top, name in GROUPS:
+        if top is None or size <= top:
+            return name
+    raise AssertionError(size)
+
+
+class Recorder:
+    """Wraps _ml_core and its regime helpers on the specfun module."""
+
+    def __init__(self):
+        self.calls = defaultdict(int)
+        self.points = defaultdict(int)
+        self.seconds = defaultdict(float)
+        self.served = defaultdict(lambda: defaultdict(int))
+        self._group = None
+        self._closed = 0  # depth inside a closed form's own helpers
+
+    def install(self):
+        core = specfun._ml_core
+
+        def timed_core(a, b, z):
+            self._group = _group(z.size)
+            t0 = time.perf_counter()
+            try:
+                return core(a, b, z)
+            finally:
+                self.seconds[self._group] += time.perf_counter() - t0
+                self.calls[self._group] += 1
+                self.points[self._group] += z.size
+                self._group = None
+
+        specfun._ml_core = timed_core
+        self._wrap_closed("_ml_alpha_one", "alpha_one")
+        self._wrap_closed("_ml_alpha_two_int", "alpha_two")
+        for name, regime in (("_series_block", "series"),
+                             ("_asymp_block", "asymptotic")):
+            self._wrap_accepting(name, regime)
+        contour = specfun._contour_block
+
+        def counted_contour(a, b, z):
+            self._count("contour", z.size)
+            return contour(a, b, z)
+
+        specfun._contour_block = counted_contour
+
+    def _count(self, regime, n):
+        if self._group is not None and not self._closed:
+            self.served[self._group][regime] += int(n)
+
+    def _wrap_closed(self, name, regime):
+        fn = getattr(specfun, name)
+
+        def wrapped(b, z):
+            self._count(regime, z.size)
+            self._closed += 1
+            try:
+                return fn(b, z)
+            finally:
+                self._closed -= 1
+
+        setattr(specfun, name, wrapped)
+
+    def _wrap_accepting(self, name, regime):
+        fn = getattr(specfun, name)
+
+        def wrapped(*args, **kwargs):
+            val, ok = fn(*args, **kwargs)
+            forced = kwargs.get("force", False)
+            self._count("forced" if forced else regime,
+                        val.size if forced else np.count_nonzero(ok))
+            return val, ok
+
+        setattr(specfun, name, wrapped)
+
+    def report(self, out=sys.stdout):
+        head = f"{'points':>8} {'calls':>6} {'pts':>7} {'s':>7}  " + " ".join(
+            f"{r:>10}" for r in REGIMES)
+        print(head, file=out)
+        for _top, g in GROUPS:
+            served = self.served[g]
+            print(f"{g:>8} {self.calls[g]:>6} {self.points[g]:>7} "
+                  f"{self.seconds[g]:>7.3f}  "
+                  + " ".join(f"{served[r]:>10}" for r in REGIMES), file=out)
+
+
+def run_config(path: str):
+    cfg = cli.parse_config(path)
+    with tempfile.TemporaryDirectory() as tmp:
+        return cli.run(cfg, out_dir=tmp)
+
+
+def run_solve(n: int):
+    spec = solver.ProblemSpec(
+        op=OperatorParams(alpha1=0.7, theta=0.2, alpha2=1.5, beta2=1.2,
+                          mu=0.5),
+        T=1.0, nonlocal_points=((0.6, -1.0),),
+        forcing=solver.Forcing(space_poly=(1.0,), time_poly=(1.0, 0.45)),
+        N=n)
+    sol = solver.solve_modes(spec)
+    xs = np.linspace(0.0, 1.0, 201)
+    for t in np.concatenate([np.linspace(-1.0, -0.1, 6),
+                             np.linspace(0.1, 1.0, 6)]):
+        solver.eval_u(sol, xs, float(t))
+        solver.eval_u_derivatives(sol, xs, float(t))
+    return 0
+
+
+def main(argv) -> int:
+    if len(argv) != 3 or argv[1] not in ("config", "solve"):
+        print(__doc__, file=sys.stderr)
+        return 2
+    rec = Recorder()
+    rec.install()
+    t0 = time.perf_counter()
+    rc = run_config(argv[2]) if argv[1] == "config" else run_solve(int(argv[2]))
+    wall = time.perf_counter() - t0
+    rec.report()
+    print(f"run {wall:.3f} s, exit {rc}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))
