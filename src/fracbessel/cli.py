@@ -21,15 +21,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .errors import NumericError, SolvabilityError
 from .fracops import OperatorParams
-from .solver import (Forcing, ProblemSpec, mode_matrix, radial_basis,
-                     solve_modes)
+from .solver import (DELTA_VARIANTS, Forcing, ProblemSpec, mode_matrix,
+                     radial_basis, solve_modes)
 from .verify import verify_solution
 
 __all__ = ["RunConfig", "parse_config", "run", "main"]
@@ -49,21 +49,26 @@ class RunConfig:
     """Fully validated run description.
 
     Output paths are kept relative here and resolved against the chosen
-    output directory at run time.  hypothesis_note records the smoothness
-    and compatibility check on the forcing made during parsing
-    ('satisfied' for the builtin family, 'unverifiable, proceeding' for
-    tabulated data).
+    output directory at run time.
     """
 
     spec: ProblemSpec
     nx: int
     nt_pos: int
     nt_neg: int
+    verify_modes: int
     solution_path: str = "solution.csv"
     mode_table_path: str = "modes.csv"
     report_path: str = "report.json"
-    hypothesis_note: str = "satisfied"
-    verify_modes: int = 10
+
+    @property
+    def hypothesis_note(self) -> str:
+        """The smoothness and compatibility check on the forcing:
+        'satisfied' for the builtin family, 'unverifiable, proceeding'
+        for tabulated data."""
+        if self.spec.forcing.hypothesis_status() == "satisfied":
+            return "satisfied"
+        return "unverifiable, proceeding"
 
 
 def _require(cond: bool, msg: str):
@@ -78,6 +83,18 @@ def _whole(value, name: str) -> int:
              and float(value).is_integer(),
              f"{name} must be a whole number, got {value!r}")
     return int(value)
+
+
+def _block(raw, name: str, keys) -> dict:
+    """raw as the config block at dotted key name ('' for the top level):
+    a ConfigError, led by the quoted dotted key, for any key of raw that
+    is not in keys, the keys the parser reads there."""
+    where = f"'{name}'" if name else "the top level"
+    _require(isinstance(raw, dict), f"{where} must be an object")
+    for key in raw:
+        _require(key in keys, f"'{name}{'.' if name else ''}{key}' is not a "
+                 f"key of {where}, which takes {', '.join(keys)}")
+    return raw
 
 
 def _load_forcing_csv(path: Path) -> Forcing:
@@ -96,6 +113,11 @@ def _load_forcing_csv(path: Path) -> Forcing:
         raise ConfigError(
             f"forcing csv {path} must have three columns x,t,f "
             f"(got {raw.shape[1]})")
+    bad = np.flatnonzero(~np.isfinite(raw).all(axis=1))
+    if bad.size:
+        raise ConfigError(
+            f"forcing csv {path}: data row {bad[0] + 1} holds a non-finite "
+            "value")
     xs = np.unique(raw[:, 0])
     ts = np.unique(raw[:, 1])
     if raw.shape[0] != xs.size * ts.size:
@@ -114,38 +136,38 @@ def _load_forcing_csv(path: Path) -> Forcing:
                    samples=tuple(tuple(r) for r in samples))
 
 
-def _build_forcing(raw: dict, base_dir: Path) -> Forcing:
+def _build_forcing(raw, base_dir: Path) -> Forcing:
+    """The 'problem.forcing' block; Forcing holds every default."""
     _require(isinstance(raw, dict), "'problem.forcing' must be an object")
-    kind = raw.get("kind", "separable_builtin")
-    if kind == "separable_builtin":
-        return Forcing(kind=kind,
-                       space_poly=tuple(raw.get("space_poly", (1.0,))),
-                       time_poly=tuple(raw.get("time_poly", (1.0,))))
-    if kind == "tabulated":
-        if "csv" in raw:
-            return _load_forcing_csv(base_dir / raw["csv"])
-        return Forcing(kind=kind, x_grid=tuple(raw.get("x_grid", ())),
-                       t_grid=tuple(raw.get("t_grid", ())),
-                       samples=tuple(tuple(r)
-                                     for r in raw.get("samples", ())))
-    raise ConfigError(f"unknown forcing kind {kind!r}")
+    if raw.get("kind") != "tabulated":
+        keys = ("kind", "space_poly", "time_poly")
+    elif "csv" in raw:
+        _block(raw, "problem.forcing", ("kind", "csv"))
+        return _load_forcing_csv(base_dir / raw["csv"])
+    else:
+        keys = ("kind", "x_grid", "t_grid", "samples")
+    return Forcing(**_block(raw, "problem.forcing", keys))
 
 
 _EIGEN_CHOICES = ("true", "asymptotic")
-_VARIANT_CHOICES = ("consistent", "paper-literal")
+_OPERATOR_KEYS = tuple(f.name for f in fields(OperatorParams))
+# ProblemSpec fields that the problem block and the command line may set
+_SETTINGS = ("N", "delta_variant", "asymptotic_eigenvalues")
+_OUTPUT_FIELDS = {"solution": "solution_path", "modes": "mode_table_path",
+                  "report": "report_path"}
 
 
 def parse_config(path, *, overrides: dict = None,
                  strict_hypotheses: bool = False) -> RunConfig:
     """Load and validate a JSON run configuration.
 
-    overrides maps a subset of {'modes', 'eigen', 'delta_variant'} to
-    command-line values that win over both the flags block and the
-    problem block.  Raises ConfigError on any problem; JSON syntax
-    errors are reported with their line and column.  The verification
-    gates are fixed, so a 'flags.tolerances' block is an error too.
+    overrides maps some of the ProblemSpec fields N, delta_variant and
+    asymptotic_eigenvalues to command-line values that win over the
+    problem block; ProblemSpec, Forcing and RunConfig hold the defaults.
+    Raises ConfigError on any problem, a key that no block reads
+    included; JSON syntax errors are reported with their line and
+    column.
     """
-    overrides = overrides or {}
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file {path} does not exist")
@@ -155,54 +177,30 @@ def parse_config(path, *, overrides: dict = None,
         raise ConfigError(
             f"{path}: JSON parse error at line {exc.lineno}, "
             f"column {exc.colno}: {exc.msg}") from exc
-    _require(isinstance(doc, dict), "top level of the config must be an object")
+    _block(doc, "", ("problem", "grid", "flags", "outputs"))
+    prob = _block(doc.get("problem"), "problem",
+                  ("operator", "T", "nonlocal_points", "forcing") + _SETTINGS)
+    op_raw = _block(prob.get("operator"), "problem.operator", _OPERATOR_KEYS)
+    for key in _OPERATOR_KEYS:
+        _require(key in op_raw,
+                 f"missing required problem key: 'problem.operator.{key}'")
 
-    prob = doc.get("problem")
-    _require(isinstance(prob, dict), "config needs a 'problem' object")
-    op_raw = prob.get("operator")
-    _require(isinstance(op_raw, dict), "'problem.operator' must be an object")
-    flags = doc.get("flags", {})
-    _require(isinstance(flags, dict), "'flags' must be an object")
-    _require("tolerances" not in flags,
-             "'flags.tolerances' is not supported: the verification gates "
-             "are fixed")
-
-    # precedence: command line > flags block > problem block > defaults
-    variant = prob.get("delta_variant", "consistent")
-    variant = flags.get("delta_variant", variant)
-    variant = overrides.get("delta_variant", variant)
-    _require(variant in _VARIANT_CHOICES,
-             f"delta variant must be one of {_VARIANT_CHOICES}, got {variant!r}")
-
-    asym = bool(prob.get("asymptotic_eigenvalues", False))
-    eigen = flags.get("eigenvalues", "asymptotic" if asym else "true")
-    eigen = overrides.get("eigen", eigen)
-    _require(eigen in _EIGEN_CHOICES,
-             f"eigenvalue mode must be one of {_EIGEN_CHOICES}, got {eigen!r}")
-
-    n_modes = _whole(overrides.get("modes", prob.get("N", 50)), "N")
-
+    settings = {key: prob[key] for key in _SETTINGS if key in prob}
+    settings.update(overrides or {})
+    if "N" in settings:
+        settings["N"] = _whole(settings["N"], "N")
     try:
-        op = OperatorParams(
-            alpha1=float(op_raw["alpha1"]), theta=float(op_raw["theta"]),
-            alpha2=float(op_raw["alpha2"]), beta2=float(op_raw["beta2"]),
-            mu=float(op_raw["mu"]))
         forcing = _build_forcing(prob.get("forcing", {}), path.parent)
-        raw_pts = prob.get("nonlocal_points", ())
-        _require(bool(raw_pts), "'problem.nonlocal_points' must be non-empty")
-        pts = tuple((float(p), float(xi)) for p, xi in raw_pts)
         spec = ProblemSpec(
-            op=op, T=float(prob.get("T", 1.0)), nonlocal_points=pts,
-            forcing=forcing, N=n_modes, delta_variant=variant,
-            asymptotic_eigenvalues=(eigen == "asymptotic"),
-            delta_floor=float(prob.get("delta_floor", 1e-10)))
-    except KeyError as exc:
-        raise ConfigError(f"missing required problem key: {exc}") from exc
+            op=OperatorParams(**op_raw), T=prob.get("T", 1.0),
+            nonlocal_points=prob.get("nonlocal_points", ()),
+            forcing=forcing, **settings)
+    except ConfigError:
+        raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid problem block: {exc}") from exc
 
-    grid = doc.get("grid", {})
-    _require(isinstance(grid, dict), "'grid' must be an object")
+    grid = _block(doc.get("grid", {}), "grid", ("nx", "nt_pos", "nt_neg"))
     nx = _whole(grid.get("nx", 21), "grid.nx")
     nt_pos = _whole(grid.get("nt_pos", 9), "grid.nt_pos")
     nt_neg = _whole(grid.get("nt_neg", 9), "grid.nt_neg")
@@ -210,32 +208,27 @@ def parse_config(path, *, overrides: dict = None,
     _require(nt_pos >= 2, f"grid.nt_pos must be at least 2, got {nt_pos}")
     _require(nt_neg >= 2, f"grid.nt_neg must be at least 2, got {nt_neg}")
 
-    outputs = doc.get("outputs", {})
-    _require(isinstance(outputs, dict), "'outputs' must be an object")
-
+    flags = _block(doc.get("flags", {}), "flags",
+                   ("verify_modes", "strict_hypotheses"))
     verify_modes = _whole(flags.get("verify_modes", min(10, spec.N)),
                           "flags.verify_modes")
     _require(1 <= verify_modes <= spec.N,
              f"flags.verify_modes must lie in [1, N={spec.N}], "
              f"got {verify_modes}")
+    strict = flags.get("strict_hypotheses", False)
+    _require(isinstance(strict, bool),
+             f"flags.strict_hypotheses must be true or false, got {strict!r}")
+    if (strict or strict_hypotheses) and (
+            forcing.hypothesis_status() != "satisfied"):
+        raise ConfigError(
+            "forcing hypotheses are unverifiable for tabulated data "
+            "and strict hypothesis checking is on")
 
-    hyp = forcing.hypothesis_status()
-    strict = strict_hypotheses or bool(flags.get("strict_hypotheses", False))
-    if hyp != "satisfied":
-        if strict:
-            raise ConfigError(
-                "forcing hypotheses are unverifiable for tabulated data "
-                "and strict hypothesis checking is on")
-        note = "unverifiable, proceeding"
-    else:
-        note = "satisfied"
-
+    outputs = _block(doc.get("outputs", {}), "outputs", tuple(_OUTPUT_FIELDS))
     return RunConfig(
         spec=spec, nx=nx, nt_pos=nt_pos, nt_neg=nt_neg,
-        solution_path=str(outputs.get("solution", "solution.csv")),
-        mode_table_path=str(outputs.get("modes", "modes.csv")),
-        report_path=str(outputs.get("report", "report.json")),
-        hypothesis_note=note, verify_modes=verify_modes)
+        verify_modes=verify_modes,
+        **{_OUTPUT_FIELDS[key]: str(v) for key, v in outputs.items()})
 
 
 def _fmt(v: float) -> str:
@@ -340,7 +333,7 @@ def main(argv=None) -> int:
     ps.add_argument("--eigen", choices=_EIGEN_CHOICES, default=None,
                     help="use Newton-refined Bessel zeros or the "
                          "closed-form asymptotic approximation")
-    ps.add_argument("--delta-variant", choices=_VARIANT_CHOICES, default=None,
+    ps.add_argument("--delta-variant", choices=DELTA_VARIANTS, default=None,
                     help="Mittag-Leffler argument convention inside the "
                          "mode determinant")
     ps.add_argument("--strict-hypotheses", action="store_true",
@@ -350,9 +343,9 @@ def main(argv=None) -> int:
 
     overrides = {}
     if args.modes is not None:
-        overrides["modes"] = args.modes
+        overrides["N"] = args.modes
     if args.eigen is not None:
-        overrides["eigen"] = args.eigen
+        overrides["asymptotic_eigenvalues"] = args.eigen == "asymptotic"
     if args.delta_variant is not None:
         overrides["delta_variant"] = args.delta_variant
     try:

@@ -40,7 +40,7 @@ __all__ = [
 class OperatorParams:
     """The five primary exponents of the mixed problem.
 
-    alpha1 in (0, 1] and theta < 1 drive the hyper-Bessel side t > 0;
+    alpha1 in (0, 1] and a finite theta < 1 drive the hyper-Bessel side t > 0;
     alpha2, beta2 in (1, 2] and the interpolation weight mu in [0, 1]
     drive the bi-ordinal Hilfer side t < 0.  Everything else is derived:
 
@@ -62,8 +62,8 @@ class OperatorParams:
             object.__setattr__(self, name, float(getattr(self, name)))
         if not 0.0 < self.alpha1 <= 1.0:
             raise ValueError(f"alpha1 must lie in (0, 1], got {self.alpha1}")
-        if not self.theta < 1.0:
-            raise ValueError(f"theta must be < 1, got {self.theta}")
+        if not -math.inf < self.theta < 1.0:
+            raise ValueError(f"theta must be finite and < 1, got {self.theta}")
         if not 1.0 < self.alpha2 <= 2.0:
             raise ValueError(f"alpha2 must lie in (1, 2], got {self.alpha2}")
         if not 1.0 < self.beta2 <= 2.0:

@@ -47,6 +47,21 @@ __all__ = [
 
 _NAN = float("nan")
 
+# Mittag-Leffler argument conventions inside Delta_k; see ProblemSpec.
+DELTA_VARIANTS = ("consistent", "paper-literal")
+
+# solve_modes refuses a mode whose |Delta_k| falls below this rather
+# than divide its data through.
+DELTA_FLOOR = 1e-10
+
+
+def _finite(values, name: str) -> tuple:
+    """values as a tuple of floats; a ValueError unless all are finite."""
+    out = tuple(float(v) for v in values)
+    if not all(map(math.isfinite, out)):
+        raise ValueError(f"{name} must be finite")
+    return out
+
 
 @dataclass(frozen=True)
 class Forcing:
@@ -74,8 +89,8 @@ class Forcing:
         if self.kind not in ("separable_builtin", "tabulated"):
             raise ValueError(f"unknown forcing kind {self.kind!r}")
         if self.kind == "separable_builtin":
-            sp = tuple(float(c) for c in self.space_poly)
-            tp = tuple(float(c) for c in self.time_poly)
+            sp = _finite(self.space_poly, "space_poly")
+            tp = _finite(self.time_poly, "time_poly")
             if not sp or not tp:
                 raise ValueError("polynomial coefficient lists must be non-empty")
             object.__setattr__(self, "space_poly", sp)
@@ -83,9 +98,9 @@ class Forcing:
         else:
             if self.x_grid is None or self.t_grid is None or self.samples is None:
                 raise ValueError("tabulated forcing needs x_grid, t_grid, samples")
-            xg = tuple(float(v) for v in self.x_grid)
-            tg = tuple(float(v) for v in self.t_grid)
-            sm = tuple(tuple(float(v) for v in row) for row in self.samples)
+            xg = _finite(self.x_grid, "x_grid")
+            tg = _finite(self.t_grid, "t_grid")
+            sm = tuple(_finite(row, "samples") for row in self.samples)
             if len(xg) < 2 or len(tg) < 2:
                 raise ValueError("tabulated grids need at least 2 points each")
             if any(b <= a for a, b in zip(xg, xg[1:])):
@@ -148,11 +163,11 @@ class ProblemSpec:
     of the condition sum_i p_i (I^a u)(x, xi_i) = u(x, T), with the
     xi_i strictly increasing inside [-T, 0].
 
-    delta_variant selects the Mittag-Leffler argument convention inside
-    Delta_k: 'consistent' uses -lam^2 (-xi)^{delta2} (the power that the
-    fractional-integral shift identity actually produces), while
-    'paper-literal' drops the delta2 exponent.  The two coincide when
-    every |xi_i| = 1.
+    delta_variant, one of DELTA_VARIANTS, selects the Mittag-Leffler
+    argument convention inside Delta_k: the consistent one uses
+    -lam^2 (-xi)^{delta2} (the power that the fractional-integral shift
+    identity actually produces), while the paper-literal one drops the
+    delta2 exponent.  The two coincide when every |xi_i| = 1.
     """
 
     op: OperatorParams
@@ -162,15 +177,15 @@ class ProblemSpec:
     N: int = 50
     delta_variant: str = "consistent"
     asymptotic_eigenvalues: bool = False
-    delta_floor: float = 1e-10
 
     def __post_init__(self):
         object.__setattr__(self, "T", float(self.T))
-        if not self.T > 0.0:
-            raise ValueError(f"T must be positive, got {self.T}")
+        if not 0.0 < self.T < math.inf:
+            raise ValueError(f"T must be positive and finite, got {self.T}")
         pts = tuple((float(p), float(xi)) for p, xi in self.nonlocal_points)
         if not pts:
             raise ValueError("at least one non-local point is required")
+        _finite((p for p, _ in pts), "non-local weights")
         xis = [xi for _, xi in pts]
         for i, xi in enumerate(xis):
             if not -self.T <= xi <= 0.0:
@@ -182,13 +197,17 @@ class ProblemSpec:
                 "non-local points must be strictly increasing in xi; "
                 f"ordering fails at indices {bad}")
         object.__setattr__(self, "nonlocal_points", pts)
+        if isinstance(self.N, bool) or not float(self.N).is_integer():
+            raise ValueError(f"N must be a whole number, got {self.N!r}")
         object.__setattr__(self, "N", int(self.N))
         if self.N < 1:
             raise ValueError("N must be at least 1")
-        if self.delta_variant not in ("consistent", "paper-literal"):
-            raise ValueError(f"unknown delta_variant {self.delta_variant!r}")
-        if not self.delta_floor > 0.0:
-            raise ValueError("delta_floor must be positive")
+        if self.delta_variant not in DELTA_VARIANTS:
+            raise ValueError(f"delta_variant must be one of {DELTA_VARIANTS}, "
+                             f"got {self.delta_variant!r}")
+        if not isinstance(self.asymptotic_eigenvalues, bool):
+            raise ValueError("asymptotic_eigenvalues must be true or false, "
+                             f"got {self.asymptotic_eigenvalues!r}")
         if not self.forcing.is_builtin:
             xg, tg = self.forcing.x_grid, self.forcing.t_grid
             if xg[0] > 0.0 or xg[-1] < 1.0 or tg[0] > -self.T or tg[-1] < self.T:
@@ -521,7 +540,7 @@ def compute_Fk(mode, spec: ProblemSpec):
     return float(total[0]) if single else total
 
 
-def compute_Delta_k(mode, spec: ProblemSpec, *, variant: str = None):
+def compute_Delta_k(mode, spec: ProblemSpec):
     """Per-mode solvability determinant Delta_k.
 
     Bracket terms come from pushing the backward-side representation
@@ -533,13 +552,11 @@ def compute_Delta_k(mode, spec: ProblemSpec, *, variant: str = None):
     modes, lams, single = _mode_batch(mode)
     lam2 = lams ** 2
     op = spec.op
-    v = variant if variant is not None else spec.delta_variant
-    if v not in ("consistent", "paper-literal"):
-        raise ValueError(f"unknown delta variant {v!r}")
     d2 = op.delta2
     pa = op.p ** op.alpha1 * gamma(op.alpha1)
     pts = spec.nonlocal_points
-    z = -lam2 * np.array([[(-xi) ** d2 if v == "consistent" else (-xi)]
+    consistent = spec.delta_variant == "consistent"
+    z = -lam2 * np.array([[(-xi) ** d2 if consistent else (-xi)]
                           for _, xi in pts])
     e1 = mittag_leffler(MLParams(alpha=d2, beta=1.0), z)
     e2 = mittag_leffler(MLParams(alpha=d2, beta=2.0), z)
@@ -551,8 +568,8 @@ def compute_Delta_k(mode, spec: ProblemSpec, *, variant: str = None):
     return float(out[0]) if single else out
 
 
-def delta_limit(spec: ProblemSpec, *, variant: str = None) -> float:
-    """Large-k limit of Delta_k under the chosen argument variant.
+def delta_limit(spec: ProblemSpec) -> float:
+    """Large-k limit of Delta_k under the spec's argument variant.
 
     The backward bracket tends to (-xi)^{1-delta2} / (p^{a1} Gamma(a1)
     Gamma(2-delta2)) per point under the consistent variant; the
@@ -565,7 +582,6 @@ def delta_limit(spec: ProblemSpec, *, variant: str = None) -> float:
     has no limit.
     """
     op = spec.op
-    v = variant if variant is not None else spec.delta_variant
     pa = op.p ** op.alpha1 * gamma(op.alpha1)
     denom = pa * gamma(2.0 - op.delta2) if op.delta2 != 2.0 else None
     total = 0.0
@@ -578,7 +594,8 @@ def delta_limit(spec: ProblemSpec, *, variant: str = None) -> float:
                 f"Delta_k has no large-k limit at delta2 = 2: at xi = {xi} "
                 "its bracket holds E_(2,1)(-x^2) = cos(x) with x growing "
                 "like lambda_k")
-        w = (-xi) ** (1.0 - op.delta2) if v == "consistent" else 1.0
+        w = ((-xi) ** (1.0 - op.delta2)
+             if spec.delta_variant == "consistent" else 1.0)
         total += p_i * w / denom
     return total
 
@@ -649,7 +666,7 @@ def solve_modes(spec: ProblemSpec) -> SeriesSolution:
 
     Delta_k and F_k of every mode come from one call each.  Raises
     SolvabilityError at the first k whose determinant falls below
-    spec.delta_floor, before any F_k is computed.
+    DELTA_FLOOR, before any F_k is computed.
     """
     op = spec.op
     eigs = eigenvalue_table(spec.N, asymptotic=spec.asymptotic_eigenvalues)
@@ -658,10 +675,10 @@ def solve_modes(spec: ProblemSpec) -> SeriesSolution:
     partial = [ModeRecord(ev=ev, f_k=f_k, op=op)
                for ev, f_k in zip(eigs, f_ks)]
     deltas = compute_Delta_k(partial, spec)
-    low = np.flatnonzero(np.abs(deltas) < spec.delta_floor)
+    low = np.flatnonzero(np.abs(deltas) < DELTA_FLOOR)
     if low.size:
         raise SolvabilityError(eigs[low[0]].k, float(deltas[low[0]]),
-                               spec.delta_floor)
+                               DELTA_FLOOR)
     modes = []
     for m, d, F in zip(partial, deltas.tolist(),
                        compute_Fk(partial, spec).tolist()):

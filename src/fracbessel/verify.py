@@ -14,15 +14,16 @@ in front of you.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .fracops import (bi_ordinal_hilfer, hyper_bessel_caputo,
                       rl_integral_right)
 from .quadrature import gauss_jacobi_rule
-from .solver import (ModeRecord, ProblemSpec, SeriesSolution, compute_Delta_k,
-                     delta_limit, eval_u, mode_matrix, radial_basis)
+from .solver import (DELTA_VARIANTS, ModeRecord, ProblemSpec, SeriesSolution,
+                     compute_Delta_k, delta_limit, eval_u, mode_matrix,
+                     radial_basis)
 from .specfun import gamma, rgamma
 from .spectrum import eigenvalue_table, fourier_bessel_coeff
 
@@ -483,9 +484,8 @@ def check_delta_asymptote(spec: ProblemSpec, k_list) -> list:
         "delta_gap_monotone", 0.0, worst_ratio, 1.0, worst_ratio < 1.0,
         f"|Delta_k - L| along k = {ks}: {note_vals}; L = {L:.10e}")]
 
-    other = delta_limit(spec, variant="paper-literal"
-                        if spec.delta_variant == "consistent"
-                        else "consistent")
+    other = delta_limit(replace(spec, delta_variant=next(
+        v for v in DELTA_VARIANTS if v != spec.delta_variant)))
     slope = float(np.polyfit(np.log(lams), np.log(np.maximum(gaps, 1e-300)),
                              1)[0])
     checks.append(CheckResult(

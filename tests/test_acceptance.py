@@ -17,8 +17,8 @@ from scipy.optimize import brentq
 from fracbessel.cli import EXIT_SOLVABILITY, main
 from fracbessel.fracops import (OperatorParams, bi_ordinal_hilfer,
                                 hyper_bessel_caputo)
-from fracbessel.solver import (Forcing, ModeRecord, ProblemSpec,
-                               TimeCoefficient, cauchy_solution,
+from fracbessel.solver import (DELTA_FLOOR, Forcing, ModeRecord,
+                               ProblemSpec, TimeCoefficient, cauchy_solution,
                                compute_Delta_k, delta_limit, eval_u,
                                solve_modes)
 from fracbessel.specfun import MLParams, gamma, mittag_leffler, rgamma
@@ -242,7 +242,7 @@ def test_criterion_09_zero_forcing_uniqueness(criterion, default_op):
                          np.linspace(1.0 / 7.0, 1.0, 7)])
     worst = max(float(np.max(np.abs(eval_u(sol, xs, float(t)))))
                 for t in ts)
-    ok = min_delta > spec.delta_floor and worst == 0.0
+    ok = min_delta > DELTA_FLOOR and worst == 0.0
     detail = (f"max |u| = {worst} over 21 x 15 grid points, min |Delta| "
               f"= {min_delta:.3f}")
     assert criterion(9, ok, detail), detail

@@ -100,6 +100,104 @@ class TestParseConfig:
         assert main(["solve", str(p), "--out-dir", str(tmp_path)]) == 1
         assert "config error: 'flags.tolerances'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("dotted,value", [
+        # deleted duplicates of problem.delta_variant and --eigen, and the
+        # solvability floor, which is solver.DELTA_FLOOR
+        ("flags.delta_variant", "paper-literal"),
+        ("flags.eigenvalues", "asymptotic"),
+        ("problem.delta_floor", 10.0),
+        # a misspelt key in each block
+        ("ouputs", {}), ("problem.delta_varaint", "paper-literal"),
+        ("problem.operator.alhpa1", 0.7),
+        ("problem.forcing.time_ploy", [1.0]),
+        ("tabulated.sample", [[0.0, 0.0], [0.0, 0.0]]),
+        ("csv.samples", [[0.0, 0.0], [0.0, 0.0]]),
+        ("grid.nxx", 5), ("flags.verfy_modes", 2),
+        ("outputs.soluton", "u.csv"),
+    ])
+    def test_unknown_keys_rejected(self, tmp_path, capsys, dotted, value):
+        """Every block refuses a key it does not read, led by its dotted
+        key; tabulated.* and csv.* name the forcing block of the inline
+        and the CSV tabulated kinds."""
+        forcing = {"tabulated": {"kind": "tabulated", "x_grid": [0.0, 1.0],
+                                 "t_grid": [-1.0, 1.0],
+                                 "samples": [[0.0, 0.0], [0.0, 0.0]]},
+                   "csv": {"kind": "tabulated", "csv": "force.csv"}}
+        (tmp_path / "force.csv").write_text(
+            "x,t,f\n0,-1,0\n0,1,0\n1,-1,0\n1,1,0\n")
+        head, _, rest = dotted.partition(".")
+        if head in forcing:
+            dotted = f"problem.forcing.{rest}"
+        p = write_config(tmp_path / "c.json",
+                         problem={"forcing": forcing.get(head, {})})
+        doc = json.loads(p.read_text())
+        *parents, key = dotted.split(".")
+        block = doc
+        for name in parents:
+            block = block.setdefault(name, {})
+        block[key] = value
+        p.write_text(json.dumps(doc))
+        assert main(["solve", str(p), "--out-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: '{dotted}' is not a key of ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("problem,csv_row", [
+        ({"operator": {**OPERATOR, "theta": -math.inf}}, None),
+        ({"T": math.inf}, None),
+        ({"nonlocal_points": [[math.nan, -1.0]]}, None),
+        ({"nonlocal_points": [[math.inf, -1.0]]}, None),
+        ({"nonlocal_points": [[-math.inf, -1.0]]}, None),
+        ({"forcing": {"time_poly": [1.0, math.nan]}}, None),
+        ({"forcing": {"space_poly": [math.inf]}}, None),
+        ({"forcing": {"kind": "tabulated", "x_grid": [0.0, math.nan],
+                      "t_grid": [-1.0, 1.0],
+                      "samples": [[0.0, 0.0], [0.0, 0.0]]}}, None),
+        ({"forcing": {"kind": "tabulated", "x_grid": [0.0, 1.0],
+                      "t_grid": [-1.0, math.inf],
+                      "samples": [[0.0, 0.0], [0.0, 0.0]]}}, None),
+        ({"forcing": {"kind": "tabulated", "x_grid": [0.0, 1.0],
+                      "t_grid": [-1.0, 1.0],
+                      "samples": [[0.0, math.nan], [0.0, 0.0]]}}, None),
+        ({"asymptotic_eigenvalues": "false"}, None),
+        ({}, "1,1,nan"), ({}, "inf,1,0"), ({}, "1,-inf,0"),
+    ], ids=["theta=-inf", "T=inf", "p=nan", "p=inf", "p=-inf",
+            "time_poly-nan", "space_poly-inf", "x_grid-nan", "t_grid-inf",
+            "sample-nan", "asymptotic_eigenvalues-str", "csv-f-nan",
+            "csv-x-inf", "csv-t-inf"])
+    def test_invalid_values_exit_config(self, tmp_path, capsys, problem,
+                                        csv_row):
+        """Non-finite numbers, a non-boolean switch and non-finite CSV
+        cells are config errors, each refused by the type that owns it
+        (the CSV reader for the CSV cells)."""
+        if csv_row is not None:
+            rows = ["x,t,f", "0,-1,0", "0,1,0", "1,-1,0", csv_row]
+            (tmp_path / "force.csv").write_text("\n".join(rows) + "\n")
+            problem = {"forcing": {"kind": "tabulated", "csv": "force.csv"}}
+        p = write_config(tmp_path / "c.json", problem=problem)
+        assert main(["solve", str(p), "--out-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        if csv_row is not None:
+            assert "data row 4 holds a non-finite value" in err
+        assert "Traceback" not in err
+
+    def test_strict_flag_must_be_boolean(self, tmp_path):
+        p = write_config(tmp_path / "c.json",
+                         flags={"strict_hypotheses": "false"})
+        with pytest.raises(ConfigError, match="strict_hypotheses"):
+            parse_config(p)
+
+    def test_readme_minimal_config_parses(self, tmp_path):
+        """The README's "Minimal config" is a config the parser takes."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md")
+        text = readme.read_text().split("Minimal config:", 1)[1]
+        block = text.split("```json\n", 1)[1].split("```", 1)[0]
+        p = tmp_path / "c.json"
+        p.write_text(block)
+        cfg = parse_config(p)
+        assert (cfg.spec.N, cfg.spec.T, cfg.verify_modes) == (50, 1.0, 10)
+
     @pytest.mark.parametrize("block,key,value", [
         ("problem", "N", "ten"), ("problem", "N", None),
         ("problem", "N", 7.9), ("problem", "N", True),

@@ -1,6 +1,7 @@
 """Mode system, closed-form spot checks, and series evaluation."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from numpy.testing import assert_allclose
 from fracbessel.errors import NumericError, SolvabilityError
 from fracbessel.fracops import OperatorParams
 from fracbessel.quadrature import gauss_jacobi_rule
+import fracbessel.solver as solver
 from fracbessel.solver import (Forcing, ModeRecord, ProblemSpec,
                                SeriesSolution, TimeCoefficient,
                                compute_Delta_k, compute_Fk, compute_Gk,
@@ -103,14 +105,12 @@ class TestProblemSpec:
                         forcing=DEFAULT_FORCING)
         with pytest.raises(ValueError):
             small_spec(default_op, points=())
-        with pytest.raises(ValueError):
-            small_spec(default_op, N=0)
+        for n in (0, 7.9, True, math.inf):
+            with pytest.raises(ValueError):
+                small_spec(default_op, N=n)
         with pytest.raises(ValueError):
             ProblemSpec(op=default_op, T=1.0, nonlocal_points=((0.6, -1.0),),
                         forcing=DEFAULT_FORCING, delta_variant="other")
-        with pytest.raises(ValueError):
-            ProblemSpec(op=default_op, T=1.0, nonlocal_points=((0.6, -1.0),),
-                        forcing=DEFAULT_FORCING, delta_floor=0.0)
 
     def test_tabulated_grid_must_cover_domain(self, default_op):
         narrow = Forcing(kind="tabulated", x_grid=(0.0, 1.0),
@@ -218,22 +218,18 @@ class TestDeltaK:
     def test_variants_coincide_at_unit_history_time(self, default_op):
         spec = small_spec(default_op, points=((0.6, -1.0),))
         mode = ModeRecord(ev=bessel_zero(4), f_k=ones, op=default_op)
-        dc = compute_Delta_k(mode, spec, variant="consistent")
-        dl = compute_Delta_k(mode, spec, variant="paper-literal")
+        dc = compute_Delta_k(mode, replace(spec, delta_variant="consistent"))
+        dl = compute_Delta_k(mode, replace(spec,
+                                           delta_variant="paper-literal"))
         assert dc == dl
 
     def test_variants_differ_inside_interval(self, default_op):
         spec = small_spec(default_op, points=((0.6, -0.6),))
         mode = ModeRecord(ev=bessel_zero(4), f_k=ones, op=default_op)
-        dc = compute_Delta_k(mode, spec, variant="consistent")
-        dl = compute_Delta_k(mode, spec, variant="paper-literal")
+        dc = compute_Delta_k(mode, replace(spec, delta_variant="consistent"))
+        dl = compute_Delta_k(mode, replace(spec,
+                                           delta_variant="paper-literal"))
         assert abs(dc - dl) > 1e-6
-
-    def test_unknown_variant(self, default_op):
-        spec = small_spec(default_op)
-        mode = ModeRecord(ev=bessel_zero(4), f_k=ones, op=default_op)
-        with pytest.raises(ValueError):
-            compute_Delta_k(mode, spec, variant="bogus")
 
     def test_limit_value_and_approach(self, default_op):
         spec = small_spec(default_op)
@@ -257,7 +253,7 @@ class TestDeltaK:
     def test_limit_variants_scale_by_history_power(self, default_op):
         spec_c = small_spec(default_op, points=((0.6, -0.6),))
         lc = delta_limit(spec_c)
-        ll = delta_limit(spec_c, variant="paper-literal")
+        ll = delta_limit(replace(spec_c, delta_variant="paper-literal"))
         assert_allclose(lc / ll, 0.6 ** (1.0 - default_op.delta2), rtol=1e-13)
 
     def test_limit_rejects_zero_history_time(self, default_op):
@@ -267,8 +263,9 @@ class TestDeltaK:
         spec = small_spec(default_op, points=((0.5, -0.5), (0.4, 0.0)))
         alone = small_spec(default_op, points=((0.5, -0.5),))
         for v in ("consistent", "paper-literal"):
-            assert_allclose(delta_limit(spec, variant=v),
-                            delta_limit(alone, variant=v) + 0.4, rtol=1e-15)
+            assert_allclose(delta_limit(replace(spec, delta_variant=v)),
+                            delta_limit(replace(alone, delta_variant=v))
+                            + 0.4, rtol=1e-15)
         L = delta_limit(spec)
         eigs = eigenvalue_table(100)
         gaps = [abs(compute_Delta_k(ModeRecord(ev=eigs[k - 1], f_k=ones,
@@ -286,7 +283,7 @@ class TestDeltaK:
         assert op.delta2 == 2.0
         for v in ("consistent", "paper-literal"):
             with pytest.raises(NumericError, match="no large-k limit"):
-                delta_limit(small_spec(op), variant=v)
+                delta_limit(replace(small_spec(op), delta_variant=v))
         assert delta_limit(small_spec(op, points=((0.4, 0.0),))) == 0.4
 
 
@@ -366,10 +363,12 @@ class TestSolveInvariants:
         with pytest.raises(ValueError):
             SeriesSolution(spec=spec, modes=(m2, m1), tail_estimate=0.0)
 
-    def test_solvability_error_names_first_bad_mode(self, default_op):
+    def test_solvability_error_names_first_bad_mode(self, default_op,
+                                                    monkeypatch):
+        monkeypatch.setattr(solver, "DELTA_FLOOR", 10.0)
         spec = ProblemSpec(op=default_op, T=1.0,
                            nonlocal_points=((0.6, -1.0),),
-                           forcing=DEFAULT_FORCING, N=4, delta_floor=10.0)
+                           forcing=DEFAULT_FORCING, N=4)
         with pytest.raises(SolvabilityError, match="k=1") as ei:
             solve_modes(spec)
         assert ei.value.k == 1
