@@ -29,7 +29,7 @@ import numpy as np
 from .errors import NumericError, SolvabilityError
 from .fracops import OperatorParams
 from .solver import (DELTA_VARIANTS, Forcing, ProblemSpec, mode_matrix,
-                     radial_basis, solve_modes)
+                     radial_bases, solve_modes)
 from .verify import verify_solution
 
 __all__ = ["RunConfig", "parse_config", "run", "main"]
@@ -225,10 +225,13 @@ def parse_config(path, *, overrides: dict = None,
             "and strict hypothesis checking is on")
 
     outputs = _block(doc.get("outputs", {}), "outputs", tuple(_OUTPUT_FIELDS))
+    for key, v in outputs.items():
+        _require(isinstance(v, str),
+                 f"'outputs.{key}' must be a file name, got {v!r}")
     return RunConfig(
         spec=spec, nx=nx, nt_pos=nt_pos, nt_neg=nt_neg,
         verify_modes=verify_modes,
-        **{_OUTPUT_FIELDS[key]: str(v) for key, v in outputs.items()})
+        **{_OUTPUT_FIELDS[key]: v for key, v in outputs.items()})
 
 
 def _fmt(v: float) -> str:
@@ -249,7 +252,7 @@ def _write_solution_grid(cfg: RunConfig, sol, path: Path):
         np.linspace(0.0, T, cfg.nt_pos + 1)[1:],
     ])
     vals = mode_matrix(sol, ts)
-    u, ux, uxx = (radial_basis(sol, xs, order) @ vals for order in (0, 1, 2))
+    u, ux, uxx = (basis @ vals for basis in radial_bases(sol, xs, (0, 1, 2)))
     lines = ["x,t,u,u_x,u_xx"]
     for i, t in enumerate(ts):
         for j, x in enumerate(xs):

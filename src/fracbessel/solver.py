@@ -41,6 +41,7 @@ __all__ = [
     "solve_modes",
     "mode_matrix",
     "radial_basis",
+    "radial_bases",
     "eval_u",
     "eval_u_derivatives",
 ]
@@ -399,24 +400,33 @@ def _hinge_quadrature(alpha, beta, c, W, knots, D, q):
     ys = knots ** (1.0 / q)
     jac = gauss_jacobi_rule(_HINGE_NODES, beta - 1.0, 0.0)
     ratio = 4.0 ** (1.0 / alpha)
+    X = W - ys[0]
+    live = X > 0.0
+    if not live.any():
+        return out
+    Xl = X[live]
+    # W - y_j for the knots y_j below W, the rest masked
+    knot = np.where(ys < W[:, None], W[:, None] - ys, np.inf)
     rows, zs = [], []  # (mode, nodes, weights, owning W) and kernel arguments
     for i, ci in enumerate(c):
+        # Panel edges of every W at once, one row each: X = W - y_0, the
+        # graded ladder w0 ratio^k under X, k from -_HINGE_GRADING up to
+        # below the row's step count, and the knots; each row sorted,
+        # with repeats and masked entries dropped.
         w0 = abs(ci) ** (-1.0 / alpha)
-        his = []
-        for Wj in W:
-            X = Wj - ys[0]
-            if not X > 0.0:
-                his.append(np.empty(0))
-                continue
-            steps = math.ceil(math.log(X / w0) / math.log(ratio)) \
-                if X > w0 else 0
-            ladder = w0 * ratio ** np.arange(-_HINGE_GRADING, steps)
-            his.append(np.unique(np.concatenate(
-                [[X], ladder[ladder < X], Wj - ys[ys < Wj]])))
-        owner = np.repeat(np.arange(len(W)), [h.size for h in his])
-        if not owner.size:
-            continue
-        hi = np.concatenate(his)
+        steps = np.array([math.ceil(math.log(x / w0) / math.log(ratio))
+                          if x > w0 else 0 for x in Xl.tolist()])
+        ladder = w0 * ratio ** np.arange(-_HINGE_GRADING, steps.max())
+        rung = ((ladder < Xl[:, None])
+                & (np.arange(ladder.size) < steps[:, None] + _HINGE_GRADING))
+        cand = np.full((W.size, 1 + ladder.size), np.inf)
+        cand[live, 0] = Xl
+        cand[live, 1:] = np.where(rung, ladder, np.inf)
+        cand = np.sort(np.concatenate([cand, knot], axis=1), axis=1)
+        keep = np.isfinite(cand)
+        keep[:, 1:] &= cand[:, 1:] != cand[:, :-1]
+        hi = cand[keep]
+        owner = np.nonzero(keep)[0]
         first = np.concatenate([[True], owner[1:] != owner[:-1]])
         lo = np.where(first, 0.0, np.roll(hi, 1))
         # Bernstein-ellipse parameter of each panel for its nearer
@@ -740,14 +750,28 @@ def radial_basis(sol: SeriesSolution, x, order: int = 0) -> np.ndarray:
     equation, lam^2 (J1(lam x)/(lam x) - J0(lam x)) for u_xx (order 2),
     which is -lam^2/2 at x = 0.  Times a mode_matrix it gives the
     truncated series or its term-wise derivatives."""
+    return radial_bases(sol, x, (order,))[0]
+
+
+def radial_bases(sol: SeriesSolution, x, orders) -> list:
+    """radial_basis of each order in orders, all from one J0 and one J1
+    evaluation over the (x, mode) grid."""
+    if not set(orders) <= {0, 1, 2}:
+        raise ValueError(f"orders must be 0, 1 or 2; got {orders!r}")
     lx = np.outer(np.atleast_1d(np.asarray(x, dtype=float)), sol.lams)
-    if order == 0:
-        return bessel_j(0, lx)
-    if order == 1:
-        return -sol.lams * bessel_j(1, lx)
-    j1_over = np.divide(bessel_j(1, lx), lx, out=np.full_like(lx, 0.5),
-                        where=lx > 0.0)
-    return sol.lams ** 2 * (j1_over - bessel_j(0, lx))
+    j0 = bessel_j(0, lx) if set(orders) - {1} else None
+    j1 = bessel_j(1, lx) if set(orders) - {0} else None
+    out = []
+    for order in orders:
+        if order == 0:
+            out.append(j0)
+        elif order == 1:
+            out.append(-sol.lams * j1)
+        else:
+            j1_over = np.divide(j1, lx, out=np.full_like(lx, 0.5),
+                                where=lx > 0.0)
+            out.append(sol.lams ** 2 * (j1_over - j0))
+    return out
 
 
 def eval_u(sol: SeriesSolution, x, t: float):
@@ -762,8 +786,7 @@ def eval_u_derivatives(sol: SeriesSolution, x, t: float):
     """Term-wise spatial derivatives (u_x, u_xx) at (x, t)."""
     _check_point(sol, x, t)
     vals = mode_matrix(sol, [t])[:, 0]
-    ux = radial_basis(sol, x, 1) @ vals
-    uxx = radial_basis(sol, x, 2) @ vals
+    ux, uxx = (basis @ vals for basis in radial_bases(sol, x, (1, 2)))
     if np.ndim(x) == 0:
         return float(ux[0]), float(uxx[0])
     return ux, uxx

@@ -17,11 +17,16 @@ accuracy-tracked cascade:
   and the last term accept the value;
 * the algebraic asymptotic expansion with optimal truncation, plus the
   exponential residue pair that appears for alpha > 1, accepted when
-  the first omitted term is small enough, summed in the same tiles;
+  the first omitted term is small enough, summed in the same tiles.
+  Before any tile, a point on the negative axis whose envelope stop
+  and envelope minimum, read from |z| and the cached envelope, prove
+  that the accept test must fail goes straight to the contour;
 * a Hankel-contour quadrature for the band in between, where neither
   expansion reaches tolerance: one fixed rule per (alpha, beta) on an
   arc and two rays turned at least pi/8 away from the pole pair, plus
-  the pair's residues when the rays pass beyond it.
+  the pair's residues when the rays pass beyond it.  Its sum runs in
+  blocks of _CONTOUR_CELLS // (rule nodes) points through two work
+  buffers that stay in cache, allocated once per rule and call.
 
 The nominal regime boundaries (|z| around 5 and 50) are useful mental
 markers but carry no authority; the handoff is decided per point by
@@ -57,9 +62,10 @@ _ULP_FLOOR = 2.0 ** -55
 # ray; with 16 on the arc, points near zeros of E at |z| ~ 1 lose digits.
 _ARC_NODES = 32
 _RAY_NODES = 16
-# points per block of the contour sum, which bounds its (points x nodes)
-# temporaries; each point's sum is its own row, so blocks never change it
-_CONTOUR_ROWS = 512
+# (points x nodes) cells per block of the contour sum: its two work
+# buffers then take 256 KiB each and stay in a core's L2 cache.  Each
+# point's sum is its own row, so blocks never change it.
+_CONTOUR_CELLS = 1 << 15
 
 # The series and asymptotic sums run in tiles of K terms by the points
 # still summing, K = _TILE_CELLS // points clamped to [1, _TILE_TERMS]:
@@ -69,6 +75,13 @@ _TILE_CELLS = 4096
 _TILE_TERMS = 64
 # the longest series; a point that needs more goes to the next regime
 _SERIES_TERMS = 16384
+# the longest asymptotic sum
+_ASYMP_TERMS = 160
+# margins of the asymptotic prediction (_asymp_hopeful): in ln|z| against
+# the envelope's stop thresholds, and the relative slack on either side
+# of the accept test; both dwarf the rounding of what they cover
+_ASYMP_ETA = 1e-9
+_ASYMP_SLACK = 1e-3
 # natural-log budget of the series' predicted cancellation on the
 # negative axis: 15.8 float64 digits less the digits of _RTOL
 _SERIES_LOST = (15.8 + math.log10(_RTOL)) * math.log(10.0)
@@ -228,10 +241,12 @@ def _ml_core(a: float, b: float, z: np.ndarray) -> np.ndarray:
             todo[idx[ok]] = False
 
     if todo.any():
-        val, ok = _asymp_block(a, b, z[todo])
         idx = np.flatnonzero(todo)
-        out[idx[ok]] = val[ok]
-        todo[idx[ok]] = False
+        idx = idx[_asymp_hopeful(a, b, z[idx])]
+        if idx.size:
+            val, ok = _asymp_block(a, b, z[idx])
+            out[idx[ok]] = val[ok]
+            todo[idx[ok]] = False
 
     m = todo & (z < 0.0)
     if m.any():
@@ -527,12 +542,13 @@ def _ml_residue(a: float, b: float, z: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=256)
-def _asymp_coefs(a: float, b: float, nmax: int) -> tuple:
-    """Per term n = 1..nmax of the asymptotic sum: the smooth envelope of
-    the coefficient (see _asymp_block) and the coefficient 1/Gamma(b - a n)."""
+def _asymp_coefs(a: float, b: float) -> tuple:
+    """Per term n = 1.._ASYMP_TERMS of the asymptotic sum: the smooth
+    envelope of the coefficient (see _asymp_block) and the coefficient
+    1/Gamma(b - a n)."""
     renv, rg = [], []
     with np.errstate(over="ignore"):
-        for n in range(1, nmax + 1):
+        for n in range(1, _ASYMP_TERMS + 1):
             x = b - a * n
             if x >= 0.5:
                 renv.append(abs(float(_sp.rgamma(x))))
@@ -545,7 +561,111 @@ def _asymp_coefs(a: float, b: float, nmax: int) -> tuple:
     return renv, rg
 
 
-def _asymp_block(a: float, b: float, z: np.ndarray, nmax: int = 160):
+@lru_cache(maxsize=256)
+def _asymp_stops(a: float, b: float):
+    """Stop thresholds of the asymptotic sum's envelope, or None.
+
+    With L = ln|z|, the envelope renv_j |z|^-j of term j reaches that of
+    an earlier term m exactly when the mean of the steps
+    d_i = ln renv_i - ln renv_{i-1} over m < i <= j is at least L.  A
+    mean never exceeds its largest step, and every step is such a mean,
+    so the stop rule of _asymp_block stops a point at the first term j
+    where the running maximum of d reaches L.  Returns, indexed by the
+    count k of terms before the stop: that running maximum (the stop's
+    threshold, inf past the last term), ln renv_k (inf at k = 0) and the
+    coefficients of u^2 and u^3 in the bound S of _asymp_hopeful; then
+    renv_1, the coefficient of u, and the modulus past which
+    _asymp_hopeful refuses no point.  None when an envelope underflows
+    to 0, which this form cannot take.
+    """
+    renv, _ = _asymp_coefs(a, b)
+    if not np.all(renv > 0.0):
+        return None
+    lr = np.log(renv)  # inf where Gamma(1 - x) overflows
+    with np.errstate(invalid="ignore"):
+        step = np.concatenate([[-np.inf], np.diff(lr)])
+    top = np.flatnonzero(np.isinf(lr))
+    if top.size:  # an infinite envelope always stops the point
+        step[top[0]:] = np.inf
+    stops = np.maximum.accumulate(step)
+    j = np.arange(renv.size)
+    # past L_j a point sums at least j terms, and its envelope j is at
+    # most _RTOL times its first
+    with np.errstate(invalid="ignore"):
+        lj = np.maximum(stops[1:] + _ASYMP_ETA,
+                        (lr[1:] - lr[0] - math.log(_RTOL)) / j[1:])
+    far = np.where(np.isnan(lj), np.inf, lj).min()
+    with np.errstate(over="ignore"):
+        far = math.inf if far > 709.0 else math.exp(far) * (1.0 + 1e-9)
+    k = np.arange(renv.size + 1)
+    plan = (np.append(stops, np.inf), np.append(np.inf, lr),
+            np.where(k >= 2, renv[1], 0.0),
+            np.maximum(k - 2, 0) * renv[2])
+    for arr in plan:
+        arr.setflags(write=False)
+    return plan + (renv[0], far)
+
+
+def _asymp_hopeful(a: float, b: float, z: np.ndarray) -> np.ndarray:
+    """False where _asymp_block provably rejects a point, from |z| alone.
+
+    A point z < 0 with |z| <= 1 is never accepted.  Past that, take
+    L = ln|z| and the thresholds of _asymp_stops, and let term k + 1 be
+    the first whose threshold is at or above L - _ASYMP_ETA (k =
+    _ASYMP_TERMS if none is).  When that threshold is also at or above
+    L + _ASYMP_ETA, envelopes 1..k each fall below every earlier one by
+    a factor of at least e^-_ASYMP_ETA and envelope k + 1 reaches an
+    earlier one by that factor.  The block's float envelopes are off by
+    under 200 eps relative, so it stops the point after k terms too, or
+    earlier with an accept.  Its error estimate is then at least
+    E = renv_k |z|^-k, and its partial sum holds at most k terms
+    |z^-j / Gamma(b - a j)| <= renv_j |z|^-j, which fall, so
+    |s| <= S = env_1 + env_2 + (k - 2) env_3.  The residues are at most
+    R = (2/a) r^{1-b} e^{r cos(pi/a)} with r = |z|^{1/a} (0 for a <= 1).
+    The block accepts only if E <= _RTOL max(|res - s|, 1e-300), and
+    |res - s| <= S + R, so a point is refused only if
+    E (1 - _ASYMP_SLACK) > _RTOL max((S + R)(1 + _ASYMP_SLACK), 1e-300).
+    E, S and R here are within 1e-10 relative of their float values in
+    the block, far inside the slack, so a point the block accepts is
+    never refused.  Points with a threshold within _ASYMP_ETA of L, on
+    the positive axis, or at an (a, b) without thresholds are kept.
+
+    Refusal needs E > _RTOL S >= _RTOL env_1.  k grows with L, and past
+    the modulus of _asymp_stops some j <= k has env_j <= _RTOL env_1,
+    so E <= env_j rules it out: those points, all of the asymptotic
+    regime's bulk, cost two comparisons.
+    """
+    hope = (z < -1.0) | (z >= 0.0)
+    plan = _asymp_stops(a, b)
+    if plan is None:
+        return hope
+    stops, lr, c2, c3, c1, far = plan
+    idx = np.flatnonzero((z < -1.0) & (z >= -far))
+    if not idx.size:
+        return hope
+    u = -1.0 / z[idx]
+    L = np.log(-z[idx])
+    k = np.searchsorted(stops, L - _ASYMP_ETA)
+    refuse = stops[k] >= L + _ASYMP_ETA
+    tol = _RTOL * (1.0 + _ASYMP_SLACK)
+    with np.errstate(over="ignore", invalid="ignore"):
+        env = np.exp(lr[k] - k * L) * (1.0 - _ASYMP_SLACK)
+        bound = tol * u * (c1 + u * (c2[k] + u * c3[k]))
+        refuse &= env > np.maximum(bound, _RTOL * 1e-300)
+        if a > 1.0 and refuse.any():
+            # the residues only raise the bound, so only the points
+            # refused on S alone need them
+            sel = np.flatnonzero(refuse)
+            ln_r = L[sel] / a
+            res = (2.0 / a) * np.exp((1.0 - b) * ln_r
+                                     + np.exp(ln_r) * math.cos(math.pi / a))
+            bound = bound[sel] + tol * res
+            refuse[sel] = env[sel] > np.maximum(bound, _RTOL * 1e-300)
+    hope[idx[refuse]] = False
+    return hope
+
+
+def _asymp_block(a: float, b: float, z: np.ndarray):
     """E ~ residues - sum_{n>=1} z^{-n}/Gamma(b - a n), optimally truncated.
 
     Truncation control uses a smooth envelope of the coefficient size,
@@ -571,7 +691,8 @@ def _asymp_block(a: float, b: float, z: np.ndarray, nmax: int = 160):
     finds each point's first stop in it.  Both take the very operations
     of the term-by-term loop in its order.
     """
-    renv, rg = _asymp_coefs(a, b, nmax)
+    nmax = _ASYMP_TERMS
+    renv, rg = _asymp_coefs(a, b)
     res = _ml_residue(a, b, z)
     s = np.zeros_like(z)
     minenv = np.full(z.shape, np.inf)
@@ -711,11 +832,20 @@ def _contour_block(a: float, b: float, z: np.ndarray) -> np.ndarray:
     for rung in np.unique(eps):
         idx = np.flatnonzero(eps == rung)
         p, q, bre, bim2 = _contour_rule(a, b, float(rung), residues)
-        for lo in range(0, idx.size, _CONTOUR_ROWS):
-            sel = idx[lo:lo + _CONTOUR_ROWS]
+        rows = min(max(_CONTOUR_CELLS // p.size, 1), idx.size)
+        num, den = np.empty((rows, p.size)), np.empty((rows, p.size))
+        for lo in range(0, idx.size, rows):
+            sel = idx[lo:lo + rows]
             zc = z[sel][:, None]
-            d = bre - zc
-            out[sel] = ((p - q * zc) / (d * d + bim2)).sum(axis=1)
+            nu, de = num[:sel.size], den[:sel.size]
+            # (p - q z) / ((bre - z)^2 + bim2), one row per point
+            np.multiply(q, zc, out=nu)
+            np.subtract(p, nu, out=nu)
+            np.subtract(bre, zc, out=de)
+            np.multiply(de, de, out=de)
+            np.add(de, bim2, out=de)
+            np.divide(nu, de, out=nu)
+            out[sel] = nu.sum(axis=1)
     if residues:
         out += _ml_residue(a, b, z)
     return out

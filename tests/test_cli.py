@@ -182,6 +182,22 @@ class TestParseConfig:
             assert "data row 4 holds a non-finite value" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("key,value", [
+        ("solution", None), ("modes", 5), ("report", ["report.json"])])
+    def test_output_names_must_be_strings(self, tmp_path, capsys, key,
+                                          value):
+        """An output value that is not a string is a config error led by
+        its dotted key, and the run writes nothing (a null used to write
+        the grid to a file named None)."""
+        p = write_config(tmp_path / "c.json", outputs={key: value})
+        out = tmp_path / "out"
+        assert main(["solve", str(p), "--out-dir", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: 'outputs.{key}' must be a "
+                              f"file name, got {value!r}")
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_strict_flag_must_be_boolean(self, tmp_path):
         p = write_config(tmp_path / "c.json",
                          flags={"strict_hypotheses": "false"})

@@ -14,6 +14,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+import fracbessel.solver as solver
 from fracbessel.fracops import OperatorParams
 from fracbessel.quadrature import gauss_jacobi_rule, gauss_legendre_rule
 from fracbessel.solver import (Forcing, ModeRecord, ProblemSpec,
@@ -197,3 +198,97 @@ def test_hinge_at_either_end(default_op, frac):
                              * ml(-lam ** 2 * w ** d), [0, x]))
     assert want > 0.0
     assert abs(got - want) <= 1e-12 * want
+
+
+# ---------------------------------------------------------------------------
+# hinge quadrature: panel edges of all W at once against one W at a time
+
+
+def _hinge_quadrature_loop(alpha, beta, c, W, knots, D, q):
+    """Reference: solver._hinge_quadrature with each (mode, W) pair's
+    panel edges built on their own, by np.unique over its candidates."""
+    out = np.zeros((len(c), len(W)))
+    if not knots.size:
+        return out
+    ys = knots ** (1.0 / q)
+    jac = gauss_jacobi_rule(solver._HINGE_NODES, beta - 1.0, 0.0)
+    ratio = 4.0 ** (1.0 / alpha)
+    rows, zs = [], []
+    for i, ci in enumerate(c):
+        w0 = abs(ci) ** (-1.0 / alpha)
+        his = []
+        for Wj in W:
+            X = Wj - ys[0]
+            if not X > 0.0:
+                his.append(np.empty(0))
+                continue
+            steps = math.ceil(math.log(X / w0) / math.log(ratio)) \
+                if X > w0 else 0
+            ladder = w0 * ratio ** np.arange(-solver._HINGE_GRADING, steps)
+            his.append(np.unique(np.concatenate(
+                [[X], ladder[ladder < X], Wj - ys[ys < Wj]])))
+        owner = np.repeat(np.arange(len(W)), [h.size for h in his])
+        if not owner.size:
+            continue
+        hi = np.concatenate(his)
+        first = np.concatenate([[True], owner[1:] != owner[:-1]])
+        lo = np.where(first, 0.0, np.roll(hi, 1))
+        e = np.minimum(hi + lo, 2.0 * W[owner] - hi - lo) / (hi - lo)
+        with np.errstate(divide="ignore"):
+            order = np.ceil(solver._HINGE_DIGITS
+                            / np.log(e + np.sqrt(e * e - 1.0)))
+        order = np.clip(order, 4, solver._HINGE_NODES).astype(int)
+        parts = [(hi[first][:, None] * jac.nodes,
+                  hi[first][:, None] ** beta * jac.weights, owner[first])]
+        for n in np.unique(order[~first]):
+            sel = ~first & (order == n)
+            rule = gauss_legendre_rule(int(n))
+            span = (hi - lo)[sel][:, None]
+            w = lo[sel][:, None] + span * rule.nodes
+            parts.append((w, span * rule.weights * w ** (beta - 1.0),
+                          owner[sel]))
+        w = np.concatenate([p[0].ravel() for p in parts])
+        rows.append((i, w, np.concatenate([p[1].ravel() for p in parts]),
+                     np.concatenate([np.repeat(p[2], p[0].shape[1])
+                                     for p in parts])))
+        zs.append(ci * w ** alpha)
+    if not rows:
+        return out
+    kern = mittag_leffler(MLParams(alpha=alpha, beta=beta), np.concatenate(zs))
+    ends = np.cumsum([z.size for z in zs])
+    cum_d = np.cumsum(np.pad(D, ((0, 0), (1, 0))), axis=1)
+    cum_ds = np.cumsum(np.pad(D * knots, ((0, 0), (1, 0))), axis=1)
+    for (i, w, wt, own), k in zip(rows, np.split(kern, ends[:-1])):
+        v = (W[own] - w) ** q
+        j = np.searchsorted(knots, v)
+        g = v * cum_d[i, j] - cum_ds[i, j]
+        out[i] = np.bincount(own, wt * k * g, minlength=len(W))
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_hinge_quadrature_matches_loop(default_op, seed):
+    """Seeded tabulated inputs at the README operator's forward kernel
+    give the bits of the one-W-at-a-time edges: knots on a CSV-like grid
+    in t, modes from lam = 2.4 to 300, and W below, at and above the
+    first knot (the first two with no panel at all) up to T^p."""
+    rng = np.random.default_rng(seed)
+    op = default_op
+    a, p = op.alpha1, op.p
+    q = 1.0 / p
+    knots = np.sort(rng.choice(np.linspace(1.0 / 16, 1.0, 16),
+                               rng.integers(1, 17), replace=False))
+    lams = np.concatenate([[2.4], np.sort(rng.uniform(5.0, 300.0, 9))])
+    c = -lams ** 2 / p ** a
+    D = rng.normal(size=(lams.size, knots.size))
+    y0 = knots[0] ** (1.0 / q)
+    W = np.concatenate([[0.5 * y0, y0],
+                        np.sort(rng.uniform(0.0, 1.0, 30)) ** p, [1.0]])
+    got = solver._hinge_quadrature(a, a, c, W, knots, D, q)
+    want = _hinge_quadrature_loop(a, a, c, W, knots, D, q)
+    assert np.array_equal(got, want)
+    assert np.all(got[:, :2] == 0.0)
+    # a batch whose every W lies at or below the first knot
+    assert np.array_equal(
+        solver._hinge_quadrature(a, a, c, W[:2], knots, D, q),
+        np.zeros((lams.size, 2)))

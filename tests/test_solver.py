@@ -447,6 +447,59 @@ class TestDerivatives:
                  + eval_u(sol, x - h2, t)) / h2 ** 2
         assert_allclose(uxx, fd_xx, rtol=1e-4)
 
+    @staticmethod
+    def _basis_one_order(sol, x, order):
+        """The synthesis matrix of one order from its own J0 and J1
+        calls, as radial_basis computed it before the orders shared
+        them."""
+        lx = np.outer(np.atleast_1d(np.asarray(x, dtype=float)), sol.lams)
+        if order == 0:
+            return bessel_j(0, lx)
+        if order == 1:
+            return -sol.lams * bessel_j(1, lx)
+        j1_over = np.divide(bessel_j(1, lx), lx, out=np.full_like(lx, 0.5),
+                            where=lx > 0.0)
+        return sol.lams ** 2 * (j1_over - bessel_j(0, lx))
+
+    def test_shared_bessel_arrays_keep_the_bits(self, default_solution):
+        """radial_bases, radial_basis, eval_u and eval_u_derivatives give
+        the bits of one order at a time, x = 0 included."""
+        sol = default_solution
+        xs = np.linspace(0.0, 1.0, 41)
+        ts = [-0.7, 0.0, 0.35]
+        vals = solver.mode_matrix(sol, ts)
+        want = [self._basis_one_order(sol, xs, k) for k in (0, 1, 2)]
+        got = solver.radial_bases(sol, xs, (0, 1, 2))
+        for k in (0, 1, 2):
+            assert np.array_equal(got[k], want[k])
+            assert np.array_equal(solver.radial_basis(sol, xs, k), want[k])
+            assert np.array_equal(got[k] @ vals, want[k] @ vals)
+        for i, t in enumerate(ts):
+            assert np.array_equal(eval_u(sol, xs, t), want[0] @ vals[:, i])
+            ux, uxx = eval_u_derivatives(sol, xs, t)
+            assert np.array_equal(ux, want[1] @ vals[:, i])
+            assert np.array_equal(uxx, want[2] @ vals[:, i])
+        # an order outside 0-2 used to return the u_xx matrix
+        with pytest.raises(ValueError, match="orders must be 0, 1 or 2"):
+            solver.radial_basis(sol, xs, 3)
+
+    def test_shared_bessel_arrays_count(self, default_solution,
+                                        monkeypatch):
+        """u, u_x and u_xx at one time take three Bessel arrays: J0 for
+        eval_u, then one J0 and one J1 for eval_u_derivatives."""
+        orders = []
+        real = solver.bessel_j
+
+        def counted(order, x):
+            orders.append(order)
+            return real(order, x)
+
+        monkeypatch.setattr(solver, "bessel_j", counted)
+        xs = np.linspace(0.0, 1.0, 11)
+        eval_u(default_solution, xs, 0.5)
+        eval_u_derivatives(default_solution, xs, 0.5)
+        assert sorted(orders) == [0, 0, 1]
+
     def test_axis_values(self, default_solution):
         ux, uxx = eval_u_derivatives(default_solution, 0.0, 0.5)
         assert ux == 0.0

@@ -7,8 +7,10 @@ routes (direct summation at high precision and the Laplace-transform
 integral); a table entry exists only where the routes agreed.
 """
 
+import ast
 import math
 import tracemalloc
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -552,6 +554,101 @@ def test_asymp_values_match_loop(a, b, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# asymptotic prediction: the points refused before any tile are points the
+# block itself rejects
+
+
+def _ml_pairs():
+    """ML_PAIRS of bench/workloads.py, the solver's (alpha, beta) pairs
+    at the README operator, read from its source: running the module
+    would write its bytecode under bench/."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    for node in ast.parse(path.read_text()).body:
+        if (isinstance(node, ast.Assign)
+                and getattr(node.targets[0], "id", None) == "ML_PAIRS"):
+            return [tuple(pair) for pair in ast.literal_eval(node.value)]
+    raise AssertionError("ML_PAIRS not found in bench/workloads.py")
+
+
+_HOPE_PAIRS = sorted(set(_ml_pairs())
+                     | {(a, b) for a, b, _z, _r in ML_REFERENCE})
+
+
+def test_asymp_filter_keeps_every_accept():
+    """For every pair of the benchmark's ML_PAIRS and of the frozen
+    mpmath table, on seeded |z| from 1 to 1e7 on both axes: every point
+    the block accepts is kept by _asymp_hopeful, the kept points alone
+    give the same bits, and the filter refuses most of the negative-axis
+    points the block rejects."""
+    rng = np.random.default_rng(79)
+    refused = rejected = 0
+    for a, b in _HOPE_PAIRS:
+        mag = np.exp(rng.uniform(0.0, math.log(1e7), 1500))
+        z = np.concatenate([-mag, mag, [-1.0, 1.0, -1.0 - 1e-12]])
+        val, ok = specfun._asymp_block(a, b, z)
+        hope = specfun._asymp_hopeful(a, b, z)
+        assert not np.any(ok & ~hope), (a, b, z[ok & ~hope][:4])
+        kept_val, kept_ok = specfun._asymp_block(a, b, z[hope])
+        assert np.array_equal(kept_ok, ok[hope])
+        assert np.array_equal(kept_val[kept_ok], val[hope & ok])
+        refused += np.count_nonzero(~hope)
+        rejected += np.count_nonzero(~ok & (z < 0.0))
+    assert refused >= 0.5 * rejected
+
+
+@pytest.mark.parametrize("a,b", _ml_pairs() + [(1.35, 3.75), (1.9, 0.6),
+                                                (0.3, 1.0)])
+def test_asymp_filter_at_the_accept_edge(a, b, monkeypatch):
+    """Where the block's accept flag flips along the negative axis, the
+    accepted side, bisected to within a few ulp of the flip, is kept,
+    also with the modulus past which no point is checked taken away:
+    such a point may hold the error estimate within rounding of _RTOL
+    |value|, so a weaker bound on the sum or the residues refuses it."""
+    z = -np.geomspace(1.01, 1e4, 20000)
+    ok = specfun._asymp_block(a, b, z)[1]
+    i = np.flatnonzero(ok[1:] != ok[:-1])
+    assert i.size
+    yes, no = np.where(ok[i], z[i], z[i + 1]), np.where(ok[i], z[i + 1], z[i])
+    for _ in range(60):
+        mid = 0.5 * (yes + no)
+        took = specfun._asymp_block(a, b, mid)[1]
+        yes, no = np.where(took, mid, yes), np.where(took, no, mid)
+    assert specfun._asymp_block(a, b, yes)[1].all()
+    assert specfun._asymp_hopeful(a, b, yes).all()
+    stops = specfun._asymp_stops
+    monkeypatch.setattr(specfun, "_asymp_stops",
+                        lambda a_, b_: stops(a_, b_)[:-1] + (math.inf,))
+    assert specfun._asymp_hopeful(a, b, yes).all()
+
+
+@pytest.mark.parametrize("a,b", _ml_pairs() + [(1.35, 3.75), (2.0, 0.6)])
+def test_asymp_filter_at_stop_thresholds(a, b):
+    """Points within rounding of an envelope stop threshold, where the
+    float stop may fall on either term, are kept whenever the block
+    accepts them."""
+    stops = specfun._asymp_stops(a, b)[0][:-1]
+    ln_x = stops[np.isfinite(stops) & (stops > 0.0) & (stops < 40.0)]
+    off = np.array([-1e-8, -1e-9, -1e-12, 0.0, 1e-12, 1e-9, 1e-8])
+    z = -np.exp((ln_x[:, None] + off).ravel())
+    z = z[z < -1.0]
+    _, ok = specfun._asymp_block(a, b, z)
+    assert not np.any(ok & ~specfun._asymp_hopeful(a, b, z))
+
+
+@pytest.mark.parametrize("a,b", [(0.7, 0.7), (1.35, 1.35), (1.35, 3.75)])
+def test_asymp_filter_keeps_values(a, b, monkeypatch):
+    """mittag_leffler returns the same bits with every point sent to the
+    asymptotic block, over every regime of the negative axis."""
+    rng = np.random.default_rng(83)
+    z = -np.exp(rng.uniform(np.log(1e-2), np.log(1e7), 4000))
+    p = MLParams(a, b)
+    got = mittag_leffler(p, z)
+    monkeypatch.setattr(specfun, "_asymp_hopeful",
+                        lambda a_, b_, zz: np.ones(zz.shape, dtype=bool))
+    assert np.array_equal(got, mittag_leffler(p, z))
+
+
+# ---------------------------------------------------------------------------
 # pointwise values: a batch returns the bits of one-point calls
 
 
@@ -607,6 +704,50 @@ def test_values_are_pointwise_across_chunks():
                            [4094, 4095, 4096, 4097, z.size - 1]])
     want = np.array([mittag_leffler(p, z[i]) for i in pick])
     assert np.array_equal(got[pick], want)
+
+
+def _contour_block_expr(a, b, z):
+    """Reference: _contour_block with each 512-point block summed from
+    one expression, which makes its (points x nodes) temporaries anew."""
+    residues = math.pi / a <= 0.75 * math.pi
+    eps = np.ones_like(z)
+    if residues:
+        _, e = np.frexp(0.5 * (-z) ** (1.0 / a))
+        eps = np.minimum(np.ldexp(1.0, e - 1), 1.0)
+    out = np.empty_like(z)
+    for rung in np.unique(eps):
+        idx = np.flatnonzero(eps == rung)
+        p, q, bre, bim2 = specfun._contour_rule(a, b, float(rung), residues)
+        for lo in range(0, idx.size, 512):
+            sel = idx[lo:lo + 512]
+            zc = z[sel][:, None]
+            d = bre - zc
+            out[sel] = ((p - q * zc) / (d * d + bim2)).sum(axis=1)
+    if residues:
+        out += specfun._ml_residue(a, b, z)
+    return out
+
+
+@pytest.mark.parametrize("a,b,lo,hi", [(0.7, 0.7, 3.6, 9.5),
+                                       (0.7, 1.0, 0.5, 60.0),
+                                       (1.35, 1.35, 9.0, 90.0),
+                                       (1.35, 0.6, 0.9, 90.0),
+                                       (1.9, 1.2, 0.9, 100.0)])
+@pytest.mark.parametrize("rows", [1, 3, None])
+def test_contour_blocks_keep_the_bits(a, b, lo, hi, rows, monkeypatch):
+    """The in-place blocks give the bits of the one-expression sum with
+    the cell budget set to 1 row, 3 rows and all rows per block (arc
+    radii below 1 included for alpha >= 4/3)."""
+    rng = np.random.default_rng(89)
+    z = -np.exp(rng.uniform(math.log(lo), math.log(hi), 700))
+    nodes = [specfun._contour_rule(a, b, eps, a >= 4.0 / 3.0)[0].size
+             for eps in (0.25, 0.5, 1.0)]
+    # every rule's node count n then gives cells // n == rows
+    assert 3 * max(nodes) < 4 * min(nodes)
+    cells = {1: 1, 3: 3 * max(nodes), None: 1 << 40}[rows]
+    monkeypatch.setattr(specfun, "_CONTOUR_CELLS", cells)
+    assert np.array_equal(specfun._contour_block(a, b, z),
+                          _contour_block_expr(a, b, z))
 
 
 @pytest.mark.parametrize("a,lo,hi", [(1.35, 9.0, 90.0), (0.7, 3.6, 9.5)])

@@ -14,8 +14,18 @@ group by its size: at most 64 points, 65 to 1024, or more.  Each group
 prints its calls, points and seconds, and how many of its points each
 regime served: the alpha = 1 and alpha = 2 closed forms, the ascending
 series, the asymptotic sum, the contour, and the forced positive-axis
-series.  The wrappers are installed on the module from outside; nothing
-in the package changes.
+series.
+
+A second table gives each group's seconds per regime: the series plan,
+the series sum, the asymptotic prediction (``_asymp_hopeful``, where
+the package has it), the asymptotic sum on the points it accepts and on
+the points it rejects, the contour, and the forced series (plan and
+sum).  The two asymptotic columns come from timing the sum again on
+each part of the points it was given, after the call that the run
+uses; that extra time is left out of the run's wall time.  Work inside
+a closed form's own helpers counts towards neither table.  The wrappers
+are installed on the module from outside; nothing in the package
+changes.
 """
 
 import sys
@@ -34,6 +44,8 @@ from fracbessel.fracops import OperatorParams  # noqa: E402
 GROUPS = ((64, "<= 64"), (1024, "65-1024"), (None, "> 1024"))
 REGIMES = ("alpha_one", "alpha_two", "series", "asymptotic", "contour",
            "forced")
+TIMED = ("plan", "series", "asym_pred", "asym_acc", "asym_rej", "contour",
+         "forced")
 
 
 def _group(size: int) -> str:
@@ -51,6 +63,8 @@ class Recorder:
         self.points = defaultdict(int)
         self.seconds = defaultdict(float)
         self.served = defaultdict(lambda: defaultdict(int))
+        self.regime_s = defaultdict(lambda: defaultdict(float))
+        self.probe_s = 0.0  # the asymptotic re-timing, outside the run
         self._group = None
         self._closed = 0  # depth inside a closed form's own helpers
 
@@ -60,10 +74,12 @@ class Recorder:
         def timed_core(a, b, z):
             self._group = _group(z.size)
             t0 = time.perf_counter()
+            probe = self.probe_s
             try:
                 return core(a, b, z)
             finally:
-                self.seconds[self._group] += time.perf_counter() - t0
+                self.seconds[self._group] += (time.perf_counter() - t0
+                                              - (self.probe_s - probe))
                 self.calls[self._group] += 1
                 self.points[self._group] += z.size
                 self._group = None
@@ -71,20 +87,63 @@ class Recorder:
         specfun._ml_core = timed_core
         self._wrap_closed("_ml_alpha_one", "alpha_one")
         self._wrap_closed("_ml_alpha_two_int", "alpha_two")
-        for name, regime in (("_series_block", "series"),
-                             ("_asymp_block", "asymptotic")):
-            self._wrap_accepting(name, regime)
+        self._wrap_accepting("_series_block", "series")
+        self._wrap_asymptotic()
+        self._wrap_timed("_series_plan", "plan")
+        if hasattr(specfun, "_asymp_hopeful"):
+            self._wrap_timed("_asymp_hopeful", "asym_pred")
         contour = specfun._contour_block
 
         def counted_contour(a, b, z):
             self._count("contour", z.size)
-            return contour(a, b, z)
+            t0 = time.perf_counter()
+            try:
+                return contour(a, b, z)
+            finally:
+                self._time("contour", time.perf_counter() - t0)
 
         specfun._contour_block = counted_contour
 
+    def _counting(self) -> bool:
+        return self._group is not None and not self._closed
+
     def _count(self, regime, n):
-        if self._group is not None and not self._closed:
+        if self._counting():
             self.served[self._group][regime] += int(n)
+
+    def _time(self, regime, secs):
+        if self._counting():
+            self.regime_s[self._group][regime] += secs
+
+    def _wrap_timed(self, name, regime):
+        fn = getattr(specfun, name)
+
+        def wrapped(*args, **kwargs):
+            t0 = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                self._time("forced" if kwargs.get("force", False) else regime,
+                           time.perf_counter() - t0)
+
+        setattr(specfun, name, wrapped)
+
+    def _wrap_asymptotic(self):
+        fn = specfun._asymp_block
+
+        def wrapped(a, b, z, *args):
+            val, ok = fn(a, b, z, *args)
+            self._count("asymptotic", np.count_nonzero(ok))
+            if self._counting():
+                t0 = time.perf_counter()
+                for part, regime in ((ok, "asym_acc"), (~ok, "asym_rej")):
+                    t1 = time.perf_counter()
+                    fn(a, b, z[part], *args)
+                    self._time(regime, time.perf_counter() - t1)
+                self.probe_s += time.perf_counter() - t0
+            return val, ok
+
+        specfun._asymp_block = wrapped
 
     def _wrap_closed(self, name, regime):
         fn = getattr(specfun, name)
@@ -103,8 +162,11 @@ class Recorder:
         fn = getattr(specfun, name)
 
         def wrapped(*args, **kwargs):
+            t0 = time.perf_counter()
             val, ok = fn(*args, **kwargs)
             forced = kwargs.get("force", False)
+            self._time("forced" if forced else regime,
+                       time.perf_counter() - t0)
             self._count("forced" if forced else regime,
                         val.size if forced else np.count_nonzero(ok))
             return val, ok
@@ -120,6 +182,11 @@ class Recorder:
             print(f"{g:>8} {self.calls[g]:>6} {self.points[g]:>7} "
                   f"{self.seconds[g]:>7.3f}  "
                   + " ".join(f"{served[r]:>10}" for r in REGIMES), file=out)
+        print(f"{'points':>8} " + " ".join(f"{r:>9}" for r in TIMED), file=out)
+        for _top, g in GROUPS:
+            secs = self.regime_s[g]
+            print(f"{g:>8} " + " ".join(f"{secs[r]:>9.4f}" for r in TIMED),
+                  file=out)
 
 
 def run_config(path: str):
@@ -152,7 +219,7 @@ def main(argv) -> int:
     rec.install()
     t0 = time.perf_counter()
     rc = run_config(argv[2]) if argv[1] == "config" else run_solve(int(argv[2]))
-    wall = time.perf_counter() - t0
+    wall = time.perf_counter() - t0 - rec.probe_s
     rec.report()
     print(f"run {wall:.3f} s, exit {rc}")
     return 0
