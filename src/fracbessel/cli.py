@@ -118,16 +118,14 @@ def _load_forcing_csv(path: Path) -> Forcing:
         raise ConfigError(
             f"forcing csv {path}: data row {bad[0] + 1} holds a non-finite "
             "value")
-    xs = np.unique(raw[:, 0])
-    ts = np.unique(raw[:, 1])
+    xs, ix = np.unique(raw[:, 0], return_inverse=True)
+    ts, it = np.unique(raw[:, 1], return_inverse=True)
     if raw.shape[0] != xs.size * ts.size:
         raise ConfigError(
             f"forcing csv {path} is not a complete rectangular grid: "
             f"{raw.shape[0]} rows for {xs.size} x-values and {ts.size} "
             "t-values")
     samples = np.full((xs.size, ts.size), np.nan)
-    ix = np.searchsorted(xs, raw[:, 0])
-    it = np.searchsorted(ts, raw[:, 1])
     samples[ix, it] = raw[:, 2]
     if np.isnan(samples).any():
         raise ConfigError(

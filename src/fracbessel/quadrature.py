@@ -8,8 +8,8 @@ Gauss-Legendre rule is its (0, 0) member.
 Gauss-Jacobi nodes are the eigenvalues of the Jacobi matrix of the
 three-term recurrence (Golub-Welsch), taken with numpy's symmetric
 eigensolver and polished by one Newton step; the Jacobi polynomial
-values come from ``scipy.special``, which with numpy is all this module
-loads.  Gauss-Legendre rules come from numpy's ``leggauss``.
+values come from their three-term recurrence in ``_special``.
+Gauss-Legendre rules come from numpy's ``leggauss``.
 """
 
 from __future__ import annotations
@@ -18,7 +18,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import special as _sp
+from numpy.polynomial.legendre import leggauss
+
+from . import _special as _sp
 
 __all__ = [
     "QuadratureRule",
@@ -66,11 +68,11 @@ def _golub_welsch(n: int, a: float, b: float):
 
     A port of scipy's ``roots_jacobi`` (Golub-Welsch, Math. Comp. 23,
     1969) with numpy's symmetric eigensolver in place of
-    ``eigvals_banded``, so building a rule loads no scipy.linalg.  The
-    recurrence, the single Newton step and (for a != b) the
-    log-normalised weight formula are scipy's, in its convention: the
-    weight (1-X)^alpha (1+X)^beta on [-1, 1] with alpha = b and
-    beta = a, so that X = 2x - 1 sends (1+X) -> 2x and (1-X) -> 2(1-x).
+    ``eigvals_banded``.  The recurrence, the single Newton step and (for
+    a != b) the log-normalised weight formula are scipy's, in its
+    convention: the weight (1-X)^alpha (1+X)^beta on [-1, 1] with
+    alpha = b and beta = a, so that X = 2x - 1 sends (1+X) -> 2x and
+    (1-X) -> 2(1-x).
     """
     al, be = b, a
     k = np.arange(n, dtype=float)
@@ -91,9 +93,11 @@ def _golub_welsch(n: int, a: float, b: float):
 
     # one Newton step on P_n, then weights 1/(P_{n-1} P_n'), each factor
     # scaled by its geometric midrange so the product neither over- nor
-    # underflows
-    dy = dp(x)
-    x -= _sp.eval_jacobi(n, al, be, x) / dy
+    # underflows.  P_n and P_n' at the eigenvalues share one recurrence
+    # loop, as the rows of the families (al, be) and (al + 1, be + 1).
+    prev, last = _sp.jacobi_pair(n, [[al], [al + 1.0]], [[be], [be + 1.0]], x)
+    dy = 0.5 * (n + al + be + 1) * prev[1]
+    x -= last[0] / dy
     if a == b:
         # scipy takes its Gegenbauer branch here.  P_{n-1} is badly
         # conditioned at the end nodes, where its last roots nearly meet
@@ -120,7 +124,7 @@ def _jacobi_rule(n: int, a: float, b: float) -> QuadratureRule:
     panel-based callers request the same few rules constantly.  The
     node arrays are frozen so the shared rule stays safe."""
     if a == 0.0 and b == 0.0:
-        x, w = np.polynomial.legendre.leggauss(n)
+        x, w = leggauss(n)
         nodes = (x + 1.0) / 2.0
         weights = w / 2.0
     else:

@@ -304,7 +304,11 @@ class SeriesSolution:
 
     The per-mode arrays lams, taus, phis and psis and the stacked time
     coefficients ``time_coefs`` are built once from the mode records;
-    the arrays are read-only."""
+    the arrays are read-only.  ``_memo`` keeps the J0 and J1 arrays of the
+    last x grid of radial_bases and the mode column of the last t of
+    eval_u and eval_u_derivatives, read-only: a field evaluated at many
+    times on one grid, each time for u and then its derivatives, makes
+    each only once."""
 
     spec: ProblemSpec
     modes: tuple
@@ -315,6 +319,7 @@ class SeriesSolution:
     psis: np.ndarray = field(init=False, repr=False, compare=False)
     time_coefs: TimeCoefficient = field(init=False, repr=False,
                                         compare=False)
+    _memo: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ks = [m.ev.k for m in self.modes]
@@ -330,6 +335,7 @@ class SeriesSolution:
                                _frozen([attr(m) for m in self.modes]))
         object.__setattr__(self, "time_coefs",
                            TimeCoefficient.stack([m.f_k for m in self.modes]))
+        object.__setattr__(self, "_memo", {})
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +443,7 @@ def _hinge_quadrature(alpha, beta, c, W, knots, D, q):
         order = np.clip(order, 4, _HINGE_NODES).astype(int)
         parts = [(hi[first][:, None] * jac.nodes,
                   hi[first][:, None] ** beta * jac.weights, owner[first])]
-        for n in np.unique(order[~first]):
+        for n in sorted(set(order[~first].tolist())):
             sel = ~first & (order == n)
             rule = gauss_legendre_rule(int(n))
             span = (hi - lo)[sel][:, None]
@@ -755,37 +761,55 @@ def radial_basis(sol: SeriesSolution, x, order: int = 0) -> np.ndarray:
 
 def radial_bases(sol: SeriesSolution, x, orders) -> list:
     """radial_basis of each order in orders, all from one J0 and one J1
-    evaluation over the (x, mode) grid."""
+    evaluation over the (x, mode) grid; an x grid equal to the last one
+    reuses its arrays, and the order-0 matrix is that read-only J0."""
     if not set(orders) <= {0, 1, 2}:
         raise ValueError(f"orders must be 0, 1 or 2; got {orders!r}")
-    lx = np.outer(np.atleast_1d(np.asarray(x, dtype=float)), sol.lams)
-    j0 = bessel_j(0, lx) if set(orders) - {1} else None
-    j1 = bessel_j(1, lx) if set(orders) - {0} else None
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    memo = sol._memo.get("bases")
+    if memo is None or not np.array_equal(memo["x"], x):
+        memo = sol._memo["bases"] = {"x": _frozen(x)}
+    lx = np.outer(x, sol.lams)
+    # J0 serves orders 0 and 2, J1 orders 1 and 2
+    for k, users in ((0, {0, 2}), (1, {1, 2})):
+        if users & set(orders) and k not in memo:
+            memo[k] = bessel_j(k, lx)
+            memo[k].setflags(write=False)
     out = []
     for order in orders:
         if order == 0:
-            out.append(j0)
+            out.append(memo[0])
         elif order == 1:
-            out.append(-sol.lams * j1)
+            out.append(-sol.lams * memo[1])
         else:
-            j1_over = np.divide(j1, lx, out=np.full_like(lx, 0.5),
+            j1_over = np.divide(memo[1], lx, out=np.full_like(lx, 0.5),
                                 where=lx > 0.0)
-            out.append(sol.lams ** 2 * (j1_over - j0))
+            out.append(sol.lams ** 2 * (j1_over - memo[0]))
     return out
+
+
+def _mode_column(sol: SeriesSolution, t: float) -> np.ndarray:
+    """mode_matrix(sol, [t])[:, 0], kept for the next call at this t."""
+    memo = sol._memo.get("column")
+    if memo is None or memo[0] != t:
+        col = mode_matrix(sol, [t])[:, 0]
+        col.setflags(write=False)
+        memo = sol._memo["column"] = (t, col)
+    return memo[1]
 
 
 def eval_u(sol: SeriesSolution, x, t: float):
     """Truncated series u(x, t); scalar in, scalar out (or ndarray for
     array x).  At t = 0 this is the forward-side trace sum tau_k J0."""
     _check_point(sol, x, t)
-    out = radial_basis(sol, x) @ mode_matrix(sol, [t])[:, 0]
+    out = radial_basis(sol, x) @ _mode_column(sol, t)
     return float(out[0]) if np.ndim(x) == 0 else out
 
 
 def eval_u_derivatives(sol: SeriesSolution, x, t: float):
     """Term-wise spatial derivatives (u_x, u_xx) at (x, t)."""
     _check_point(sol, x, t)
-    vals = mode_matrix(sol, [t])[:, 0]
+    vals = _mode_column(sol, t)
     ux, uxx = (basis @ vals for basis in radial_bases(sol, x, (1, 2)))
     if np.ndim(x) == 0:
         return float(ux[0]), float(uxx[0])

@@ -36,6 +36,9 @@ Every value depends on its own (alpha, beta, z) only: never on the
 other points of a call, their order or the chunk they fall in.
 Callers may therefore batch freely, and the solver evaluates each
 kernel for all modes in one call.
+
+1/Gamma, ln Gamma, psi, the Bessel functions and 1F1(1; b; z) come
+from the numpy ports of ``_special``.
 """
 
 from __future__ import annotations
@@ -45,8 +48,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import special as _sp
 
+from . import _special
 from .errors import NumericError
 from .quadrature import gauss_legendre_rule
 
@@ -105,8 +108,24 @@ def rgamma(x):
     makes asymptotic-series coefficients with non-positive integer
     arguments drop out cleanly.
     """
-    out = _sp.rgamma(np.asarray(x, dtype=float))
+    out = _special.rgamma(x)
     return float(out) if out.ndim == 0 else out
+
+
+@lru_cache(maxsize=1024)
+def _rgamma1(x: float) -> float:
+    """1/Gamma(x) for one float, memoized: the evaluator asks for the
+    same few values on every call."""
+    return float(_special.rgamma(x))
+
+
+@lru_cache(maxsize=1024)
+def _gammaln1(x: float) -> float:
+    """ln|Gamma(x)| for one float from the C library, memoized; inf at
+    the poles."""
+    if x <= 0.0 and x == math.floor(x):
+        return math.inf
+    return math.lgamma(x)
 
 
 def bessel_j(order: int, x):
@@ -130,12 +149,7 @@ def bessel_j(order: int, x):
     arr = np.asarray(x, dtype=float)
     if np.any(arr < 0.0):
         raise ValueError("bessel_j requires x >= 0")
-    if order == 0:
-        val = _sp.j0(arr)
-    elif order == 1:
-        val = _sp.j1(arr)
-    else:
-        val = _sp.jn(2, arr)
+    val = (_special.j0, _special.j1, _special.j2)[order](arr)
     return float(val) if arr.ndim == 0 else val
 
 
@@ -211,7 +225,7 @@ def _ml_core(a: float, b: float, z: np.ndarray) -> np.ndarray:
 
     zero = z == 0.0
     if zero.any():
-        out[zero] = _sp.rgamma(b)
+        out[zero] = _rgamma1(b)
         todo &= ~zero
 
     if a == 1.0:
@@ -289,7 +303,7 @@ def _ml_alpha_one(b: float, z: np.ndarray) -> np.ndarray:
     near = z >= -40.0
     if near.any():
         with np.errstate(over="ignore"):
-            val[near] = _sp.rgamma(bb) * _sp.hyp1f1(1.0, bb, z[near])
+            val[near] = _rgamma1(bb) * _special.hyp1f1_one(bb, z[near])
     far = ~near
     if far.any():
         # Optimally truncated algebraic expansion; the exponentially
@@ -300,7 +314,7 @@ def _ml_alpha_one(b: float, z: np.ndarray) -> np.ndarray:
         val[far] = v
 
     for bs in reversed(shifts):
-        val = z * val + _sp.rgamma(bs)
+        val = z * val + _rgamma1(bs)
     return val
 
 
@@ -328,7 +342,7 @@ def _ml_alpha_two_int(bint: int, z: np.ndarray) -> np.ndarray:
     val = e1 if bint % 2 == 1 else e2
     m = 1 if bint % 2 == 1 else 2
     while m < bint:
-        val = (val - _sp.rgamma(float(m))) / z
+        val = (val - _rgamma1(float(m))) / z
         m += 2
     return val
 
@@ -357,19 +371,31 @@ def _series_plan(a: float, b: float, z: np.ndarray, force: bool = False):
     """
     x = np.abs(z)
     lnx = np.log(x)
+
+    def gate(ln_max):
+        lost = ln_max + np.log1p(x) + 5.0
+        return np.where(z < 0.0, (ln_max < 600.0) & (lost <= _SERIES_LOST),
+                        ln_max < 650.0)
+
+    k = 0  # the first term whose b + a k is not a pole of Gamma
+    while b + a * k <= 0.0 and (b + a * k) % 1.0 == 0.0:
+        k += 1
     with np.errstate(over="ignore", invalid="ignore"):
         r = x ** (1.0 / a)
         nstar = np.maximum((r - b) / a, 0.0)
-        ln_max = nstar * lnx - _sp.gammaln(b + a * nstar)
-        k = 0
-        while _sp.rgamma(b + a * k) == 0.0:
-            k += 1
-        ln_max = np.maximum(ln_max, k * lnx - _sp.gammaln(b + a * k))
+        first = k * lnx - _gammaln1(b + a * k)
+        # The points with n* = 0 share lnGamma(b).  The largest term is
+        # at least the first, so a point whose first term fails the gate
+        # fails it anyway and, unless forced, needs no hump term.
+        lg = np.full(z.shape, _gammaln1(b))
+        hump = nstar > 0.0
+        if hump.any() and not force:
+            hump &= gate(first)
+        if hump.any():
+            lg[hump] = _special.gammaln(b + a * nstar[hump])
+        ln_max = np.maximum(nstar * lnx - lg, first)
     ln_max = np.where(np.isnan(ln_max), np.inf, ln_max)
-    lost = ln_max + np.log1p(x) + 5.0
-    safe = np.where(z < 0.0,
-                    (ln_max < 600.0) & (lost <= _SERIES_LOST),
-                    ln_max < 650.0)
+    safe = gate(ln_max)
     count = np.zeros(z.shape, dtype=np.int64)
     plan = np.ones(z.shape, dtype=bool) if force else safe
     if plan.any():
@@ -409,12 +435,13 @@ def _series_coefs(a: float, b: float, size: int) -> np.ndarray:
     hi = p + b
     bb = hi - p
     lo = ((p - (hi - bb)) + (b - bb)) + ((ah * n - p) + (a - ah) * n)
-    rg = _sp.rgamma(hi)
+    rg = _special.rgamma(hi)
     with np.errstate(invalid="ignore"):
-        drg = -_sp.psi(hi) * rg
+        drg = -_special.psi(hi) * rg
     pole = (hi <= 0.0) & (hi == np.round(hi))
-    k = -hi[pole]
-    drg[pole] = np.where(k % 2.0 == 1.0, -1.0, 1.0) * _sp.gamma(k + 1.0)
+    if pole.any():
+        k = -hi[pole]
+        drg[pole] = np.where(k % 2.0 == 1.0, -1.0, 1.0) * _special.gamma(k + 1.0)
     coef = rg + lo * drg
     coef.setflags(write=False)
     return coef
@@ -546,16 +573,11 @@ def _asymp_coefs(a: float, b: float) -> tuple:
     """Per term n = 1.._ASYMP_TERMS of the asymptotic sum: the smooth
     envelope of the coefficient (see _asymp_block) and the coefficient
     1/Gamma(b - a n)."""
-    renv, rg = [], []
+    x = b - a * np.arange(1.0, _ASYMP_TERMS + 1)
+    rg = _special.rgamma(x)
     with np.errstate(over="ignore"):
-        for n in range(1, _ASYMP_TERMS + 1):
-            x = b - a * n
-            if x >= 0.5:
-                renv.append(abs(float(_sp.rgamma(x))))
-            else:
-                renv.append(float(np.exp(_sp.gammaln(1.0 - x))) / math.pi)
-            rg.append(_sp.rgamma(x))
-    renv, rg = np.array(renv), np.array(rg)
+        renv = np.where(x >= 0.5, np.abs(rg),
+                        np.exp(_special.gammaln(1.0 - x)) / math.pi)
     renv.setflags(write=False)
     rg.setflags(write=False)
     return renv, rg
@@ -829,7 +851,7 @@ def _contour_block(a: float, b: float, z: np.ndarray) -> np.ndarray:
         _, e = np.frexp(0.5 * (-z) ** (1.0 / a))
         eps = np.minimum(np.ldexp(1.0, e - 1), 1.0)
     out = np.empty_like(z)
-    for rung in np.unique(eps):
+    for rung in sorted(set(eps.tolist())):
         idx = np.flatnonzero(eps == rung)
         p, q, bre, bim2 = _contour_rule(a, b, float(rung), residues)
         rows = min(max(_CONTOUR_CELLS // p.size, 1), idx.size)

@@ -15,8 +15,8 @@ from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
-from scipy.special import jn_zeros
 
+from ._special import j0_zeros
 from .errors import NumericError
 from .quadrature import QuadratureRule, gauss_legendre_rule
 from .specfun import bessel_j
@@ -61,8 +61,8 @@ class Eigenvalue:
 
 def eigenvalue_table(N: int, *, asymptotic: bool = False) -> tuple:
     """First N eigenpairs, either the true zeros of J0 (default, from
-    scipy's ``jn_zeros`` in one call) or the verbatim asymptotic values
-    pi*k - pi/4.
+    McMahon's expansion and Newton steps, all at once) or the verbatim
+    asymptotic values pi*k - pi/4.
 
     The asymptotic table deliberately does not satisfy J0(lam) = 0 to
     machine precision; it exists to reproduce results derived under
@@ -74,7 +74,7 @@ def eigenvalue_table(N: int, *, asymptotic: bool = False) -> tuple:
     if asymptotic:
         lams = np.array([math.pi * k - math.pi / 4.0 for k in ks])
     else:
-        lams = jn_zeros(0, N)
+        lams = j0_zeros(N)
     j1 = bessel_j(1, lams)
     return tuple(Eigenvalue(k=k, lam=lam, norm_sq=0.5 * j * j)
                  for k, lam, j in zip(ks, lams, j1))
@@ -95,7 +95,8 @@ def _panel_rule(panels: int, breaks) -> tuple:
     edges = np.linspace(0.0, 1.0, panels + 1)
     if len(breaks):
         b = np.asarray(breaks, dtype=float)
-        edges = np.union1d(edges, b[(b > 0.0) & (b < 1.0)])
+        edges = np.array(sorted(set(edges.tolist()).union(
+            b[(b > 0.0) & (b < 1.0)].tolist())))
     span = np.diff(edges)[:, None]
     gl = gauss_legendre_rule(_PANEL_NODES)
     return ((edges[:-1, None] + span * gl.nodes).ravel(),

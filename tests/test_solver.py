@@ -485,8 +485,9 @@ class TestDerivatives:
 
     def test_shared_bessel_arrays_count(self, default_solution,
                                         monkeypatch):
-        """u, u_x and u_xx at one time take three Bessel arrays: J0 for
-        eval_u, then one J0 and one J1 for eval_u_derivatives."""
+        """u, u_x and u_xx at one time take two Bessel arrays: J0 for
+        eval_u, then J1 for eval_u_derivatives, which reuses that J0;
+        later times on the same grid take none."""
         orders = []
         real = solver.bessel_j
 
@@ -495,10 +496,41 @@ class TestDerivatives:
             return real(order, x)
 
         monkeypatch.setattr(solver, "bessel_j", counted)
+        sol = replace(default_solution)  # a fresh memo
         xs = np.linspace(0.0, 1.0, 11)
-        eval_u(default_solution, xs, 0.5)
-        eval_u_derivatives(default_solution, xs, 0.5)
-        assert sorted(orders) == [0, 0, 1]
+        for t in (0.5, -0.25):
+            eval_u(sol, xs, t)
+            eval_u_derivatives(sol, xs, t)
+        assert sorted(orders) == [0, 1]
+
+    def test_memo_returns_the_bits_of_fresh_calls(self, default_solution,
+                                                  monkeypatch):
+        """A repeated grid, a changed grid and a changed t give the bits
+        of a solution with nothing kept, and the kept arrays are
+        read-only; eval_u and eval_u_derivatives at one t make one
+        mode_matrix call."""
+        sol = replace(default_solution)
+        calls = []
+        real = solver.mode_matrix
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "mode_matrix", counted)
+        xs, ys = np.linspace(0.0, 1.0, 17), np.linspace(0.0, 1.0, 9) ** 2
+        for x, t in ((xs, 0.4), (xs, 0.4), (ys, 0.4), (ys, -0.6),
+                     (xs, -0.6), (xs, 0.0)):
+            fresh = replace(default_solution)
+            assert np.array_equal(eval_u(sol, x, t), eval_u(fresh, x, t))
+            for got, want in zip(eval_u_derivatives(sol, x, t),
+                                 eval_u_derivatives(fresh, x, t)):
+                assert np.array_equal(got, want)
+        assert len(calls) == 3 + 6  # t = 0.4, -0.6, 0.0 here, 6 there
+        basis = solver.radial_basis(sol, xs)
+        assert not basis.flags.writeable
+        with pytest.raises(ValueError):
+            basis[0, 0] = 1.0
 
     def test_axis_values(self, default_solution):
         ux, uxx = eval_u_derivatives(default_solution, 0.0, 0.5)

@@ -391,6 +391,21 @@ def test_large_beta_near_alpha_two(a, b):
     _assert_rel_taylor(a, b, z, mittag_leffler(MLParams(a, b), z))
 
 
+def test_beta_past_the_range_of_gamma():
+    """At beta = 200 every term z^n / Gamma(200 + n/2) is below the
+    smallest float64, so the first term the series plan takes is n = 0;
+    a plan that looked for it as the first n with 1/Gamma(b + a n) != 0
+    never ended there.  The values are the float64 zeros they round to,
+    and a pole of Gamma at beta = -3 is still stepped over."""
+    z = np.array([-1.0, -3.0, 2.0])
+    assert np.array_equal(mittag_leffler(MLParams(0.5, 200.0), z),
+                          np.zeros(3))
+    want = [float(mp.mpf(0.5) ** n * mp.rgamma(-3 + 0.5 * n) * (-1) ** n)
+            for n in range(1, 80)]
+    assert_allclose(mittag_leffler(MLParams(0.5, -3.0), -0.5),
+                    math.fsum(want), rtol=1e-12)
+
+
 def test_exact_gamma_argument_at_beta_nine():
     """At (1.35, 9) a term 1/Gamma(b + a n) taken at the rounded b + a n
     is off by up to 190 ulp, which x psi(x) amplifies from the rounding;
