@@ -17,10 +17,12 @@ library's:
   form there, and the asymptotic series past 10.
 
 The rest are classical forms: J2 from its power series up to x = 2 and
-2 J1/x - J0 beyond; the zeros of J0 from McMahon's expansion (A&S
-9.5.12) and Newton steps; the beta function from the C library's Gamma;
-Jacobi polynomials from their three-term recurrence (A&S 22.7); and
-1F1(1; b; z) from its series, under Kummer's transform for z < 0.
+2 J1/x - J0 beyond; int_0^y J0 from its power series, its Neumann
+series by Miller's backward recurrence and its asymptotic expansion;
+the zeros of J0 from McMahon's expansion (A&S 9.5.12) and Newton steps;
+the beta function from the C library's Gamma; Jacobi polynomials from
+their three-term recurrence (A&S 22.7); and 1F1(1; b; z) from its
+series, under Kummer's transform for z < 0.
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ import math
 
 import numpy as np
 
-__all__ = ["j0", "j1", "j2", "j0_zeros", "gammaln", "rgamma", "psi",
-           "gamma", "beta", "eval_jacobi", "jacobi_pair", "hyp1f1_one"]
+__all__ = ["j0", "j1", "j2", "j0_integral", "j0_zeros", "gammaln", "rgamma",
+           "psi", "gamma", "beta", "eval_jacobi", "jacobi_pair", "hyp1f1_one"]
 
 _PIO4 = math.pi / 4.0
 _THPIO4 = 3.0 * math.pi / 4.0
@@ -236,6 +238,71 @@ def j2(x):
         return h * _polevl(h, _J2_SERIES)
     return _split(x, np.abs(x) <= 2.0, series,
                   lambda v: 2.0 * j1(v) / v - j0(v))
+
+
+# int_0^y J0: y sum_m (-y^2/4)^m / (m!^2 (2m + 1)), 13 terms for y <= 2
+_ITJ0_SERIES = tuple((-1.0) ** m / (math.factorial(m) ** 2 * (2 * m + 1))
+                     for m in range(12, -1, -1))
+# the Neumann series 2 sum_k J_{2k+1}(y) below _ITJ0_FAR, by a backward
+# recurrence from order _ITJ0_START, where J_n(40) < 1e-24
+_ITJ0_FAR = 40.0
+_ITJ0_START = 90
+
+
+def _itj0_asymptotic() -> tuple:
+    """Coefficients in 1/y^2 of the even and odd parts of S in
+    int_y^inf H0(t) dt = i sqrt(2/(pi y)) e^{i(y - pi/4)} S(y),
+    S = sum_m r_m (i/y)^m.  From Hankel's expansion of H0 (A&S 9.2.7),
+    with coefficients a_m, the derivative of that form gives
+    r_m = a_m - (m - 1/2) r_{m-1}; 26 terms reach 1e-16 at y = 40."""
+    r, a = [1.0], 1.0
+    for m in range(1, 26):
+        a *= -(2 * m - 1) ** 2 / (8.0 * m)
+        r.append(a - (m - 0.5) * r[-1])
+    signed = [(-1) ** (m // 2) * rm for m, rm in enumerate(r)]
+    return tuple(signed[0::2][::-1]), tuple(signed[1::2][::-1])
+
+
+_ITJ0_EVEN, _ITJ0_ODD = _itj0_asymptotic()
+
+
+def _itj0_near(y):
+    return y * _polevl(0.25 * y * y, _ITJ0_SERIES)
+
+
+def _itj0_mid(y):
+    """Miller's algorithm: J_n up to one common factor from zero above
+    _ITJ0_START, normalized by J0 + 2 sum_k J_{2k} = 1 (A&S 9.1.46,
+    9.12)."""
+    hi, lo = np.zeros_like(y), np.full_like(y, 1e-30)  # J_{n+1}, J_n
+    odd, even = np.zeros_like(y), np.zeros_like(y)
+    step = 2.0 / y
+    for n in range(_ITJ0_START, 0, -1):
+        hi, lo = lo, n * step * lo - hi
+        if n % 2 == 0:
+            odd += lo
+        elif n > 1:
+            even += lo
+    return 2.0 * odd / (lo + 2.0 * even)
+
+
+def _itj0_far(y):
+    """1 - int_y^inf J0 from the even and odd parts of S, with the phase
+    sin(y - pi/4), cos(y - pi/4) taken from y itself."""
+    u2 = 1.0 / (y * y)
+    s, c = np.sin(y), np.cos(y)
+    tail = ((s - c) * _polevl(u2, _ITJ0_EVEN)
+            + (s + c) * _polevl(u2, _ITJ0_ODD) / y)
+    return 1.0 + tail / np.sqrt(math.pi * y)
+
+
+@_flat
+def j0_integral(y):
+    """int_0^y J0(t) dt for y >= 0, elementwise: the power series up to
+    y = 2, the Neumann series 2 sum_k J_{2k+1}(y) (A&S 11.1.2) below 40
+    and the asymptotic expansion beyond."""
+    return _split(y, y <= 2.0, _itj0_near, lambda v: _split(
+        v, v < _ITJ0_FAR, _itj0_mid, _itj0_far))
 
 
 def j0_zeros(n: int) -> np.ndarray:

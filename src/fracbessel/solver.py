@@ -26,7 +26,7 @@ from .errors import NumericError, SolvabilityError
 from .fracops import OperatorParams
 from .quadrature import gauss_jacobi_rule, gauss_legendre_rule
 from .specfun import MLParams, bessel_j, gamma, mittag_leffler
-from .spectrum import Eigenvalue, eigenvalue_table, fourier_bessel_table
+from .spectrum import Eigenvalue, eigenvalue_table, fourier_bessel_closed
 
 __all__ = [
     "Forcing",
@@ -35,7 +35,6 @@ __all__ = [
     "ModeRecord",
     "SeriesSolution",
     "cauchy_solution",
-    "compute_Gk",
     "compute_Fk",
     "compute_Delta_k",
     "solve_modes",
@@ -374,12 +373,13 @@ def _power_kernel(alpha: float, beta: float, c, W, gam: float) -> np.ndarray:
                              c * W ** alpha))
 
 
-def _hinges(f: TimeCoefficient, sign: float):
-    """Knots y_j > 0 and per-mode g0, g1, D_j of f_k(sign*y) written as
-    g0 + g1 y + sum_j D_j (y - y_j)_+; the last D_j makes the slope zero
-    past the grid, where f_k is held constant."""
-    tg = f.t_grid
-    vals = np.atleast_2d(f.values)
+def _hinges(grid, values, sign: float):
+    """Knots y_j > 0 and per-row g0, g1, D_j of g(y) = v(sign*y), v the
+    linear interpolant of a row of ``values`` on ``grid``, held constant
+    outside it, written as g0 + g1 y + sum_j D_j (y - y_j)_+; the last
+    D_j makes the slope zero past the grid."""
+    tg = np.asarray(grid, dtype=float)
+    vals = np.atleast_2d(values)
     side = sign * tg > 0.0
     order = np.argsort(sign * tg[side])
     ys = (sign * tg[side])[order]
@@ -484,7 +484,7 @@ def _conv(alpha: float, beta: float, c, W, f: TimeCoefficient, *,
                 out += am * sign ** m * _power_kernel(alpha, beta, c, W,
                                                       m * q + 1.0)
         return np.atleast_1d(f.scale)[:, None] * out
-    ys, g0, g1, D = _hinges(f, sign)
+    ys, g0, g1, D = _hinges(f.t_grid, f.values, sign)
     out = (g0[:, None] * _power_kernel(alpha, beta, c, W, 1.0)
            + g1[:, None] * _power_kernel(alpha, beta, c, W, q + 1.0))
     if q != 1.0:
@@ -508,21 +508,6 @@ def _forward_particular(op: OperatorParams, lams, f: TimeCoefficient,
     pa = p ** a
     return _conv(a, a, -np.asarray(lams) ** 2 / pa, np.asarray(ts) ** p, f,
                  q=1.0 / p) / pa
-
-
-def compute_Gk(mode: ModeRecord, t: float) -> float:
-    """Forward-side particular solution G_k(t) at a single time t > 0.
-
-    G_k(0+) = 0; for zero forcing the value is exactly 0.0.
-    """
-    if mode.op is None:
-        raise ValueError("mode carries no operator parameters")
-    if t == 0.0:
-        return 0.0
-    if not t > 0.0:
-        raise ValueError(f"G_k is defined for t >= 0, got {t}")
-    return float(_forward_particular(mode.op, [mode.ev.lam], mode.f_k,
-                                     t)[0, 0])
 
 
 def _mode_batch(mode):
@@ -661,19 +646,24 @@ def _backward_values(d: float, gm: float, lam_coeff, phis, psis,
 # mode assembly
 
 def _mode_coefficient_callables(spec: ProblemSpec, eigs) -> list:
-    """Build the time coefficients f_k(t) of every mode."""
+    """Build the time coefficients f_k(t) of every mode from the
+    closed-form projection of the forcing."""
     forcing = spec.forcing
     if forcing.is_builtin:
-        scales = fourier_bessel_table(forcing.spatial, eigs)
+        P = np.polynomial.polynomial
+        # x^4 (1 - x)^3 q(x) in ascending powers
+        poly = P.polymul(P.polymul((0.0, 0.0, 0.0, 0.0, 1.0),
+                                   (1.0, -3.0, 3.0, -1.0)), forcing.space_poly)
+        scales = fourier_bessel_closed(eigs, poly)
         return [TimeCoefficient(scale=float(c), poly=forcing.time_poly)
                 for c in scales]
-    # Tabulated: project every time slice of the bilinear interpolant at
-    # once, on panels split at its kinks in x, then interpolate linearly
-    # in t.
+    # Tabulated: every time slice of the bilinear interpolant is linear
+    # between the x samples and constant outside them, a line plus
+    # hinges; f_k is then linear in t between the slices.
     tg = _frozen(forcing.t_grid)
-    rows = fourier_bessel_table(
-        lambda x: forcing.value(x[:, None], tg[None, :]), eigs,
-        breaks=forcing.x_grid)
+    knots, g0, g1, D = _hinges(forcing.x_grid, np.transpose(forcing.samples),
+                               1.0)
+    rows = fourier_bessel_closed(eigs, np.stack([g0, g1]), knots, D.T)
     return [TimeCoefficient(t_grid=tg, values=_frozen(row)) for row in rows]
 
 

@@ -595,14 +595,18 @@ def _asymp_stops(a: float, b: float):
     where the running maximum of d reaches L.  Returns, indexed by the
     count k of terms before the stop: that running maximum (the stop's
     threshold, inf past the last term), ln renv_k (inf at k = 0) and the
-    coefficients of u^2 and u^3 in the bound S of _asymp_hopeful; then
-    renv_1, the coefficient of u, and the modulus past which
-    _asymp_hopeful refuses no point.  None when an envelope underflows
-    to 0, which this form cannot take.
+    coefficients of u^{m+1} and u^{m+2} in the bound S of _asymp_hopeful,
+    where term m is the first whose coefficient 1/Gamma(b - a m) is not
+    0; then |1/Gamma(b - a m)|, the coefficient of u^m, the power m
+    itself, and the modulus past which _asymp_hopeful refuses no point.
+    None when an envelope underflows to 0, which this form cannot take,
+    or no coefficient is non-zero.
     """
-    renv, _ = _asymp_coefs(a, b)
-    if not np.all(renv > 0.0):
+    renv, rg = _asymp_coefs(a, b)
+    lead = np.flatnonzero(rg)
+    if not (np.all(renv > 0.0) and lead.size):
         return None
+    i0 = int(lead[0])  # 1/Gamma(b - a) = 0 at a = b, for one
     lr = np.log(renv)  # inf where Gamma(1 - x) overflows
     with np.errstate(invalid="ignore"):
         step = np.concatenate([[-np.inf], np.diff(lr)])
@@ -610,22 +614,24 @@ def _asymp_stops(a: float, b: float):
     if top.size:  # an infinite envelope always stops the point
         step[top[0]:] = np.inf
     stops = np.maximum.accumulate(step)
-    j = np.arange(renv.size)
+    c1 = abs(float(rg[i0]))
+    j = np.arange(renv.size) - i0
     # past L_j a point sums at least j terms, and its envelope j is at
-    # most _RTOL times its first
+    # most _RTOL times its first non-zero term
     with np.errstate(invalid="ignore"):
-        lj = np.maximum(stops[1:] + _ASYMP_ETA,
-                        (lr[1:] - lr[0] - math.log(_RTOL)) / j[1:])
+        lj = np.maximum(stops[i0 + 1:] + _ASYMP_ETA,
+                        (lr[i0 + 1:] - math.log(c1) - math.log(_RTOL))
+                        / j[i0 + 1:])
     far = np.where(np.isnan(lj), np.inf, lj).min()
     with np.errstate(over="ignore"):
         far = math.inf if far > 709.0 else math.exp(far) * (1.0 + 1e-9)
-    k = np.arange(renv.size + 1)
+    k = np.arange(renv.size + 1) - i0
     plan = (np.append(stops, np.inf), np.append(np.inf, lr),
-            np.where(k >= 2, renv[1], 0.0),
-            np.maximum(k - 2, 0) * renv[2])
+            np.where(k >= 2, abs(rg[i0 + 1]), 0.0),
+            np.maximum(k - 2, 0) * renv[i0 + 2])
     for arr in plan:
         arr.setflags(write=False)
-    return plan + (renv[0], far)
+    return plan + (c1, i0 + 1, far)
 
 
 def _asymp_hopeful(a: float, b: float, z: np.ndarray) -> np.ndarray:
@@ -641,10 +647,12 @@ def _asymp_hopeful(a: float, b: float, z: np.ndarray) -> np.ndarray:
     under 200 eps relative, so it stops the point after k terms too, or
     earlier with an accept.  Its error estimate is then at least
     E = renv_k |z|^-k, and its partial sum holds at most k terms
-    |z^-j / Gamma(b - a j)| <= renv_j |z|^-j, which fall, so
-    |s| <= S = env_1 + env_2 + (k - 2) env_3.  The residues are at most
-    R = (2/a) r^{1-b} e^{r cos(pi/a)} with r = |z|^{1/a} (0 for a <= 1).
-    The block accepts only if E <= _RTOL max(|res - s|, 1e-300), and
+    t_j = |z^-j / Gamma(b - a j)| <= renv_j |z|^-j, which fall and are
+    exactly 0 before term m, the first with a non-zero coefficient, so
+    |s| <= S = t_m + t_{m+1} + (k - m - 1) env_{m+2}.  The residues
+    are at most R = (2/a) r^{1-b} e^{r cos(pi/a)} with r = |z|^{1/a} (0
+    for a <= 1).  The block accepts only if
+    E <= _RTOL max(|res - s|, 1e-300), and
     |res - s| <= S + R, so a point is refused only if
     E (1 - _ASYMP_SLACK) > _RTOL max((S + R)(1 + _ASYMP_SLACK), 1e-300).
     E, S and R here are within 1e-10 relative of their float values in
@@ -652,16 +660,16 @@ def _asymp_hopeful(a: float, b: float, z: np.ndarray) -> np.ndarray:
     never refused.  Points with a threshold within _ASYMP_ETA of L, on
     the positive axis, or at an (a, b) without thresholds are kept.
 
-    Refusal needs E > _RTOL S >= _RTOL env_1.  k grows with L, and past
-    the modulus of _asymp_stops some j <= k has env_j <= _RTOL env_1,
-    so E <= env_j rules it out: those points, all of the asymptotic
+    Refusal needs E > _RTOL S >= _RTOL t_m.  k grows with L, and past
+    the modulus of _asymp_stops some j <= k has env_j <= _RTOL t_m, so
+    E <= env_j rules it out: those points, all of the asymptotic
     regime's bulk, cost two comparisons.
     """
     hope = (z < -1.0) | (z >= 0.0)
     plan = _asymp_stops(a, b)
     if plan is None:
         return hope
-    stops, lr, c2, c3, c1, far = plan
+    stops, lr, c2, c3, c1, lead, far = plan
     idx = np.flatnonzero((z < -1.0) & (z >= -far))
     if not idx.size:
         return hope
@@ -672,7 +680,7 @@ def _asymp_hopeful(a: float, b: float, z: np.ndarray) -> np.ndarray:
     tol = _RTOL * (1.0 + _ASYMP_SLACK)
     with np.errstate(over="ignore", invalid="ignore"):
         env = np.exp(lr[k] - k * L) * (1.0 - _ASYMP_SLACK)
-        bound = tol * u * (c1 + u * (c2[k] + u * c3[k]))
+        bound = tol * u ** lead * (c1 + u * (c2[k] + u * c3[k]))
         refuse &= env > np.maximum(bound, _RTOL * 1e-300)
         if a > 1.0 and refuse.any():
             # the residues only raise the bound, so only the points

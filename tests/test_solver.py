@@ -13,8 +13,8 @@ from fracbessel.quadrature import gauss_jacobi_rule
 import fracbessel.solver as solver
 from fracbessel.solver import (Forcing, ModeRecord, ProblemSpec,
                                SeriesSolution, TimeCoefficient,
-                               compute_Delta_k, compute_Fk, compute_Gk,
-                               delta_limit, eval_u, eval_u_derivatives,
+                               compute_Delta_k, compute_Fk, delta_limit,
+                               eval_u, eval_u_derivatives,
                                solve_modes)
 from fracbessel.specfun import (MLParams, bessel_j, gamma, mittag_leffler,
                                 rgamma)
@@ -25,6 +25,13 @@ DEFAULT_FORCING = Forcing(kind="separable_builtin", space_poly=(1.0,),
 
 
 ones = TimeCoefficient(poly=(1.0,))
+
+
+def G_k(mode, t):
+    """Forward particular solution G_k(t) of one mode record: the
+    convolution term that mode_matrix adds to tau_k E_{a,1} on t > 0."""
+    return float(solver._forward_particular(mode.op, [mode.ev.lam],
+                                            mode.f_k, t)[0, 0])
 
 
 def mapped_Gk(mode, op, t, rule):
@@ -122,12 +129,7 @@ class TestProblemSpec:
 class TestGkClosedForms:
     def test_zero_at_zero(self, default_op):
         mode = ModeRecord(ev=bessel_zero(3), f_k=ones, op=default_op)
-        assert compute_Gk(mode, 0.0) == 0.0
-
-    def test_requires_operator(self):
-        mode = ModeRecord(ev=bessel_zero(3), f_k=ones)
-        with pytest.raises(ValueError):
-            compute_Gk(mode, 0.5)
+        assert G_k(mode, 0.0) == 0.0
 
     def test_constant_forcing_relaxation(self, default_op):
         """f_k = 1 integrates to (1 - E_{a,1}(-cb t^{pa})) / lam^2."""
@@ -139,7 +141,7 @@ class TestGkClosedForms:
             E = float(mittag_leffler(MLParams(alpha=op.alpha1, beta=1.0),
                                      -cb * t ** (op.p * op.alpha1)))
             want = (1.0 - E) / ev.lam ** 2
-            assert_allclose(compute_Gk(mode, t), want, rtol=1e-6,
+            assert_allclose(G_k(mode, t), want, rtol=1e-6,
                             err_msg=f"t={t}")
 
     def test_small_eigenvalue_limit(self, default_op):
@@ -149,7 +151,7 @@ class TestGkClosedForms:
         t = 0.8
         pa = op.p * op.alpha1
         want = t ** pa / (op.p ** op.alpha1 * gamma(op.alpha1 + 1.0))
-        assert_allclose(compute_Gk(mode, t), want, rtol=1e-6)
+        assert_allclose(G_k(mode, t), want, rtol=1e-6)
 
     def test_alternate_quadrature_route(self, default_op):
         op = default_op
@@ -157,7 +159,7 @@ class TestGkClosedForms:
         sol = solve_modes(spec)
         m = sol.modes[0]
         rule = gauss_jacobi_rule(320, op.p - 1.0, op.alpha1 - 1.0)
-        assert_allclose(mapped_Gk(m, op, 0.35, rule), compute_Gk(m, 0.35),
+        assert_allclose(mapped_Gk(m, op, 0.35, rule), G_k(m, 0.35),
                         rtol=1e-5)
 
 
@@ -173,7 +175,7 @@ class TestFk:
         kernel = MLParams(alpha=d2, beta=d2 - g2 + 2.0)
         for idx in (0, 2):
             m = sol.modes[idx]
-            total = compute_Gk(m, spec.T)
+            total = G_k(m, spec.T)
             for p_i, xi in spec.nonlocal_points:
                 x = rule.nodes
                 kern = mittag_leffler(kernel,
@@ -301,7 +303,7 @@ class TestTerminalCondition:
             assert_allclose(m.Delta_k, -E, rtol=1e-13)
             # solve_modes integrates F_k on its own panel count, so this
             # is a two-route comparison, not an identity
-            assert_allclose(m.tau_k, -compute_Gk(m, spec.T) / E, rtol=1e-8)
+            assert_allclose(m.tau_k, -G_k(m, spec.T) / E, rtol=1e-8)
         scale = abs(eval_u(sol, 0.5, 0.5 * spec.T))
         for x in (0.3, 0.7):
             assert abs(eval_u(sol, x, spec.T)) <= 1e-10 * scale

@@ -650,6 +650,27 @@ def test_asymp_filter_at_stop_thresholds(a, b):
     assert not np.any(ok & ~specfun._asymp_hopeful(a, b, z))
 
 
+@pytest.mark.parametrize("a,b", [(1.35, 1.35), (0.7, 0.7)])
+def test_asymp_filter_with_a_zero_first_coefficient(a, b, monkeypatch):
+    """At b = a the first coefficient 1/Gamma(b - a) is 0, so the sum is
+    about env_1 / |z| too small for a bound on it that starts at env_1.
+    Along the negative axis, every point the filter refuses is one the
+    block rejects, all but 1% of the rejections are refused (a bound
+    from env_1 keeps the 4% between its modulus cut-off and the accept
+    edge at (1.35, 1.35)), and mittag_leffler keeps its bits."""
+    assert specfun._asymp_coefs(a, b)[1][0] == 0.0
+    z = -np.geomspace(1.01, 1e4, 20000)
+    _, ok = specfun._asymp_block(a, b, z)
+    hope = specfun._asymp_hopeful(a, b, z)
+    assert not np.any(ok & ~hope)
+    assert np.count_nonzero(~ok & hope) <= 0.01 * np.count_nonzero(~ok)
+    p = MLParams(a, b)
+    got = mittag_leffler(p, z)
+    monkeypatch.setattr(specfun, "_asymp_hopeful",
+                        lambda a_, b_, zz: np.ones(zz.shape, dtype=bool))
+    assert np.array_equal(got, mittag_leffler(p, z))
+
+
 @pytest.mark.parametrize("a,b", [(0.7, 0.7), (1.35, 1.35), (1.35, 3.75)])
 def test_asymp_filter_keeps_values(a, b, monkeypatch):
     """mittag_leffler returns the same bits with every point sent to the

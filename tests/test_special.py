@@ -77,6 +77,25 @@ class TestBessel:
         assert _special.j2(0.0) == 0.0
         assert _special.j0(np.zeros((2, 3))).shape == (2, 3)
 
+    def test_j0_integral_against_mpmath(self):
+        """int_0^y J0 on [0, 3500], across its power series (y <= 2), its
+        Neumann series (y < 40) and its asymptotic expansion, against
+        Struve's form y J0 + (pi y / 2)(J1 H0 - J0 H1) (A&S 11.1.7)."""
+        y = np.concatenate([[0.0, 1e-300, 1e-8, 2.0, np.nextafter(2.0, 3.0),
+                             np.nextafter(40.0, 0.0), 40.0, 3500.0],
+                            RNG.uniform(0.0, 60.0, 150),
+                            np.geomspace(60.0, 3500.0, 50)])
+
+        def struve_form(v):
+            v = mp.mpf(v)
+            j0, j1 = mp.besselj(0, v), mp.besselj(1, v)
+            return v * j0 + mp.pi * v / 2 * (j1 * mp.struveh(0, v)
+                                             - j0 * mp.struveh(1, v))
+
+        want = np.array([_ref(struve_form, v) for v in y])
+        err = np.abs(_special.j0_integral(y) - want)
+        assert np.all(err <= 8.0 * EPS * np.abs(want))
+
     def test_zeros_match_scipy_at_n_1000(self):
         got, want = _special.j0_zeros(1000), sp.jn_zeros(0, 1000)
         assert np.all(np.abs(got - want) <= 2.0 * np.spacing(want))

@@ -4,6 +4,7 @@ series synthesis."""
 import math
 import re
 
+import mpmath as mp
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -11,13 +12,16 @@ from scipy.integrate import quad as adaptive_quad
 from scipy.special import j0 as scipy_j0
 from scipy.special import jv, roots_legendre
 
+import fracbessel.spectrum as spectrum
 from fracbessel.errors import NumericError
-from fracbessel.quadrature import QuadratureRule, gauss_jacobi_rule
-from fracbessel.solver import radial_basis
+from fracbessel.quadrature import (QuadratureRule, gauss_jacobi_rule,
+                                   gauss_legendre_rule)
+from fracbessel.solver import (Forcing, ProblemSpec, _hinges, radial_basis,
+                               solve_modes)
 from fracbessel.specfun import bessel_j
 from fracbessel.spectrum import (Eigenvalue, _panel_rule, bessel_zero,
-                                 eigenvalue_table, fourier_bessel_coeff,
-                                 fourier_bessel_table)
+                                 eigenvalue_table, fourier_bessel_closed,
+                                 fourier_bessel_coeff, fourier_bessel_table)
 
 # mpmath besseljzero(0, k), 50 digits, rounded to double
 J0_ZERO_1 = 2.404825557695773
@@ -217,7 +221,7 @@ class TestBatchedProjection:
         named = int(re.search(r"k=(\d+)", str(info.value)).group(1))
         panels = math.ceil(table[-1].lam / math.pi)
         c0, c1 = (fourier_bessel_table(g, table, quad=QuadratureRule(
-            *_panel_rule(n, ()))) for n in (panels, 2 * panels))
+            *_panel_rule(n))) for n in (panels, 2 * panels))
         bad = np.abs(c0 - c1) > 1e-8 * (1.0 + np.abs(c1))
         assert named == 1 + int(np.argmax(bad)) > 1
         assert not bad[:named - 1].any()
@@ -226,6 +230,150 @@ class TestBatchedProjection:
         table = eigenvalue_table(30)[9:]
         with pytest.raises(NumericError, match="k=10 "):
             fourier_bessel_table(lambda x: np.cos(2000.0 * x), table)
+
+
+P = np.polynomial.polynomial
+
+
+def builtin_poly(q):
+    """x^4 (1 - x)^3 q(x) in ascending powers."""
+    return P.polymul(P.polymul((0.0, 0.0, 0.0, 0.0, 1.0),
+                               (1.0, -3.0, 3.0, -1.0)), q)
+
+
+def kink_rule(knots, panels=400, n=20) -> QuadratureRule:
+    """Composite Gauss-Legendre rule on [0, 1] with equal panels, also
+    split at the knots inside it, where a piecewise-linear g kinks."""
+    k = np.asarray(knots, dtype=float)
+    edges = np.unique(np.concatenate([np.linspace(0.0, 1.0, panels + 1),
+                                      k[(k > 0.0) & (k < 1.0)]]))
+    gl = gauss_legendre_rule(n)
+    span = np.diff(edges)[:, None]
+    return QuadratureRule((edges[:-1, None] + span * gl.nodes).ravel(),
+                          (span * gl.weights).ravel())
+
+
+def tabulated(x_grid, seed=11, nt=5):
+    rng = np.random.default_rng(seed)
+    tg = np.linspace(-1.0, 1.0, nt)
+    samples = rng.uniform(-1.0, 1.0, (len(x_grid), nt))
+    return Forcing(kind="tabulated", x_grid=tuple(x_grid), t_grid=tuple(tg),
+                   samples=tuple(map(tuple, samples)))
+
+
+def hinge_projection(forcing, table):
+    """The solve's closed-form call for a tabulated forcing: each time
+    slice as a line plus hinges in x."""
+    knots, g0, g1, D = _hinges(forcing.x_grid, np.transpose(forcing.samples),
+                               1.0)
+    return fourier_bessel_closed(table, np.stack([g0, g1]), knots, D.T)
+
+
+class TestClosedForm:
+    """The closed-form projection of the solve against the quadrature
+    oracle, within the oracle's own refinement tolerance 1e-8 (1 + |c|);
+    the observed maxima print under pytest -s."""
+
+    @pytest.mark.parametrize("asymptotic", [False, True],
+                             ids=["zeros", "asymptotic"])
+    @pytest.mark.parametrize("deg", range(7))
+    def test_builtin_against_quadrature_oracle(self, deg, asymptotic):
+        q = np.random.default_rng(deg).uniform(-1.0, 1.0, deg + 1)
+        table = eigenvalue_table(200, asymptotic=asymptotic)
+        poly = builtin_poly(q)
+        got = fourier_bessel_closed(table, poly)
+        want = fourier_bessel_table(Forcing(space_poly=tuple(q)).spatial,
+                                    table)
+        gap = np.abs(got - want) / (1.0 + np.abs(want))
+        # the moments reach x^{n_max}, n_max = poly.size; the upward
+        # recurrence is unstable on the modes with lam < n_max - 1
+        low = np.array([ev.lam for ev in table]) < poly.size - 1
+        print(f"deg {deg} {'asymptotic' if asymptotic else 'zeros'}: "
+              f"max {gap.max():.2e}, on the {low.sum()} modes with "
+              f"lam < n_max - 1 {gap[low].max():.2e}")
+        assert low.any()
+        assert gap.max() <= 1e-8
+
+    @pytest.mark.parametrize("deg", [10, 20, 40])
+    def test_high_degree_against_a_fine_rule(self, deg):
+        """The modes with lam < n_max - 1 need the downward recurrence:
+        taken upward on every mode, these cases are off by 3.6e-8, 1.8e2
+        and 2.9e26 in |dc|/(1 + |c|).  The oracle is the table on a
+        caller's 200-node Gauss-Legendre rule, exact to rounding here."""
+        q = np.random.default_rng(deg).uniform(-1.0, 1.0, deg + 1)
+        table = eigenvalue_table(40)
+        got = fourier_bessel_closed(table, builtin_poly(q))
+        want = fourier_bessel_table(Forcing(space_poly=tuple(q)).spatial,
+                                    table, quad=gauss_legendre_rule(200))
+        gap = np.abs(got - want) / (1.0 + np.abs(want))
+        print(f"deg {deg}: max {gap.max():.2e}")
+        assert gap.max() <= 1e-8
+
+    @pytest.mark.parametrize("x_grid", [
+        np.linspace(0.0, 1.0, 41),
+        np.sort(np.concatenate([[0.0, 1.0], np.random.default_rng(3).uniform(
+            0.0, 1.0, 30)])),
+        np.linspace(-0.2, 1.3, 25),
+        np.linspace(0.1, 0.85, 17),
+        np.array([0.3, 0.31]),
+    ], ids=["uniform", "scattered", "beyond", "inside", "two-inside"])
+    def test_tabulated_against_quadrature_oracle(self, x_grid):
+        """Grids that span [0, 1], with or without samples past it, and
+        grids strictly inside it, held constant outside; the oracle rule
+        is split at the kinks."""
+        forcing = tabulated(x_grid)
+        tg = np.asarray(forcing.t_grid)
+        table = eigenvalue_table(60)
+        got = hinge_projection(forcing, table)
+        want = fourier_bessel_table(
+            lambda x: forcing.value(x[:, None], tg[None, :]), table,
+            quad=kink_rule(x_grid))
+        gap = np.abs(got - want) / (1.0 + np.abs(want))
+        print(f"grid {x_grid[0]:.2f}..{x_grid[-1]:.2f} ({x_grid.size}): "
+              f"max {gap.max():.2e}")
+        assert got.shape == (60, tg.size)
+        assert gap.max() <= 1e-8
+
+    @pytest.mark.parametrize("k", [1, 2, 50, 1000])
+    def test_mpmath_spot_values(self, k):
+        """Against 30-digit moments int_0^1 x^n J0(lam x) dx =
+        1F2((n+1)/2; 1, (n+3)/2; -lam^2/4) / (n + 1)."""
+        ev = eigenvalue_table(k)[-1]
+        poly = builtin_poly((1.0, -0.3))
+        got = float(fourier_bessel_closed((ev,), poly)[0])
+        with mp.workdps(30):
+            lam = mp.mpf(ev.lam)
+            total = sum(mp.mpf(float(a)) * mp.hyp1f2(
+                mp.mpf(n + 2) / 2, 1, mp.mpf(n + 4) / 2, -lam ** 2 / 4)
+                / (n + 2) for n, a in enumerate(poly) if a != 0.0)
+            want = float(2 * total / mp.besselj(1, lam) ** 2)
+        assert abs(got - want) <= 1e-15 + 1e-12 * abs(want)
+
+    def test_batch_columns_are_separate_projections(self):
+        table = eigenvalue_table(30)
+        polys = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, -2.0]])
+        knots, jumps = np.array([0.25, 0.5, 1.0]), np.array(
+            [[1.0, 0.0], [0.0, 3.0], [-1.0, -3.0]])
+        got = fourier_bessel_closed(table, polys, knots, jumps)
+        for j in range(2):
+            one = fourier_bessel_closed(table, polys[:, j], knots,
+                                        jumps[:, j])
+            assert_allclose(got[:, j], one, rtol=1e-14, atol=1e-18)
+        with pytest.raises(ValueError, match="knots"):
+            fourier_bessel_closed(table, [1.0], [-0.1], [1.0])
+
+    def test_solve_leaves_the_quadrature_table_to_verify(self, monkeypatch,
+                                                          default_op):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the solve ran the quadrature projection")
+
+        monkeypatch.setattr(spectrum, "_project", refuse)
+        for forcing in (Forcing(space_poly=(1.0, 0.5)),
+                        tabulated(np.linspace(0.0, 1.0, 9))):
+            sol = solve_modes(ProblemSpec(op=default_op, T=1.0,
+                                          nonlocal_points=((0.6, -1.0),),
+                                          forcing=forcing, N=12))
+            assert len(sol.modes) == 12
 
 
 class TestSynthesize:
