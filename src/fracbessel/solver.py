@@ -18,13 +18,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import NumericError, SolvabilityError
 from .fracops import OperatorParams
-from .quadrature import gauss_jacobi_rule, gauss_legendre_rule
+from .quadrature import gauss_legendre_rule
 from .specfun import MLParams, bessel_j, gamma, mittag_leffler
 from .spectrum import Eigenvalue, eigenvalue_table, fourier_bessel_closed
 
@@ -356,13 +357,32 @@ class SeriesSolution:
 # gam = 2 term evaluated at W - y_j itself: no difference of nearly
 # equal terms arises when a kink sits next to either end of [0, W].
 # Only the forward side of tabulated forcing with p != 1 keeps a
-# quadrature, for the hinges in y^q: its panels end at every kink image
-# W - y_j and follow a ratio 4^{1/alpha} geometric ladder in w, which
-# starts _HINGE_GRADING steps below the kernel scale |c|^{-1/alpha}.
+# quadrature, for the hinges in y^q, and there beta = alpha.  In
+# v = |c| w^alpha the kernel weight goes into the measure,
+# w^{alpha-1} dw = dv / (alpha |c|), and what is left, E_{alpha,alpha}(-v),
+# is entire in v and the same function for every mode and every W.  The
+# Legendre panels in v end at every kink image |c| (W - y_j)^alpha and
+# follow a ratio-4 geometric ladder 4^m from m = -_HINGE_GRADING, the
+# kernel scale v = 1 lying _HINGE_GRADING rungs up; each panel's order
+# comes from its distance in v to the nearer branch point, v = 0 of
+# w = (v/|c|)^{1/alpha} or v = |c| W^alpha of y^q.  The kernel values
+# come from _KernelTable, one per alpha and built on first use:
+# Chebyshev interpolants of E_{alpha,alpha}(-v) on [0, 1/2] and the
+# dyadic pieces [2^k, 2^{k+1}], grown by whole pieces, each fitted to
+# its own mittag_leffler values and checked by its trailing
+# coefficients.  Wherever mittag_leffler meets its own 1e-12, the table
+# agrees with it to _TABLE_RTOL of the piece's largest value.
 
 _HINGE_NODES = 16
 _HINGE_GRADING = 8
 _HINGE_DIGITS = 13.0
+
+_TABLE_NODES = 32         # Chebyshev points of a new piece
+_TABLE_MAX_NODES = 256    # the most a piece may double to
+_TABLE_TAIL = 1e-12       # its last coefficients, over its largest value
+_TABLE_CHOP = 1e-13       # the coefficients dropped, likewise
+_TABLE_RTOL = 5e-12       # the table against mittag_leffler, likewise
+_TABLE_BLOCK = 8192       # points per evaluation block
 
 
 def _power_kernel(alpha: float, beta: float, c, W, gam: float) -> np.ndarray:
@@ -390,91 +410,224 @@ def _hinges(grid, values, sign: float):
     return ys, g0, slopes[:, 0], np.diff(slopes, axis=1)
 
 
-def _hinge_quadrature(alpha, beta, c, W, knots, D, q):
-    """sum_j D_j int_0^{W-y_j} w^{beta-1} E_{alpha,beta}(c w^alpha)
-    ((W-w)^q - s_j) dw over the knot times s_j, with y_j = s_j^{1/q},
-    per mode (entries of c, rows of D) and W.
+@lru_cache(maxsize=None)
+def _chebyshev_basis(n: int):
+    """The n Chebyshev points x_j = cos(pi (j + 1/2) / n) and the (n, n)
+    matrix taking values at them to the interpolant's coefficients."""
+    ang = np.pi * np.outer(np.arange(n), np.arange(n) + 0.5) / n
+    basis = np.cos(ang) * (2.0 / n)
+    basis[0] *= 0.5
+    return np.cos(ang[1]), basis
 
-    Each Legendre panel [lo, hi] gets the node count that its distance
-    to the nearer branch point (w = 0 of the kernel, w = W of y^q)
-    calls for; the first panel takes the w^{beta-1} weight exactly.  The
-    kernel values at the nodes of every mode come from one call.
+
+class _KernelTable:
+    """E_{alpha,alpha}(-v) on v >= 0 from Chebyshev interpolants on the
+    pieces [0, 1/2] (piece 0) and [2^{k-2}, 2^{k-1}] (piece k >= 1),
+    built on first use and grown by whole pieces when a call reaches past
+    the last one.
+
+    A piece interpolates mittag_leffler at its own _TABLE_NODES Chebyshev
+    points, doubled while its last four coefficients exceed _TABLE_TAIL
+    of its largest value, and a NumericError once that would pass
+    _TABLE_MAX_NODES; the coefficients whose sum stays under
+    _TABLE_CHOP of that value are then dropped from its end.  Wherever
+    mittag_leffler meets its own 1e-12, the table agrees with it to
+    _TABLE_RTOL of the piece's largest value, which for 0 < alpha <= 1
+    is the value at its left end: E_{alpha,alpha}(-v) is completely
+    monotone.
+
+    Clenshaw's recurrence sums the series in blocks of _TABLE_BLOCK
+    points, each block to the longest series among its pieces (the
+    others are zero-padded, which leaves their bits alone), with series
+    longer than _TABLE_NODES summed on their own.  So a value depends on
+    its own argument only: not on the other points of a call, nor on the
+    order the pieces were built in."""
+
+    def __init__(self, alpha: float):
+        self.alpha = alpha
+        self.coef = np.zeros((0, 0))   # (terms, pieces), zero-padded
+        self.terms = np.zeros(0, dtype=int)
+
+    def _grow(self, pieces: int):
+        todo = np.arange(self.terms.size, pieces)
+        found = {}
+        n = _TABLE_NODES
+        while todo.size:
+            if n > _TABLE_MAX_NODES:
+                k = int(todo[0])
+                raise NumericError(
+                    f"E_{{{self.alpha},{self.alpha}}}(-v): no Chebyshev "
+                    f"interpolant of {_TABLE_MAX_NODES} points meets "
+                    f"{_TABLE_TAIL:.0e} on v in "
+                    f"[{2.0 ** (k - 2) if k else 0.0:g}, {2.0 ** (k - 1):g}]")
+            x, basis = _chebyshev_basis(n)
+            # piece 0 is 0.25 (1 + x), piece k >= 1 is 2^{k-3} (3 + x)
+            scale = np.where(todo == 0, 0.25, np.ldexp(1.0, todo - 3))
+            v = scale[:, None] * (np.where(todo == 0, 1.0, 3.0)[:, None] + x)
+            vals = mittag_leffler(MLParams(alpha=self.alpha, beta=self.alpha),
+                                  -v)
+            # summed point by point in a fixed order, so that a piece's
+            # coefficients do not depend on the pieces built with it
+            coef = np.zeros(vals.shape)
+            for j in range(n):
+                coef += vals[:, j:j + 1] * basis[:, j]
+            top = np.abs(vals).max(axis=1)
+            ok = np.abs(coef[:, -4:]).max(axis=1) <= _TABLE_TAIL * top
+            for k, c, t in zip(todo[ok].tolist(), coef[ok], top[ok]):
+                tail = np.cumsum(np.abs(c[::-1]))[::-1]
+                found[k] = c[:max(1, int(np.count_nonzero(
+                    tail > _TABLE_CHOP * t)))]
+            todo = todo[~ok]
+            n *= 2
+        rows = max([self.coef.shape[0]] + [c.size for c in found.values()])
+        coef = np.zeros((rows, pieces))
+        coef[:self.coef.shape[0], :self.terms.size] = self.coef
+        for k, c in found.items():
+            coef[:c.size, k] = c
+        self.coef = coef
+        self.terms = np.concatenate(
+            [self.terms, [found[k].size for k in sorted(found)]]).astype(int)
+
+    def __call__(self, v) -> np.ndarray:
+        shape = np.shape(v)
+        v = np.asarray(v, dtype=float).ravel()
+        out = np.empty(v.size)
+        if not v.size:
+            return out.reshape(shape)
+        top = float(v.max())
+        pieces = 1 if top < 0.5 else math.frexp(top)[1] + 2
+        if pieces > self.terms.size:
+            self._grow(pieces)
+        long = self.terms.max() > _TABLE_NODES
+        for lo in range(0, v.size, _TABLE_BLOCK):
+            vb = v[lo:lo + _TABLE_BLOCK]
+            ob = out[lo:lo + _TABLE_BLOCK]
+            mant, expo = np.frexp(vb)
+            low = vb < 0.5
+            k = np.where(low, 0, expo + 1)
+            x = np.where(low, 4.0 * vb - 1.0, 4.0 * mant - 3.0)
+            terms = self.terms.take(k)
+            if not long:
+                ob[:] = self._clenshaw(k, x, int(terms.max()))
+                continue
+            # each doubling of the series length on its own
+            lower, n = 0, _TABLE_NODES
+            while lower < _TABLE_MAX_NODES:
+                sel = (terms > lower) & (terms <= n)
+                if sel.any():
+                    ob[sel] = self._clenshaw(k[sel], x[sel],
+                                             int(terms[sel].max()))
+                lower, n = n, 2 * n
+        return out.reshape(shape)
+
+    def _clenshaw(self, k, x, n: int) -> np.ndarray:
+        """sum_j c_j T_j(x) over the first n coefficients of pieces k."""
+        x2 = x + x
+        b0, b1, b2 = np.empty(x.shape), np.zeros(x.shape), np.zeros(x.shape)
+        tmp = np.empty(x.shape)
+        # k is always in range; mode "clip" only skips the bounds check
+        for j in range(n - 1, 0, -1):
+            self.coef[j].take(k, out=b0, mode="clip")
+            np.multiply(x2, b1, out=tmp)
+            b0 += tmp
+            b0 -= b2
+            b0, b1, b2 = b2, b0, b1
+        self.coef[0].take(k, out=b0, mode="clip")
+        np.multiply(x, b1, out=tmp)
+        b0 += tmp
+        b0 -= b2
+        return b0
+
+
+@lru_cache(maxsize=8)
+def _kernel_table(alpha: float) -> _KernelTable:
+    """The one _KernelTable of E_{alpha,alpha}(-v)."""
+    return _KernelTable(alpha)
+
+
+def _hinge_quadrature(alpha, c, W, knots, D, q):
+    """sum_j D_j int_0^{W-y_j} w^{alpha-1} E_{alpha,alpha}(c w^alpha)
+    ((W-w)^q - s_j) dw over the knot times s_j, with y_j = s_j^{1/q},
+    per mode (entries of c < 0, rows of D) and W.
+
+    In v = |c| w^alpha the integral is 1/(alpha |c|) times one over
+    [0, |c| (W - y_0)^alpha] of E_{alpha,alpha}(-v) against the hinges.
+    The panel edges of every (mode, W) row with W > y_0 come from one
+    array pass, the kernel values of all nodes from one table call, and
+    the rows are summed by one bincount, each row in the order of its
+    panels' Legendre orders and then of its panels.
     """
     out = np.zeros((len(c), len(W)))
     if not knots.size:
         return out
     ys = knots ** (1.0 / q)
-    jac = gauss_jacobi_rule(_HINGE_NODES, beta - 1.0, 0.0)
-    ratio = 4.0 ** (1.0 / alpha)
-    X = W - ys[0]
-    live = X > 0.0
+    live = W > ys[0]
     if not live.any():
         return out
-    Xl = X[live]
-    # W - y_j for the knots y_j below W, the rest masked
-    knot = np.where(ys < W[:, None], W[:, None] - ys, np.inf)
-    rows, zs = [], []  # (mode, nodes, weights, owning W) and kernel arguments
-    for i, ci in enumerate(c):
-        # Panel edges of every W at once, one row each: X = W - y_0, the
-        # graded ladder w0 ratio^k under X, k from -_HINGE_GRADING up to
-        # below the row's step count, and the knots; each row sorted,
-        # with repeats and masked entries dropped.
-        w0 = abs(ci) ** (-1.0 / alpha)
-        steps = np.array([math.ceil(math.log(x / w0) / math.log(ratio))
-                          if x > w0 else 0 for x in Xl.tolist()])
-        ladder = w0 * ratio ** np.arange(-_HINGE_GRADING, steps.max())
-        rung = ((ladder < Xl[:, None])
-                & (np.arange(ladder.size) < steps[:, None] + _HINGE_GRADING))
-        cand = np.full((W.size, 1 + ladder.size), np.inf)
-        cand[live, 0] = Xl
-        cand[live, 1:] = np.where(rung, ladder, np.inf)
-        cand = np.sort(np.concatenate([cand, knot], axis=1), axis=1)
-        keep = np.isfinite(cand)
-        keep[:, 1:] &= cand[:, 1:] != cand[:, :-1]
-        hi = cand[keep]
-        owner = np.nonzero(keep)[0]
-        first = np.concatenate([[True], owner[1:] != owner[:-1]])
-        lo = np.where(first, 0.0, np.roll(hi, 1))
-        # Bernstein-ellipse parameter of each panel for its nearer
-        # branch point, and the Gauss order that reaches ~1e-13 there
-        e = np.minimum(hi + lo, 2.0 * W[owner] - hi - lo) / (hi - lo)
-        with np.errstate(divide="ignore"):
-            order = np.ceil(_HINGE_DIGITS / np.log(e + np.sqrt(e * e - 1.0)))
-        order = np.clip(order, 4, _HINGE_NODES).astype(int)
-        parts = [(hi[first][:, None] * jac.nodes,
-                  hi[first][:, None] ** beta * jac.weights, owner[first])]
-        for n in sorted(set(order[~first].tolist())):
-            sel = ~first & (order == n)
-            rule = gauss_legendre_rule(int(n))
-            span = (hi - lo)[sel][:, None]
-            w = lo[sel][:, None] + span * rule.nodes
-            parts.append((w, span * rule.weights * w ** (beta - 1.0),
-                          owner[sel]))
-        w = np.concatenate([p[0].ravel() for p in parts])
-        rows.append((i, w, np.concatenate([p[1].ravel() for p in parts]),
-                     np.concatenate([np.repeat(p[2], p[0].shape[1])
-                                     for p in parts])))
-        zs.append(ci * w ** alpha)
-    if not rows:
-        return out
-    kern = mittag_leffler(MLParams(alpha=alpha, beta=beta), np.concatenate(zs))
-    ends = np.cumsum([z.size for z in zs])
-    # sum_{s_j < v} D_j (v - s_j) = v sum D_j - sum D_j s_j over the
-    # knots below v, from running sums over the sorted knots
+    Wl = W[live]
+    ac = -np.asarray(c, dtype=float)
+    nm, nw = ac.size, Wl.size
+    # kink images |c| (W - y_j)^alpha, the first being the row's end V,
+    # and the ladder 4^m below V; each row sorted, repeats and masked
+    # entries dropped
+    gap = Wl[:, None] - ys
+    images = (ac[:, None, None]
+              * np.where(gap > 0.0, gap, np.inf)[None] ** alpha
+              ).reshape(nm * nw, -1)
+    V = images[:, 0]
+    # V < 2^expo for every row, so the rungs below V have m < expo / 2
+    expo = math.frexp(float(V.max()))[1]
+    ladder = 4.0 ** np.arange(-_HINGE_GRADING,
+                              max(-_HINGE_GRADING, (expo + 1) // 2))
+    cand = np.sort(np.concatenate(
+        [images, np.where(ladder < V[:, None], ladder, np.inf)], axis=1),
+        axis=1)
+    keep = np.isfinite(cand)
+    keep[:, 1:] &= cand[:, 1:] != cand[:, :-1]
+    hi = cand[keep]
+    owner = np.nonzero(keep)[0]
+    first = np.concatenate([[True], owner[1:] != owner[:-1]])
+    lo = np.where(first, 0.0, np.roll(hi, 1))
+    # Bernstein-ellipse parameter of each panel for its nearer branch
+    # point, v = 0 or v = |c| W^alpha, and the Gauss order that reaches
+    # ~1e-13 there
+    branch = (ac[:, None] * Wl ** alpha).ravel()[owner]
+    e = np.minimum(hi + lo, 2.0 * branch - hi - lo) / (hi - lo)
+    with np.errstate(divide="ignore"):
+        order = np.ceil(_HINGE_DIGITS / np.log(e + np.sqrt(e * e - 1.0)))
+    order = np.clip(order, 4, _HINGE_NODES).astype(int)
+    width = hi - lo
+    vs, wts, owns = [], [], []
+    for n in np.flatnonzero(np.bincount(order)).tolist():
+        sel = np.flatnonzero(order == n)
+        rule = gauss_legendre_rule(n)
+        span = width[sel][:, None]
+        vs.append((lo[sel][:, None] + span * rule.nodes).ravel())
+        wts.append((span * rule.weights).ravel())
+        owns.append(np.repeat(owner[sel], n))
+    v = np.concatenate(vs)
+    own = np.concatenate(owns)
+    # sum_{s_j < t} D_j (t - s_j) = t sum D_j - sum D_j s_j over the
+    # knots below t, from running sums over the sorted knots, read from
+    # their flattened rows of len(knots) + 1 per mode
     cum_d = np.cumsum(np.pad(D, ((0, 0), (1, 0))), axis=1)
     cum_ds = np.cumsum(np.pad(D * knots, ((0, 0), (1, 0))), axis=1)
-    for (i, w, wt, own), k in zip(rows, np.split(kern, ends[:-1])):
-        v = (W[own] - w) ** q
-        j = np.searchsorted(knots, v)
-        g = v * cum_d[i, j] - cum_ds[i, j]
-        out[i] = np.bincount(own, wt * k * g, minlength=len(W))
+    t = (np.tile(Wl, nm).take(own)
+         - (v / np.repeat(ac, nw).take(own)) ** (1.0 / alpha)) ** q
+    j = np.searchsorted(knots, t)
+    j += np.repeat(np.arange(nm) * cum_d.shape[1], nw).take(own)
+    g = t * cum_d.take(j) - cum_ds.take(j)
+    terms = np.concatenate(wts) * _kernel_table(alpha)(v) * g
+    sums = np.bincount(own, terms, minlength=nm * nw).reshape(nm, nw)
+    out[:, live] = sums / (alpha * ac[:, None])
     return out
 
 
 def _conv(alpha: float, beta: float, c, W, f: TimeCoefficient, *,
           sign: float = 1.0, q: float = 1.0) -> np.ndarray:
     """int_0^W w^{beta-1} E_{alpha,beta}(c w^alpha) f(sign (W-w)^q) dw,
-    one row per mode (entries of c, rows of f) and one column per W."""
+    one row per mode (entries of c, rows of f) and one column per W.
+    Tabulated f with q != 1 takes beta = alpha (the forward side)."""
     c = np.asarray(c, dtype=float).reshape(-1, 1)
     W = np.asarray(W, dtype=float).reshape(-1)
     out = np.zeros((c.shape[0], W.size))
@@ -488,7 +641,7 @@ def _conv(alpha: float, beta: float, c, W, f: TimeCoefficient, *,
     out = (g0[:, None] * _power_kernel(alpha, beta, c, W, 1.0)
            + g1[:, None] * _power_kernel(alpha, beta, c, W, q + 1.0))
     if q != 1.0:
-        return out + _hinge_quadrature(alpha, beta, c[:, 0], W, ys, D, q)
+        return out + _hinge_quadrature(alpha, c[:, 0], W, ys, D, q)
     X = W[:, None] - ys[None, :]
     inside = X > 0.0
     if inside.any():

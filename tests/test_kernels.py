@@ -5,7 +5,10 @@ closed form.  Here the same mode values are rebuilt by an independent
 panel quadrature in the scaled variable v = c w^d (n = 48 per panel,
 with panel edges at the kinks of tabulated data), the convolution
 identity behind every closed form is checked against mpmath, and so is
-a single kink next to either end of a convolution.
+a single kink next to either end of a convolution.  The forward hinge
+quadrature that tabulated forcing at theta != 0 keeps is checked
+against a route in x = w^alpha1 with one hinge at a time, and its
+Mittag-Leffler table against mittag_leffler.
 """
 
 import math
@@ -15,6 +18,7 @@ import numpy as np
 import pytest
 
 import fracbessel.solver as solver
+from fracbessel.errors import NumericError
 from fracbessel.fracops import OperatorParams
 from fracbessel.quadrature import gauss_jacobi_rule, gauss_legendre_rule
 from fracbessel.solver import (Forcing, ModeRecord, ProblemSpec,
@@ -109,16 +113,26 @@ def _tabulated_forcing():
                    samples=tuple(map(tuple, samples)))
 
 
+# operators other than the README one, by fixture parameter
+_OPERATORS = {
+    "tabulated-p1": OperatorParams(0.7, 0.0, 1.5, 1.2, 0.5),
+    "tabulated-a0.3": OperatorParams(0.3, 0.2, 1.5, 1.2, 0.5),
+    "tabulated-a0.05": OperatorParams(0.05, 0.2, 1.5, 1.2, 0.5),
+}
+
+
 @pytest.fixture(scope="module",
-                params=["builtin", "tabulated", "tabulated-p1"])
+                params=["builtin", "tabulated", "tabulated-p1",
+                        "tabulated-a0.3", "tabulated-a0.05"])
 def small_solution(request, default_op):
-    """README operator (p = 0.8) with either forcing, and tabulated
-    forcing at theta = 0, where the forward hinges have closed forms."""
+    """README operator (p = 0.8) with either forcing, tabulated forcing
+    at theta = 0, where the forward hinges have closed forms, and
+    tabulated forcing at alpha1 = 0.3 and 0.05, where the forward hinge
+    quadrature's nodes are spread over decades in w."""
     forcing = (Forcing(kind="separable_builtin", space_poly=(1.0,),
                        time_poly=(1.0, 0.5))
                if request.param == "builtin" else _tabulated_forcing())
-    op = (OperatorParams(0.7, 0.0, 1.5, 1.2, 0.5)
-          if request.param == "tabulated-p1" else default_op)
+    op = _OPERATORS.get(request.param, default_op)
     return solve_modes(ProblemSpec(op=op, T=1.0,
                                    nonlocal_points=((0.6, -1.0),),
                                    forcing=forcing, N=10))
@@ -201,76 +215,54 @@ def test_hinge_at_either_end(default_op, frac):
 
 
 # ---------------------------------------------------------------------------
-# hinge quadrature: panel edges of all W at once against one W at a time
+# hinge quadrature: every (mode, W) row at once against one row at a time
 
 
-def _hinge_quadrature_loop(alpha, beta, c, W, knots, D, q):
-    """Reference: solver._hinge_quadrature with each (mode, W) pair's
-    panel edges built on their own, by np.unique over its candidates."""
+def _hinge_quadrature_loop(alpha, c, W, knots, D, q):
+    """Reference: solver._hinge_quadrature with each (mode, W) row's
+    panel edges in v = |c| w^alpha built on their own, by np.unique over
+    its candidates, its kernel values from their own table call and its
+    sum taken term by term."""
     out = np.zeros((len(c), len(W)))
-    if not knots.size:
-        return out
     ys = knots ** (1.0 / q)
-    jac = gauss_jacobi_rule(solver._HINGE_NODES, beta - 1.0, 0.0)
-    ratio = 4.0 ** (1.0 / alpha)
-    rows, zs = [], []
-    for i, ci in enumerate(c):
-        w0 = abs(ci) ** (-1.0 / alpha)
-        his = []
-        for Wj in W:
-            X = Wj - ys[0]
-            if not X > 0.0:
-                his.append(np.empty(0))
-                continue
-            steps = math.ceil(math.log(X / w0) / math.log(ratio)) \
-                if X > w0 else 0
-            ladder = w0 * ratio ** np.arange(-solver._HINGE_GRADING, steps)
-            his.append(np.unique(np.concatenate(
-                [[X], ladder[ladder < X], Wj - ys[ys < Wj]])))
-        owner = np.repeat(np.arange(len(W)), [h.size for h in his])
-        if not owner.size:
-            continue
-        hi = np.concatenate(his)
-        first = np.concatenate([[True], owner[1:] != owner[:-1]])
-        lo = np.where(first, 0.0, np.roll(hi, 1))
-        e = np.minimum(hi + lo, 2.0 * W[owner] - hi - lo) / (hi - lo)
-        with np.errstate(divide="ignore"):
-            order = np.ceil(solver._HINGE_DIGITS
-                            / np.log(e + np.sqrt(e * e - 1.0)))
-        order = np.clip(order, 4, solver._HINGE_NODES).astype(int)
-        parts = [(hi[first][:, None] * jac.nodes,
-                  hi[first][:, None] ** beta * jac.weights, owner[first])]
-        for n in np.unique(order[~first]):
-            sel = ~first & (order == n)
-            rule = gauss_legendre_rule(int(n))
-            span = (hi - lo)[sel][:, None]
-            w = lo[sel][:, None] + span * rule.nodes
-            parts.append((w, span * rule.weights * w ** (beta - 1.0),
-                          owner[sel]))
-        w = np.concatenate([p[0].ravel() for p in parts])
-        rows.append((i, w, np.concatenate([p[1].ravel() for p in parts]),
-                     np.concatenate([np.repeat(p[2], p[0].shape[1])
-                                     for p in parts])))
-        zs.append(ci * w ** alpha)
-    if not rows:
-        return out
-    kern = mittag_leffler(MLParams(alpha=alpha, beta=beta), np.concatenate(zs))
-    ends = np.cumsum([z.size for z in zs])
+    table = solver._kernel_table(alpha)
     cum_d = np.cumsum(np.pad(D, ((0, 0), (1, 0))), axis=1)
     cum_ds = np.cumsum(np.pad(D * knots, ((0, 0), (1, 0))), axis=1)
-    for (i, w, wt, own), k in zip(rows, np.split(kern, ends[:-1])):
-        v = (W[own] - w) ** q
-        j = np.searchsorted(knots, v)
-        g = v * cum_d[i, j] - cum_ds[i, j]
-        out[i] = np.bincount(own, wt * k * g, minlength=len(W))
+    for i, ac in enumerate(-np.asarray(c)):
+        for k, Wk in enumerate(W):
+            if not knots.size or not Wk > ys[0]:
+                continue
+            images = ac * (Wk - ys[ys < Wk]) ** alpha
+            steps = math.ceil(math.log(images[0]) / math.log(4.0)) + 1
+            ladder = 4.0 ** np.arange(-solver._HINGE_GRADING, steps)
+            hi = np.unique(np.concatenate([images,
+                                           ladder[ladder < images[0]]]))
+            lo = np.concatenate([[0.0], hi[:-1]])
+            e = (np.minimum(hi + lo, 2.0 * (ac * Wk ** alpha) - hi - lo)
+                 / (hi - lo))
+            with np.errstate(divide="ignore"):
+                order = np.ceil(solver._HINGE_DIGITS
+                                / np.log(e + np.sqrt(e * e - 1.0)))
+            order = np.clip(order, 4, solver._HINGE_NODES).astype(int)
+            total = 0.0
+            for n in np.unique(order):
+                rule = gauss_legendre_rule(int(n))
+                span = (hi - lo)[order == n][:, None]
+                v = (lo[order == n][:, None] + span * rule.nodes).ravel()
+                t = (Wk - (v / ac) ** (1.0 / alpha)) ** q
+                j = np.searchsorted(knots, t)
+                g = t * cum_d[i, j] - cum_ds[i, j]
+                for term in (span * rule.weights).ravel() * table(v) * g:
+                    total += term
+            out[i, k] = total / (alpha * ac)
     return out
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_hinge_quadrature_matches_loop(default_op, seed):
     """Seeded tabulated inputs at the README operator's forward kernel
-    give the bits of the one-W-at-a-time edges: knots on a CSV-like grid
-    in t, modes from lam = 2.4 to 300, and W below, at and above the
+    give the bits of the one-row-at-a-time reference: knots on a CSV-like
+    grid in t, modes from lam = 2.4 to 300, and W below, at and above the
     first knot (the first two with no panel at all) up to T^p."""
     rng = np.random.default_rng(seed)
     op = default_op
@@ -284,11 +276,102 @@ def test_hinge_quadrature_matches_loop(default_op, seed):
     y0 = knots[0] ** (1.0 / q)
     W = np.concatenate([[0.5 * y0, y0],
                         np.sort(rng.uniform(0.0, 1.0, 30)) ** p, [1.0]])
-    got = solver._hinge_quadrature(a, a, c, W, knots, D, q)
-    want = _hinge_quadrature_loop(a, a, c, W, knots, D, q)
+    got = solver._hinge_quadrature(a, c, W, knots, D, q)
+    want = _hinge_quadrature_loop(a, c, W, knots, D, q)
     assert np.array_equal(got, want)
     assert np.all(got[:, :2] == 0.0)
     # a batch whose every W lies at or below the first knot
     assert np.array_equal(
-        solver._hinge_quadrature(a, a, c, W[:2], knots, D, q),
+        solver._hinge_quadrature(a, c, W[:2], knots, D, q),
         np.zeros((lams.size, 2)))
+
+
+# ---------------------------------------------------------------------------
+# hinge quadrature against one hinge at a time in x = w^alpha
+
+
+def _hinges_in_x(alpha, c, W, knots, D, q, panels=400, n=32):
+    """sum_j D_j / alpha int_0^{(W-y_j)^alpha} E_{alpha,alpha}(c x)
+    ((W - x^{1/alpha})^q - s_j) dx, y_j = s_j^{1/q}: w^{alpha-1} dw
+    = dx / alpha, and each hinge on its own uniform composite
+    Gauss-Legendre panels, so no kink lies inside a panel."""
+    rule = gauss_legendre_rule(n)
+    u = (np.arange(panels)[:, None] + rule.nodes).ravel() / panels
+    wu = np.tile(rule.weights, panels) / panels
+    ys = knots ** (1.0 / q)
+    out = np.zeros((len(c), len(W)))
+    for i, ci in enumerate(c):
+        for k, Wk in enumerate(W):
+            on = ys < Wk
+            top = (Wk - ys[on]) ** alpha
+            x = top[:, None] * u
+            g = (Wk - x ** (1.0 / alpha)) ** q - knots[on][:, None]
+            kern = mittag_leffler(MLParams(alpha, alpha), ci * x)
+            out[i, k] = D[i, on] @ ((kern * g) @ wu * top) / alpha
+    return out
+
+
+@pytest.mark.parametrize("p", [0.5, 0.8])
+@pytest.mark.parametrize("alpha", [0.05, 0.1, 0.3, 0.7, 1.0])
+def test_hinge_quadrature_against_hinges_in_x(alpha, p):
+    """Random knots and jumps at lam = 2.4 and 30, W = 0.5 and 1: the
+    solver's panels in v = |c| w^alpha against a route that shares no
+    panel layout with them, to 1e-10 of each mode's largest value.  (The
+    route's 400 and 1600 panels agree to 2.1e-12 of that at alpha = 0.7,
+    where x^{1/alpha} is not smooth at x = 0, and to 9e-14 elsewhere.)"""
+    rng = np.random.default_rng([int(100 * alpha), int(10 * p)])
+    q = 1.0 / p
+    knots = np.sort(rng.uniform(0.0, 1.0, 6))
+    D = rng.normal(size=(2, knots.size))
+    c = -np.array([2.4, 30.0]) ** 2 / p ** alpha
+    W = np.array([0.5, 1.0])
+    got = solver._hinge_quadrature(alpha, c, W, knots, D, q)
+    want = _hinges_in_x(alpha, c, W, knots, D, q)
+    gap = np.max(np.abs(got - want) / np.abs(want).max(axis=1, keepdims=True))
+    assert gap <= 1e-10, f"relative gap {gap:.2e}"
+
+
+# ---------------------------------------------------------------------------
+# the kernel table of the hinge quadrature
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.3, 0.7, 0.95, 1.0])
+def test_kernel_table_against_mittag_leffler(alpha):
+    """Seeded v in [0, 1e7], log-uniform and on [0, 1/2]: the table
+    agrees with mittag_leffler to _TABLE_RTOL of its piece's largest
+    value, E_{alpha,alpha} at the piece's left end."""
+    rng = np.random.default_rng(int(100 * alpha))
+    v = np.concatenate([rng.uniform(0.0, 0.5, 2000),
+                        np.exp(rng.uniform(math.log(0.5), math.log(1e7),
+                                           20000))])
+    got = solver._KernelTable(alpha)(v)
+    ml = MLParams(alpha, alpha)
+    mant, expo = np.frexp(v)
+    left = np.where(v < 0.5, 0.0, np.ldexp(0.5, expo))
+    gap = np.abs(got - mittag_leffler(ml, -v))
+    assert np.all(gap <= solver._TABLE_RTOL * mittag_leffler(ml, -left))
+
+
+@pytest.mark.parametrize("alpha", [0.7, 1.0])
+def test_kernel_table_values_are_pointwise(alpha):
+    """A value is the same bits alone, inside a 100k-point batch, and
+    from a table that was grown piece group by piece group."""
+    rng = np.random.default_rng(7)
+    v = np.exp(rng.uniform(math.log(1e-6), math.log(5e3), 100_000))
+    whole = solver._KernelTable(alpha)
+    batch = whole(v)
+    grown = solver._KernelTable(alpha)
+    for top in (0.3, 3.0, 70.0):
+        grown(np.array([top]))
+    assert np.array_equal(grown(v), batch)
+    for i in rng.choice(v.size, 50, replace=False):
+        assert whole(v[i:i + 1])[0] == batch[i]
+
+
+def test_kernel_table_refuses_a_piece_whose_tail_stays(monkeypatch):
+    """A piece whose trailing coefficients never fall under the tail
+    bound, here a bound of zero, doubles to _TABLE_MAX_NODES and then
+    raises NumericError naming its interval."""
+    monkeypatch.setattr(solver, "_TABLE_TAIL", 0.0)
+    with pytest.raises(NumericError, match=r"\[0, 0\.5\]"):
+        solver._KernelTable(0.7)(np.array([0.1]))
