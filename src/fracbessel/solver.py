@@ -304,11 +304,12 @@ class SeriesSolution:
 
     The per-mode arrays lams, taus, phis and psis and the stacked time
     coefficients ``time_coefs`` are built once from the mode records;
-    the arrays are read-only.  ``_memo`` keeps the J0 and J1 arrays of the
-    last x grid of radial_bases and the mode column of the last t of
-    eval_u and eval_u_derivatives, read-only: a field evaluated at many
-    times on one grid, each time for u and then its derivatives, makes
-    each only once."""
+    the arrays are read-only.  ``_memo`` keeps the arrays of the last x
+    grid of radial_bases (lam x, J0, J1 and the order-1 and order-2
+    matrices) and the mode column of the last t of eval_u and
+    eval_u_derivatives, read-only: a field evaluated at many times on
+    one grid, each time for u and then its derivatives, makes each only
+    once."""
 
     spec: ProblemSpec
     modes: tuple
@@ -904,31 +905,31 @@ def radial_basis(sol: SeriesSolution, x, order: int = 0) -> np.ndarray:
 
 def radial_bases(sol: SeriesSolution, x, orders) -> list:
     """radial_basis of each order in orders, all from one J0 and one J1
-    evaluation over the (x, mode) grid; an x grid equal to the last one
-    reuses its arrays, and the order-0 matrix is that read-only J0."""
+    evaluation over the (x, mode) grid.  The grid keeps lam x, J0, J1
+    and the order-1 and order-2 matrices, read-only, once made: an x
+    grid equal to the last one reuses them, and the order-0 matrix is
+    J0 itself."""
     if not set(orders) <= {0, 1, 2}:
         raise ValueError(f"orders must be 0, 1 or 2; got {orders!r}")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     memo = sol._memo.get("bases")
     if memo is None or not np.array_equal(memo["x"], x):
-        memo = sol._memo["bases"] = {"x": _frozen(x)}
-    lx = np.outer(x, sol.lams)
+        memo = sol._memo["bases"] = {"x": _frozen(x),
+                                     "lx": np.outer(x, sol.lams)}
+    lx = memo["lx"]
     # J0 serves orders 0 and 2, J1 orders 1 and 2
     for k, users in ((0, {0, 2}), (1, {1, 2})):
         if users & set(orders) and k not in memo:
             memo[k] = bessel_j(k, lx)
-            memo[k].setflags(write=False)
-    out = []
-    for order in orders:
-        if order == 0:
-            out.append(memo[0])
-        elif order == 1:
-            out.append(-sol.lams * memo[1])
-        else:
-            j1_over = np.divide(memo[1], lx, out=np.full_like(lx, 0.5),
-                                where=lx > 0.0)
-            out.append(sol.lams ** 2 * (j1_over - memo[0]))
-    return out
+    if 1 in orders and "d1" not in memo:
+        memo["d1"] = -sol.lams * memo[1]
+    if 2 in orders and "d2" not in memo:
+        j1_over = np.divide(memo[1], lx, out=np.full_like(lx, 0.5),
+                            where=lx > 0.0)
+        memo["d2"] = sol.lams ** 2 * (j1_over - memo[0])
+    for kept in memo.values():
+        kept.setflags(write=False)
+    return [memo[(0, "d1", "d2")[order]] for order in orders]
 
 
 def _mode_column(sol: SeriesSolution, t: float) -> np.ndarray:

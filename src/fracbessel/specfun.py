@@ -8,19 +8,24 @@ covers that range in float64.  The evaluator therefore runs an
 accuracy-tracked cascade:
 
 * the ascending power series, planned per point before a term is
-  summed: its largest term, the larger of 1/Gamma(beta) and the term at
-  the hump index, gates it where cancellation would eat the requested
-  digits, and a term count from Newton steps on Stirling's form says
-  where it stops.  The points are sorted by count and the terms summed
-  in tiles of (terms x points still summing) with Sum2, a running sum
-  plus the running sum of its TwoSum errors; the measured largest term
-  and the last term accept the value;
+  summed: its first term gates every point, and only the points that
+  pass get a plan.  The largest term, the larger of the first and the
+  term at the hump index, gates it where cancellation would eat the
+  requested digits, and a term count from Newton steps on Stirling's
+  form says where it stops.  The points are sorted by count and the
+  terms summed in tiles of (terms x points still summing) with Sum2, a
+  running sum plus the running sum of its TwoSum errors; the measured
+  largest term and the last term accept the value;
 * the algebraic asymptotic expansion with optimal truncation, plus the
   exponential residue pair that appears for alpha > 1, accepted when
-  the first omitted term is small enough, summed in the same tiles.
-  Before any tile, a point on the negative axis whose envelope stop
-  and envelope minimum, read from |z| and the cached envelope, prove
-  that the accept test must fail goes straight to the contour;
+  the first omitted term is small enough.  Before any term, a point on
+  the negative axis whose envelope stop and envelope minimum, read from
+  |z| and the cached envelope, prove that the accept test must fail
+  goes straight to the contour.  The others get a stop planned from
+  |z|, the envelope stop or the first term under 2^-55 of a lower bound
+  on the sum, and run longest plan first: in tiles sized to the plans
+  while few points run, else one term at a time, the points that stop
+  leaving as the tail.  Every term's own stop tests decide;
 * a Hankel-contour quadrature for the band in between, where neither
   expansion reaches tolerance: one fixed rule per (alpha, beta) on an
   arc and two rays turned at least pi/8 away from the pole pair, plus
@@ -35,7 +40,10 @@ the error tracking above.
 Every value depends on its own (alpha, beta, z) only: never on the
 other points of a call, their order or the chunk they fall in.
 Callers may therefore batch freely, and the solver evaluates each
-kernel for all modes in one call.
+kernel for all modes in one call.  ``mittag_leffler`` sorts a call's
+arguments once and runs the cascade on _CHUNK-point chunks of that
+order, so a chunk holds neighbouring |z|, mostly of one regime; a
+repeated argument is simply evaluated again.
 
 1/Gamma, ln Gamma, psi, the Bessel functions and 1F1(1; b; z) come
 from the numpy ports of ``_special``.
@@ -69,13 +77,19 @@ _RAY_NODES = 16
 # buffers then take 256 KiB each and stay in a core's L2 cache.  Each
 # point's sum is its own row, so blocks never change it.
 _CONTOUR_CELLS = 1 << 15
+# points per call of the cascade; its work rows of this many float64
+# take 64 KiB each
+_CHUNK = 8192
 
-# The series and asymptotic sums run in tiles of K terms by the points
-# still summing, K = _TILE_CELLS // points clamped to [1, _TILE_TERMS]:
-# a call of a few dozen points makes a few tiles, and a 4096-point chunk
-# one term per tile.
+# The series runs in tiles of K terms by the points still summing,
+# K = _TILE_CELLS // points clamped to [1, _TILE_TERMS]: a call of a few
+# dozen points makes a few tiles, and a chunk one term per tile.  The
+# asymptotic sum tiles while at most _TILE_TERMS points run, its K from
+# their planned stops, counting _TILE_SPLIT cells for a tile's fixed
+# cost (_asymp_tile_terms).
 _TILE_CELLS = 4096
 _TILE_TERMS = 64
+_TILE_SPLIT = 256
 # the longest series; a point that needs more goes to the next regime
 _SERIES_TERMS = 16384
 # the longest asymptotic sum
@@ -85,6 +99,11 @@ _ASYMP_TERMS = 160
 # of the accept test; both dwarf the rounding of what they cover
 _ASYMP_ETA = 1e-9
 _ASYMP_SLACK = 1e-3
+# the table of planned asymptotic stops (_asymp_plan): 2^_PLAN_BITS bins
+# per octave of |z|, over _PLAN_OCTAVES octaves
+_PLAN_BITS = 4
+_PLAN_BINS = 1 << _PLAN_BITS
+_PLAN_OCTAVES = 64
 # natural-log budget of the series' predicted cancellation on the
 # negative axis: 15.8 float64 digits less the digits of _RTOL
 _SERIES_LOST = (15.8 + math.log10(_RTOL)) * math.log(10.0)
@@ -193,6 +212,15 @@ def mittag_leffler(p: MLParams, z):
     float or ndarray
         E_{alpha,beta}(z), matching the shape of ``z``, to a relative
         accuracy of 1e-12.
+
+    Notes
+    -----
+    One argsort orders the arguments; the cascade runs on chunks of
+    _CHUNK (8192) points of that order and the values go back through
+    it.  Arguments are not deduplicated: the package's calls repeat
+    none, and a repeated one gets the same bits again.  In each chunk
+    the series plans only the points its first-term gate passes, and
+    the asymptotic sum sizes its tiles by stops planned from |z|.
     """
     if not isinstance(p, MLParams):
         raise TypeError("first argument must be an MLParams instance")
@@ -200,16 +228,13 @@ def mittag_leffler(p: MLParams, z):
     if not np.all(np.isfinite(arr)):
         raise ValueError("mittag_leffler requires finite z")
     flat = np.atleast_1d(arr).ravel()
-    # Batched callers feed heavily repeated grids (convolution panels
-    # are aligned across modes and time points), so evaluate each
-    # distinct argument once.
-    uniq, inv = np.unique(flat, return_inverse=True)
-    vals = np.empty_like(uniq)
-    # Chunk large batches so the series work arrays stay cache-sized.
-    for lo in range(0, uniq.size, 4096):
-        sl = slice(lo, min(lo + 4096, uniq.size))
-        vals[sl] = _ml_core(p.alpha, p.beta, uniq[sl].copy())
-    out = vals[inv]
+    # One ascending sort: each chunk then holds neighbouring arguments,
+    # mostly of one regime, and the values go back through the order.
+    order = np.argsort(flat)
+    out = np.empty_like(flat)
+    for lo in range(0, flat.size, _CHUNK):
+        sel = order[lo:lo + _CHUNK]
+        out[sel] = _ml_core(p.alpha, p.beta, flat[sel])
     if arr.ndim == 0:
         return float(out[0])
     return out.reshape(arr.shape)
@@ -246,21 +271,26 @@ def _ml_core(a: float, b: float, z: np.ndarray) -> np.ndarray:
             todo &= ~m
 
     if todo.any():
-        idx = np.flatnonzero(todo)
-        safe, count = _series_plan(a, b, z[idx])
-        if safe.any():
-            idx = idx[safe]
-            val, ok = _series_block(a, b, z[idx], count[safe])
-            out[idx[ok]] = val[ok]
-            todo[idx[ok]] = False
+        idx = np.flatnonzero(todo & _series_hopeful(a, b, z))
+        if idx.size:
+            zs = z if idx.size == z.size else z[idx]
+            safe, count = _series_plan(a, b, zs)
+            idx, zs, count = _narrow(safe, idx, zs, count)
+            if idx.size:
+                val, ok = _series_block(a, b, zs, count)
+                idx, val = _narrow(ok, idx, val)
+                out[idx] = val
+                todo[idx] = False
 
     if todo.any():
         idx = np.flatnonzero(todo)
-        idx = idx[_asymp_hopeful(a, b, z[idx])]
+        zs = z if idx.size == z.size else z[idx]
+        idx, zs = _narrow(_asymp_hopeful(a, b, zs), idx, zs)
         if idx.size:
-            val, ok = _asymp_block(a, b, z[idx])
-            out[idx[ok]] = val[ok]
-            todo[idx[ok]] = False
+            val, ok = _asymp_block(a, b, zs)
+            idx, val = _narrow(ok, idx, val)
+            out[idx] = val
+            todo[idx] = False
 
     m = todo & (z < 0.0)
     if m.any():
@@ -276,6 +306,14 @@ def _ml_core(a: float, b: float, z: np.ndarray) -> np.ndarray:
         todo &= False
 
     return out
+
+
+def _narrow(keep: np.ndarray, *rows) -> tuple:
+    """Each row at the entries where keep holds; the rows themselves,
+    uncopied, where it holds everywhere."""
+    if keep.all():
+        return rows
+    return tuple(row[keep] for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -351,6 +389,54 @@ def _ml_alpha_two_int(bint: int, z: np.ndarray) -> np.ndarray:
 # power series
 
 
+def _series_gate(ln_max, x, neg):
+    """The series gate on a point's largest term, ln_max in logs: that
+    cancellation leave the target's digits on the negative axis (neg)
+    and that the sum stay in float64 range; x = |z|."""
+    lost = ln_max + np.log1p(x) + 5.0
+    return np.where(neg, (ln_max < 600.0) & (lost <= _SERIES_LOST),
+                    ln_max < 650.0)
+
+
+@lru_cache(maxsize=256)
+def _series_first(a: float, b: float) -> tuple:
+    """The first term k whose b + a k is not a pole of Gamma, and
+    lnGamma(b + a k).  At k = 0 also the moduli below which and past
+    which the gate on the first term surely passes and fails on the
+    negative axis: there it reads log1p(|z|) <= T with T constant, and
+    the moduli sit 1e-9 relative either side of expm1(T), which moves
+    log1p by far more than its rounding (T >= 3.6 here, as
+    lnGamma >= -0.13)."""
+    k = 0
+    while b + a * k <= 0.0 and (b + a * k) % 1.0 == 0.0:
+        k += 1
+    lg = _gammaln1(b + a * k)
+    if 0.0 - lg >= 600.0:
+        return k, lg, -1.0, -1.0
+    with np.errstate(over="ignore"):
+        edge = float(np.expm1(_SERIES_LOST - 5.0 + lg))
+    return k, lg, edge * (1.0 - 1e-9), edge * (1.0 + 1e-9)
+
+
+def _series_hopeful(a: float, b: float, z: np.ndarray) -> np.ndarray:
+    """The series gate on each point's first non-zero term, k ln|z| -
+    lnGamma(b + a k).  A point's largest term is at least its first, so
+    where this fails _series_plan refuses the point too, and the point
+    needs no plan.  At k = 0 the gate is evaluated only between the
+    moduli of _series_first."""
+    k, lg, sure, never = _series_first(a, b)
+    x = np.abs(z)
+    neg = z < 0.0
+    if k:
+        with np.errstate(divide="ignore"):
+            return _series_gate(k * np.log(x) - lg, x, neg)
+    hope = np.where(neg, x <= sure, 0.0 - lg < 650.0)
+    near = np.flatnonzero(neg & (x > sure) & (x < never))
+    if near.size:
+        hope[near] = _series_gate(0.0 - lg, x[near], True)
+    return hope
+
+
 def _series_plan(a: float, b: float, z: np.ndarray, force: bool = False):
     """Plan each point's ascending series before any term is summed.
 
@@ -365,52 +451,70 @@ def _series_plan(a: float, b: float, z: np.ndarray, force: bool = False):
     exceeds lnGamma, so its crossing is at or past the true one, and
     it is concave in y; started where it falls by at least 1 per unit
     of y, each step lands at or past its crossing, so N is never short.
-    The gate asks that cancellation leave the target's digits on the
-    negative axis and that the sum stay in float64 range; the series
-    block measures both again.
+    The gate is _series_gate; the series block measures both of its
+    conditions again.  The Newton steps run in preallocated rows.
     """
     x = np.abs(z)
     lnx = np.log(x)
-
-    def gate(ln_max):
-        lost = ln_max + np.log1p(x) + 5.0
-        return np.where(z < 0.0, (ln_max < 600.0) & (lost <= _SERIES_LOST),
-                        ln_max < 650.0)
-
-    k = 0  # the first term whose b + a k is not a pole of Gamma
-    while b + a * k <= 0.0 and (b + a * k) % 1.0 == 0.0:
-        k += 1
-    with np.errstate(over="ignore", invalid="ignore"):
+    k, lg_first, _, _ = _series_first(a, b)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         r = x ** (1.0 / a)
         nstar = np.maximum((r - b) / a, 0.0)
-        first = k * lnx - _gammaln1(b + a * k)
-        # The points with n* = 0 share lnGamma(b).  The largest term is
-        # at least the first, so a point whose first term fails the gate
-        # fails it anyway and, unless forced, needs no hump term.
+        first = k * lnx - lg_first
+        # the points with n* = 0 share lnGamma(b)
         lg = np.full(z.shape, _gammaln1(b))
         hump = nstar > 0.0
+        refused = None
         if hump.any() and not force:
-            hump &= gate(first)
+            # lnGamma(y) < (y - 1/2) ln y - y + ln(2 pi)/2 + 1/(12 y) for
+            # y > 0 (Binet), so the hump term is at least this less a
+            # margin far past its rounding; where that already fails
+            # the gate the point is refused without the exact lnGamma
+            at = np.flatnonzero(hump)
+            yh = b + a * nstar[at]
+            low = (nstar[at] * lnx[at]
+                   - ((yh - 0.5) * np.log(yh) - yh + _HALF_LN_2PI
+                      + 1.0 / (12.0 * yh))) - 1e-6
+            low = np.fmax(low, first[at])
+            fail = ~_series_gate(low, x[at], z[at] < 0.0)
+            refused, hump[at[fail]] = at[fail], False
         if hump.any():
             lg[hump] = _special.gammaln(b + a * nstar[hump])
         ln_max = np.maximum(nstar * lnx - lg, first)
     ln_max = np.where(np.isnan(ln_max), np.inf, ln_max)
-    safe = gate(ln_max)
+    if refused is not None:
+        ln_max[refused] = np.inf
+    safe = _series_gate(ln_max, x, z < 0.0)
     count = np.zeros(z.shape, dtype=np.int64)
-    plan = np.ones(z.shape, dtype=bool) if force else safe
-    if plan.any():
-        lx, lr = lnx[plan], lnx[plan] / a
-        target = ln_max[plan] + math.log(0.25 * _EPS)
+    sub = slice(None) if force or safe.all() else np.flatnonzero(safe)
+    if force or safe.any():
+        lnx, r, ln_max = lnx[sub], r[sub], ln_max[sub]
+        lr = lnx / a
+        target = ln_max + math.log(0.25 * _EPS)
+        y = np.maximum(max(b, 1.0), math.exp(1.5) * r)
+        ly, g, w = np.empty_like(y), np.empty_like(y), np.empty_like(y)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            y = np.maximum(max(b, 1.0), math.exp(1.5) * r[plan])
             for _ in range(2):
-                ly = np.log(y)
-                g = ((y - b) / a) * lx - ((y - 0.5) * ly - y + _HALF_LN_2PI)
-                y = np.maximum(y - (g - target) / (lr - ly + 0.5 / y),
-                               max(b, 1e-300))
+                # y - (g - target) / (lr - ly + 0.5 / y), g the log term
+                # ((y - b) / a) lnx - ((y - 0.5) ly - y + ln(2 pi) / 2)
+                np.log(y, out=ly)
+                np.subtract(y, b, out=g)
+                np.divide(g, a, out=g)
+                np.multiply(g, lnx, out=g)
+                np.subtract(y, 0.5, out=w)
+                np.multiply(w, ly, out=w)
+                np.subtract(w, y, out=w)
+                np.add(w, _HALF_LN_2PI, out=w)
+                np.subtract(g, w, out=g)
+                np.subtract(g, target, out=g)
+                np.subtract(lr, ly, out=ly)
+                np.divide(0.5, y, out=w)
+                np.add(ly, w, out=ly)
+                np.divide(g, ly, out=g)
+                np.subtract(y, g, out=y)
+                np.maximum(y, max(b, 1e-300), out=y)
             n = np.maximum(np.ceil((y - b) / a), 1.0)
-        n = np.where(n <= _SERIES_TERMS, n, _SERIES_TERMS + 1.0)
-        count[plan] = n
+        count[sub] = np.where(n <= _SERIES_TERMS, n, _SERIES_TERMS + 1.0)
     if force:
         return safe, np.minimum(count, _SERIES_TERMS)
     safe &= count <= _SERIES_TERMS
@@ -464,7 +568,7 @@ def _series_block(a: float, b: float, z: np.ndarray, count,
     0.125 _RTOL |s|, its largest term times 8 eps is at most _RTOL |s|
     (cancellation), and s is finite.
     """
-    order = np.argsort(-count, kind="stable")
+    order = np.argsort(-count)
     zs, cnt = z[order], count[order]
     nmax = int(cnt[0]) if cnt.size else 0
     # live[n]: the points whose count reaches n, a prefix of the arrays
@@ -477,26 +581,42 @@ def _series_block(a: float, b: float, z: np.ndarray, count,
     p = np.ones_like(s)
     big = np.abs(s)
     last = np.zeros_like(s)
-    n = 1
+    # work rows of the one-term steps: the next running sum (the two
+    # sum rows swap roles every term), the term, and two scratch rows
+    s_next = s.copy()
+    t_row, b_row, w_row = (np.empty_like(s) for _ in range(3))
+    n, mv = 1, 0
     with np.errstate(over="ignore", invalid="ignore"):
         while n <= nmax:
             m = live[n]
             k = min(max(_TILE_CELLS // m, 1), _TILE_TERMS, nmax + 1 - n)
             if k < m:
                 for i in range(n, n + k):
-                    m = live[i]
-                    pm = p[:m]
-                    pm *= zs[:m]
-                    t = pm * coef[i]
-                    sm = s[:m]
-                    sn = sm + t
-                    bb = sn - sm
-                    e[:m] += (sm - (sn - bb)) + (t - bb)
-                    sm[...] = sn
-                    np.maximum(big[:m], np.abs(t), out=big[:m])
+                    if live[i] != mv:  # views of the rows, per prefix
+                        m = mv = live[i]
+                        pm, zm, em, bm = p[:m], zs[:m], e[:m], big[:m]
+                        sm, sn = s[:m], s_next[:m]
+                        t, bb, w = t_row[:m], b_row[:m], w_row[:m]
+                    # Sum2 step: sn = sm + t and its TwoSum error
+                    # (sm - (sn - bb)) + (t - bb), bb = sn - sm, into e
+                    np.multiply(pm, zm, out=pm)
+                    np.multiply(pm, coef[i], out=t)
+                    np.add(sm, t, out=sn)
+                    np.subtract(sn, sm, out=bb)
+                    np.subtract(sn, bb, out=w)
+                    np.subtract(sm, w, out=w)
+                    np.subtract(t, bb, out=bb)
+                    np.add(w, bb, out=w)
+                    np.add(em, w, out=em)
+                    np.abs(t, out=w)
+                    np.maximum(bm, w, out=bm)
                     j = live[i + 1]
                     if j < m:
+                        # the points that stop here keep their sum in
+                        # both rows
                         last[j:m] = t[j:]
+                        sm[j:] = sn[j:]
+                    s, s_next, sm, sn = s_next, s, sn, sm
             else:
                 zm = zs[:m]
                 pt = np.empty((k, m))
@@ -695,6 +815,78 @@ def _asymp_hopeful(a: float, b: float, z: np.ndarray) -> np.ndarray:
     return hope
 
 
+@lru_cache(maxsize=256)
+def _asymp_plan(a: float, b: float) -> np.ndarray:
+    """Planned count of asymptotic terms, as a table over bins of |z|.
+
+    Bin e _PLAN_BINS + i holds 2^e (1 + [i, i + 1) / _PLAN_BINS), e >= 0,
+    and plans the larger count of its two edges, the plan rising or
+    falling across a bin at most once in practice; one last entry plans
+    every |z| >= 2^_PLAN_OCTAVES.  At an edge, L = ln|z|: let term m
+    (index i0 = m - 1) be the first with a non-zero coefficient and
+    t_m = |z^-m / Gamma(b - a m)|.  Envelope j falls under 2^-56 t_m
+    where L exceeds W_j = (ln renv_j - ln |1/Gamma(b - a m)| + 56 ln 2)
+    / (j - i0), j > i0; take the first j with W_j < L - _ASYMP_ETA.  If
+    the envelope stop thresholds of _asymp_stops stay below
+    L - _ASYMP_ETA through term j, envelopes 1..j fall, so every partial
+    sum is at least S- = t_m - t_{m+1} - (j - m) env_{m+2} in modulus
+    (the bound of _asymp_hopeful with its signs turned).  Where also
+    S- >= t_m / 2, envelope j is under 2^-55 of every partial sum, and
+    the plan stops at term j.  Otherwise it stops at the envelope stop,
+    the first term whose threshold is at or above L + _ASYMP_ETA.  It is
+    a plan only: _asymp_block tests every term itself.
+    """
+    nmax = _ASYMP_TERMS
+    edge = np.arange(_PLAN_OCTAVES * _PLAN_BINS + 1)
+    lnx = (np.log1p((edge % _PLAN_BINS) / _PLAN_BINS)
+           + (edge // _PLAN_BINS) * math.log(2.0))
+    found = _asymp_stops(a, b)
+    if found is None:
+        at = np.full(edge.shape, nmax)
+    else:
+        stops, _, c2, c3, c1, lead, _ = found
+        renv, _ = _asymp_coefs(a, b)
+        i = np.arange(renv.size) - (lead - 1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            w = (np.log(renv) - math.log(c1) + 56.0 * math.log(2.0)) / i
+        w[(i <= 0) | np.isnan(w)] = np.inf
+        j = np.searchsorted(-np.minimum.accumulate(w), _ASYMP_ETA - lnx,
+                            side="right")
+        k = np.minimum(j + 1, nmax)
+        u = np.exp(-lnx)
+        floor = ((stops[j] < lnx - _ASYMP_ETA)
+                 & (u * (c2[k] + u * c3[k]) <= 0.5 * c1))
+        env = np.searchsorted(stops, lnx + _ASYMP_ETA) + 1
+        at = np.where(floor, k, np.minimum(env, nmax))
+    out = np.append(np.maximum(at[:-1], at[1:]), at[-1]).astype(np.uint8)
+    out.setflags(write=False)
+    return out
+
+
+def _asymp_planned(a: float, b: float, x: np.ndarray) -> np.ndarray:
+    """Each point's planned count of asymptotic terms, |z| = x > 1."""
+    table = _asymp_plan(a, b)
+    # the bin: the exponent field and the leading bits of the fraction
+    k = (x.view(np.int64) >> (52 - _PLAN_BITS)) - (1023 << _PLAN_BITS)
+    return table[np.minimum(k, table.size - 1)]
+
+
+def _asymp_tile_terms(need: np.ndarray) -> int:
+    """Terms K of the first tile over the points still summing, whose
+    planned terms left are ``need`` (all positive).  K minimises the
+    cells of the tile plus, for K short of the longest plan, those of
+    one more tile that runs the points planned past K to it, and
+    _TILE_SPLIT cells for that tile's fixed cost; the largest such K."""
+    top = int(need.max())
+    if top * need.size <= _TILE_SPLIT:
+        return top
+    past = np.cumsum(np.bincount(need, minlength=top + 2)[::-1])[::-1]
+    k = np.arange(top, 0, -1)
+    cells = k * need.size + (top - k) * past[k + 1] + _TILE_SPLIT
+    cells[0] = top * need.size
+    return top - int(np.argmin(cells))
+
+
 def _asymp_block(a: float, b: float, z: np.ndarray):
     """E ~ residues - sum_{n>=1} z^{-n}/Gamma(b - a n), optimally truncated.
 
@@ -714,12 +906,18 @@ def _asymp_block(a: float, b: float, z: np.ndarray):
     and accept flag are therefore those of running every point to its
     envelope minimum.
 
-    The points still running are summed in the tiles of _series_block:
-    a tile wider than it is tall runs one term at a time and drops each
-    point at its stop, a taller one runs ufunc.accumulate down its
-    terms (powers, partial sums, running minimum of the envelope) and
-    finds each point's first stop in it.  Both take the very operations
-    of the term-by-term loop in its order.
+    Each point's stop is planned from |z| (_asymp_planned).  While at
+    most _TILE_TERMS points run, a tile of K terms by all of them runs
+    ufunc.accumulate down its terms (powers, partial sums, running
+    minimum of the envelope) and finds each point's first stop in it:
+    the first tile's K from _asymp_tile_terms, a later one's the longest
+    plan left.  More points are sorted by plan, longest first, and take
+    the terms one at a time through preallocated rows; the points that
+    stop leave the running set by shortening it when they are its tail,
+    as planned, else by compaction.  Both take the very operations of
+    the term-by-term loop in its order, every term's stop tests
+    included, so the plan moves no value: a point still running past its
+    planned stop is planned to the last term.
     """
     nmax = _ASYMP_TERMS
     renv, rg = _asymp_coefs(a, b)
@@ -727,68 +925,111 @@ def _asymp_block(a: float, b: float, z: np.ndarray):
     s = np.zeros_like(z)
     minenv = np.full(z.shape, np.inf)
     idx = np.flatnonzero(np.abs(z) > 1.0)  # |z| <= 1 never converges here
+    plan = _asymp_planned(a, b, np.abs(z[idx]))
+    if idx.size > _TILE_TERMS:
+        # longest plan first, and within one plan by falling position, so
+        # that on the negative axis the points that stop first are the tail
+        idx, plan = idx[::-1], plan[::-1]
+        order = np.argsort(np.uint8(255) - plan, kind="stable")
+        idx, plan = idx[order], plan[order]
+        # work rows of the one-term steps; the running sum and the next
+        # one swap roles every term
+        sn, env, w = (np.empty(idx.size) for _ in range(3))
+        grew, done = np.empty(idx.size, bool), np.empty(idx.size, bool)
+    plan = plan.astype(np.int64)
     zi = 1.0 / z[idx]
+    rl = res[idx]
     p = np.ones_like(zi)
     sl = np.zeros_like(zi)
     me = np.full(zi.shape, np.inf)
-    rl = res[idx]
+    m = idx.size  # the running points are the first m of every row
     n = 0
+    first = True
     with np.errstate(over="ignore", invalid="ignore"):
-        while idx.size and n < nmax:
-            m = idx.size
-            k = min(max(_TILE_CELLS // m, 1), _TILE_TERMS, nmax - n)
-            if k < m:
-                for i in range(n, n + k):
-                    p = p * zi
-                    env = np.abs(p) * renv[i]
-                    grew = env >= me
-                    snew = sl + p * rg[i]
-                    done = env < _ULP_FLOOR * np.abs(snew)
-                    if done.any():
-                        done &= env <= _RTOL * np.maximum(np.abs(rl - snew),
-                                                          1e-300)
-                    out = grew | done
-                    if out.any():
-                        s[idx[out]] = np.where(grew, sl, snew)[out]
-                        minenv[idx[out]] = np.where(grew, me, env)[out]
-                        keep = ~out
-                        idx, zi, p, rl = idx[keep], zi[keep], p[keep], rl[keep]
-                        snew, me, env = snew[keep], me[keep], env[keep]
-                    sl = snew
-                    me = np.minimum(me, env)
-                    if not idx.size:
-                        break
-            else:
+        while m and n < nmax:
+            if n:
+                plan[plan <= n] = nmax
+            need = plan - n
+            if m <= _TILE_TERMS:
+                k = _asymp_tile_terms(need) if first else int(need.max())
+                first = False
                 pt = np.empty((k, m))
-                pt[0] = p * zi
+                np.multiply(p, zi, out=pt[0])
                 pt[1:] = zi
                 np.multiply.accumulate(pt, axis=0, out=pt)
-                env = np.abs(pt) * renv[n:n + k, None]
-                # me[j]: the smallest envelope before term j
-                me = np.concatenate([me[None], env])
-                np.minimum.accumulate(me, axis=0, out=me)
+                et = np.abs(pt)
+                et *= renv[n:n + k, None]
+                # mt[j]: the smallest envelope before term j
+                mt = np.empty((k + 1, m))
+                mt[0] = me
+                mt[1:] = et
+                np.minimum.accumulate(mt, axis=0, out=mt)
                 st = np.empty((k + 1, m))
                 st[0] = sl
-                st[1:] = pt * rg[n:n + k, None]
+                np.multiply(pt, rg[n:n + k, None], out=st[1:])
                 np.add.accumulate(st, axis=0, out=st)
-                grew = env >= me[:-1]
-                done = ((env < _ULP_FLOOR * np.abs(st[1:]))
-                        & (env <= _RTOL * np.maximum(np.abs(rl - st[1:]),
-                                                     1e-300)))
-                out = grew | done
+                out = ((et < _ULP_FLOOR * np.abs(st[1:]))
+                       & (et <= _RTOL * np.maximum(np.abs(rl - st[1:]),
+                                                   1e-300)))
+                gt = et >= mt[:-1]
+                out |= gt
                 stop = out.any(axis=0)
-                if stop.any():
-                    j = np.flatnonzero(stop)
-                    i = out[:, j].argmax(axis=0)
-                    g = grew[i, j]
-                    s[idx[j]] = np.where(g, st[i, j], st[i + 1, j])
-                    minenv[idx[j]] = np.where(g, me[i, j], env[i, j])
-                keep = ~stop
-                idx, zi, rl = idx[keep], zi[keep], rl[keep]
-                p, sl, me = pt[-1, keep], st[-1, keep], me[-1, keep]
-            n += k
-    s[idx] = sl
-    minenv[idx] = me
+                j = np.flatnonzero(stop)
+                i = out[:, j].argmax(axis=0)
+                # a point stopping on a grown envelope at term i keeps the
+                # sum and the least envelope before it, else those after
+                # it: mt[i + 1] = et[i] where et[i] < mt[i]
+                i += ~gt[i, j]
+                s[idx[j]] = st[i, j]
+                minenv[idx[j]] = mt[i, j]
+                if j.size < m:
+                    keep = ~stop
+                    idx, zi, rl = idx[keep], zi[keep], rl[keep]
+                    plan, p = plan[keep], pt[-1, keep]
+                    sl, me = st[-1, keep], mt[-1, keep]
+                m -= j.size
+                n += k
+                continue
+            for i in range(n, n + int(need.max())):
+                pm, en, snm, wm = p[:m], env[:m], sn[:m], w[:m]
+                np.multiply(pm, zi[:m], out=pm)
+                np.abs(pm, out=en)
+                np.multiply(en, renv[i], out=en)
+                gr = np.greater_equal(en, me[:m], out=grew[:m])
+                np.multiply(pm, rg[i], out=snm)
+                np.add(sl[:m], snm, out=snm)
+                np.abs(snm, out=wm)
+                np.multiply(wm, _ULP_FLOOR, out=wm)
+                out = np.less(en, wm, out=done[:m])
+                if out.any():
+                    np.subtract(rl[:m], snm, out=wm)
+                    np.abs(wm, out=wm)
+                    np.maximum(wm, 1e-300, out=wm)
+                    np.multiply(wm, _RTOL, out=wm)
+                    out &= en <= wm
+                np.logical_or(out, gr, out=out)
+                stops = np.count_nonzero(out)
+                if stops:
+                    m -= stops
+                    tail = bool(out[m:].all())
+                    j = slice(m, m + stops) if tail else np.flatnonzero(out)
+                    g = gr[j]
+                    s[idx[j]] = np.where(g, sl[j], snm[j])
+                    minenv[idx[j]] = np.where(g, me[j], en[j])
+                    if not tail:  # compact
+                        keep = np.flatnonzero(~out)
+                        idx, zi, rl, plan = (idx[keep], zi[keep], rl[keep],
+                                             plan[keep])
+                        p, sn, me, env = p[keep], sn[keep], me[keep], env[keep]
+                sl, sn = sn, sl
+                np.minimum(me[:m], env[:m], out=me[:m])
+                if m <= _TILE_TERMS:
+                    break  # few enough for tiles
+            n = i + 1
+            idx, zi, rl, plan = idx[:m], zi[:m], rl[:m], plan[:m]
+            p, sl, me = p[:m], sl[:m], me[:m]
+    s[idx[:m]] = sl[:m]
+    minenv[idx[:m]] = me[:m]
     err = np.where(np.isfinite(minenv), minenv, np.inf)
     total = res - s
     with np.errstate(invalid="ignore"):

@@ -534,6 +534,30 @@ class TestDerivatives:
         with pytest.raises(ValueError):
             basis[0, 0] = 1.0
 
+    def test_memo_keeps_the_derivative_bases(self, default_solution):
+        """A second radial_bases call on the same grid returns the kept
+        matrices themselves, bit-identical to fresh ones and read-only,
+        lam x included; a new grid replaces every one of them."""
+        sol = replace(default_solution)
+        xs, ys = np.linspace(0.0, 1.0, 17), np.linspace(0.0, 1.0, 9) ** 2
+        first = solver.radial_bases(sol, xs, (0, 1, 2))
+        again = solver.radial_bases(sol, xs.copy(), (2, 1, 0))
+        for k in (0, 1, 2):
+            assert again[2 - k] is first[k]
+            assert np.array_equal(first[k],
+                                  self._basis_one_order(sol, xs, k))
+            assert not first[k].flags.writeable
+        kept = sol._memo["bases"]
+        assert not kept["lx"].flags.writeable
+        assert np.array_equal(kept["lx"], np.outer(xs, sol.lams))
+        other = solver.radial_bases(sol, ys, (0, 1, 2))
+        assert sol._memo["bases"] is not kept
+        assert np.array_equal(sol._memo["bases"]["x"], ys)
+        for k in (0, 1, 2):
+            assert other[k] is not first[k]
+            assert np.array_equal(other[k],
+                                  self._basis_one_order(sol, ys, k))
+
     def test_axis_values(self, default_solution):
         ux, uxx = eval_u_derivatives(default_solution, 0.0, 0.5)
         assert ux == 0.0

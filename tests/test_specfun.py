@@ -568,6 +568,96 @@ def test_asymp_values_match_loop(a, b, monkeypatch):
     assert np.array_equal(got, mittag_leffler(p, z))
 
 
+def _asymp_terms_loop(a, b, z, nmax=160):
+    """Terms each point of |z| > 1 takes in the asymptotic sum, its
+    stopping term included: the first term whose envelope does not fall
+    below the smallest so far, or that is below both 2^-55 |s| and
+    _RTOL |residues - s|; nmax for a point that never stops, 0 for
+    |z| <= 1.  A masked loop over the whole batch."""
+    from scipy import special as sp
+    res = specfun._ml_residue(a, b, z)
+    zi = 1.0 / z
+    p = np.ones_like(z)
+    s = np.zeros_like(z)
+    minenv = np.full(z.shape, np.inf)
+    live = np.abs(z) > 1.0
+    terms = np.where(live, nmax, 0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(1, nmax + 1):
+            x = b - a * n
+            if x >= 0.5:
+                renv = abs(float(sp.rgamma(x)))
+            else:
+                renv = float(np.exp(sp.gammaln(1.0 - x))) / math.pi
+            p = p * zi
+            env = np.abs(p) * renv
+            snew = s + p * sp.rgamma(x)
+            stop = live & ((env >= minenv)
+                           | ((env < specfun._ULP_FLOOR * np.abs(snew))
+                              & (env <= specfun._RTOL * np.maximum(
+                                  np.abs(res - snew), 1e-300))))
+            terms[stop] = n
+            live &= ~stop
+            s, minenv = snew, np.minimum(minenv, env)
+    return terms
+
+
+def _zeros_of_the_loop(a, b, lo, hi, count=8):
+    """Up to count zeros of the loop's value on -[lo, hi], bisected to
+    the last bit, with the 81 floats within 40 ulp-sized steps of each."""
+    z = -np.linspace(lo, hi, 20001)
+    v = _asymp_block_loop(a, b, z)[0]
+    i = np.flatnonzero(np.sign(v[1:]) != np.sign(v[:-1]))[:count]
+    left_end, right_end = z[i], z[i + 1]
+    sign_lo = np.sign(v[i])
+    for _ in range(60):
+        mid = 0.5 * (left_end + right_end)
+        left = np.sign(_asymp_block_loop(a, b, mid)[0]) == sign_lo
+        left_end = np.where(left, mid, left_end)
+        right_end = np.where(left, right_end, mid)
+    steps = 1.0 + np.arange(-40, 41)[:, None] * 1e-15
+    return (left_end * steps).ravel()
+
+
+@pytest.mark.parametrize("a,b", [(1.9, 0.6), (2.0, 0.6)])
+def test_asymp_planned_block_matches_loop(a, b):
+    """One call mixing points whose stop comes before, at and after the
+    planned one gives the loop's values and accept flags: points within
+    rounding of the envelope stop thresholds and of the edges where the
+    plan table changes (the floor stop), next to zeros of E, where the
+    error test fails at the floor stop and the point runs on past its
+    plan, and seeded |z| in [1.01, 1e9].  The same points in calls of
+    50, where the tiles run, keep the bits too."""
+    rng = np.random.default_rng(37)
+    stops = specfun._asymp_stops(a, b)[0][:-1]
+    ln_x = stops[np.isfinite(stops) & (stops > 0.0) & (stops < 40.0)]
+    off = np.array([-1e-8, -1e-9, -1e-12, 0.0, 1e-12, 1e-9, 1e-8])
+    near_env = np.exp((ln_x[:, None] + off).ravel())
+    table = specfun._asymp_plan(a, b)
+    k = np.flatnonzero(table[1:] != table[:-1]) + 1
+    edge = np.ldexp(1.0 + (k % specfun._PLAN_BINS) / specfun._PLAN_BINS,
+                    k // specfun._PLAN_BINS)
+    near_floor = (edge[:, None]
+                  * (1.0 + np.array([-1e-3, -1e-9, 0.0, 1e-9, 1e-3]))).ravel()
+    wide = np.exp(rng.uniform(np.log(1.01), np.log(1e9), 300))
+    z = np.concatenate([-near_env, -near_floor, -wide,
+                        _zeros_of_the_loop(a, b, 2000.0, 3000.0)])
+    z = rng.permutation(z[np.abs(z) > 1.0])
+    planned = specfun._asymp_planned(a, b, np.abs(z)).astype(int)
+    taken = _asymp_terms_loop(a, b, z)
+    for side in (taken < planned, taken == planned, taken > planned):
+        assert np.count_nonzero(side) >= 20
+    want = _asymp_block_loop(a, b, z)
+    got = specfun._asymp_block(a, b, z)
+    assert np.array_equal(got[0], want[0], equal_nan=True)
+    assert np.array_equal(got[1], want[1])
+    parts = [specfun._asymp_block(a, b, z[lo:lo + 50])
+             for lo in range(0, z.size, 50)]
+    assert np.array_equal(np.concatenate([v for v, _ in parts]), want[0],
+                          equal_nan=True)
+    assert np.array_equal(np.concatenate([ok for _, ok in parts]), want[1])
+
+
 # ---------------------------------------------------------------------------
 # asymptotic prediction: the points refused before any tile are points the
 # block itself rejects
@@ -740,6 +830,46 @@ def test_values_are_pointwise_across_chunks():
                            [4094, 4095, 4096, 4097, z.size - 1]])
     want = np.array([mittag_leffler(p, z[i]) for i in pick])
     assert np.array_equal(got[pick], want)
+
+
+@pytest.mark.parametrize("a,b", [(0.7, 0.7), (1.35, 1.0)])
+def test_values_keep_their_bits_in_any_order_and_chunk(a, b):
+    """A batch of more than three chunks of every regime, with repeated
+    arguments: each value is the same bits shuffled, sorted, in its
+    chunk's neighbours' company or alone, the points on either side of
+    every chunk edge of the sorted order among the single calls; a 2-D
+    batch keeps its shape and bits, empty batches keep their shape, and
+    a 0-d argument gives a float."""
+    rng = np.random.default_rng(97)
+    chunk = specfun._CHUNK
+    z = np.concatenate([
+        -np.exp(rng.uniform(np.log(1e-3), np.log(1e7), 3 * chunk)),
+        np.exp(rng.uniform(np.log(1e-2), np.log(30.0), 2000)),
+        [0.0, -1.0, 1.0]])
+    z = rng.permutation(np.concatenate([z, rng.choice(z, 3000)]))
+    assert z.size > 3 * chunk
+    p = MLParams(a, b)
+    with np.errstate(over="ignore"):
+        got = mittag_leffler(p, z)
+        perm = rng.permutation(z.size)
+        assert np.array_equal(mittag_leffler(p, z[perm]), got[perm])
+        order = np.argsort(z)
+        assert np.array_equal(mittag_leffler(p, z[order]), got[order])
+        _, first, inv = np.unique(z, return_index=True, return_inverse=True)
+        assert np.array_equal(got, got[first][inv])
+        edges = order[[i + d for i in range(chunk, z.size, chunk)
+                       for d in (-1, 0)]]
+        pick = np.concatenate([rng.choice(z.size, 60, replace=False), edges])
+        want = np.array([mittag_leffler(p, z[i]) for i in pick])
+        assert np.array_equal(got[pick], want)
+        grid = mittag_leffler(p, z[:600].reshape(20, 30))
+    assert grid.shape == (20, 30)
+    assert np.array_equal(grid.ravel(), got[:600])
+    for empty in ([], np.empty((0, 3))):
+        assert mittag_leffler(p, empty).shape == np.shape(empty)
+    for scalar in (z[0], np.float64(z[0]), np.array(z[0])):
+        one = mittag_leffler(p, scalar)
+        assert type(one) is float and one == got[0]
 
 
 def _contour_block_expr(a, b, z):

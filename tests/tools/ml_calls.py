@@ -8,13 +8,12 @@ solve-large-n workload does:
     OPENBLAS_NUM_THREADS=1 python3 tests/tools/ml_calls.py config CONFIG.json
     OPENBLAS_NUM_THREADS=1 python3 tests/tools/ml_calls.py solve 64
 
-Every call of ``specfun._ml_core`` (one per 4096-point chunk of the
-distinct arguments of a ``mittag_leffler`` call) is timed and put in a
-group by its size: at most 64 points, 65 to 1024, or more.  Each group
-prints its calls, points and seconds, and how many of its points each
-regime served: the alpha = 1 and alpha = 2 closed forms, the ascending
-series, the asymptotic sum, the contour, and the forced positive-axis
-series.
+Every call of ``specfun._ml_core`` (one per chunk of the sorted
+arguments of a ``mittag_leffler`` call) is timed and put in a group by
+its size: at most 64 points, 65 to 1024, or more.  Each group prints
+its calls, points and seconds, and how many of its points each regime
+served: the alpha = 1 and alpha = 2 closed forms, the ascending series,
+the asymptotic sum, the contour, and the forced positive-axis series.
 
 A second table gives each group's seconds per regime: the series plan,
 the series sum, the asymptotic prediction (``_asymp_hopeful``, where
@@ -22,10 +21,21 @@ the package has it), the asymptotic sum on the points it accepts and on
 the points it rejects, the contour, and the forced series (plan and
 sum).  The two asymptotic columns come from timing the sum again on
 each part of the points it was given, after the call that the run
-uses; that extra time is left out of the run's wall time.  Work inside
-a closed form's own helpers counts towards neither table.  The wrappers
-are installed on the module from outside; nothing in the package
-changes.
+uses; that extra time is left out of the run's wall time.
+
+A third table gives each group's work against its need: the points the
+series plan took (``_series_plan``, not forced) against those the
+series accepted, and the asymptotic cells (terms times points) the
+sum's tiles and one-term steps computed against the cells its points
+needed, each point's terms up to and including its stopping term.  A
+replay of the stop rule, one masked term-by-term pass per call, gives
+each point's terms; the cells computed come from running the block's
+schedule on them, the planned one where the package has
+``_asymp_plan`` and the fixed tiles of _TILE_CELLS // points terms
+(at most _TILE_TERMS) before it.  The replay is left out of the wall
+time too.  Work inside a closed form's own helpers counts towards no
+table.  The wrappers are installed on the module from outside; nothing
+in the package changes.
 """
 
 import sys
@@ -46,6 +56,7 @@ REGIMES = ("alpha_one", "alpha_two", "series", "asymptotic", "contour",
            "forced")
 TIMED = ("plan", "series", "asym_pred", "asym_acc", "asym_rej", "contour",
          "forced")
+WORK = ("planned", "accepted", "cells", "needed")
 
 
 def _group(size: int) -> str:
@@ -53,6 +64,78 @@ def _group(size: int) -> str:
         if top is None or size <= top:
             return name
     raise AssertionError(size)
+
+
+def asymp_terms(a: float, b: float, z: np.ndarray) -> np.ndarray:
+    """Terms each point takes in specfun._asymp_block, its stopping term
+    included (0 for |z| <= 1): the block's stop rule replayed in one
+    masked pass over the points, term by term."""
+    nmax = specfun._ASYMP_TERMS
+    renv, rg = specfun._asymp_coefs(a, b)
+    res = specfun._ml_residue(a, b, z)
+    zi = 1.0 / z
+    p, s = np.ones_like(z), np.zeros_like(z)
+    minenv = np.full(z.shape, np.inf)
+    live = np.abs(z) > 1.0
+    terms = np.where(live, nmax, 0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(nmax):
+            p = p * zi
+            env = np.abs(p) * renv[n]
+            snew = s + p * rg[n]
+            stop = live & ((env >= minenv)
+                           | ((env < specfun._ULP_FLOOR * np.abs(snew))
+                              & (env <= specfun._RTOL * np.maximum(
+                                  np.abs(res - snew), 1e-300))))
+            terms[stop] = n + 1
+            live &= ~stop
+            s, minenv = snew, np.minimum(minenv, env)
+    return terms
+
+
+def asymp_cells(a: float, b: float, z: np.ndarray, terms) -> int:
+    """Cells specfun._asymp_block computes on z, its points taking
+    ``terms`` terms: its tiles' (terms x points) and one cell a point in
+    its one-term steps, run on the counts alone."""
+    nmax = specfun._ASYMP_TERMS
+    big = np.abs(z) > 1.0
+    left, n, cells = terms[big], 0, 0
+    planned = hasattr(specfun, "_asymp_plan")
+    if planned:
+        plan = specfun._asymp_planned(a, b, np.abs(z[big])).astype(np.int64)
+        first = True
+    while left.size and n < nmax:
+        m = left.size
+        if planned:
+            plan[plan <= n] = nmax
+            need = plan - n
+            tile = m <= specfun._TILE_TERMS
+            if tile:
+                k = specfun._asymp_tile_terms(need) if first else need.max()
+                first = False
+            else:
+                k = int(need.max())
+        else:
+            k = min(max(specfun._TILE_CELLS // m, 1), specfun._TILE_TERMS,
+                    nmax - n)
+            tile = k >= m
+        if tile:
+            cells += k * m
+            keep = left > n + k
+            left, n = left[keep], n + k
+            if planned:
+                plan = plan[keep]
+            continue
+        for i in range(n, n + k):
+            cells += left.size
+            keep = left > i + 1
+            left = left[keep]
+            if planned:
+                plan = plan[keep]
+            if not left.size or (planned and left.size <= specfun._TILE_TERMS):
+                break
+        n = i + 1
+    return cells
 
 
 class Recorder:
@@ -64,6 +147,7 @@ class Recorder:
         self.seconds = defaultdict(float)
         self.served = defaultdict(lambda: defaultdict(int))
         self.regime_s = defaultdict(lambda: defaultdict(float))
+        self.work = defaultdict(lambda: defaultdict(int))
         self.probe_s = 0.0  # the asymptotic re-timing, outside the run
         self._group = None
         self._closed = 0  # depth inside a closed form's own helpers
@@ -90,6 +174,7 @@ class Recorder:
         self._wrap_accepting("_series_block", "series")
         self._wrap_asymptotic()
         self._wrap_timed("_series_plan", "plan")
+        self._wrap_planned()
         if hasattr(specfun, "_asymp_hopeful"):
             self._wrap_timed("_asymp_hopeful", "asym_pred")
         contour = specfun._contour_block
@@ -140,10 +225,24 @@ class Recorder:
                     t1 = time.perf_counter()
                     fn(a, b, z[part], *args)
                     self._time(regime, time.perf_counter() - t1)
+                terms = asymp_terms(a, b, z)
+                work = self.work[self._group]
+                work["needed"] += int(terms.sum())
+                work["cells"] += asymp_cells(a, b, z, terms)
                 self.probe_s += time.perf_counter() - t0
             return val, ok
 
         specfun._asymp_block = wrapped
+
+    def _wrap_planned(self):
+        fn = specfun._series_plan
+
+        def wrapped(a, b, z, force=False):
+            if self._counting() and not force:
+                self.work[self._group]["planned"] += z.size
+            return fn(a, b, z, force)
+
+        specfun._series_plan = wrapped
 
     def _wrap_closed(self, name, regime):
         fn = getattr(specfun, name)
@@ -187,6 +286,14 @@ class Recorder:
             secs = self.regime_s[g]
             print(f"{g:>8} " + " ".join(f"{secs[r]:>9.4f}" for r in TIMED),
                   file=out)
+        print(f"{'points':>8} " + " ".join(f"{r:>9}" for r in WORK)
+              + f" {'cells/need':>10}", file=out)
+        for _top, g in GROUPS:
+            work = self.work[g]
+            work["accepted"] = self.served[g]["series"]
+            ratio = work["cells"] / work["needed"] if work["needed"] else 0.0
+            print(f"{g:>8} " + " ".join(f"{work[r]:>9}" for r in WORK)
+                  + f" {ratio:>10.2f}", file=out)
 
 
 def run_config(path: str):
