@@ -18,14 +18,10 @@ accuracy-tracked cascade:
   largest term and the last term accept the value;
 * the algebraic asymptotic expansion with optimal truncation, plus the
   exponential residue pair that appears for alpha > 1, accepted when
-  the first omitted term is small enough.  Before any term, a point on
-  the negative axis whose envelope stop and envelope minimum, read from
-  |z| and the cached envelope, prove that the accept test must fail
-  goes straight to the contour.  The others get a stop planned from
-  |z|, the envelope stop or the first term under 2^-55 of a lower bound
-  on the sum, and run longest plan first: in tiles sized to the plans
-  while few points run, else one term at a time, the points that stop
-  leaving as the tail.  Every term's own stop tests decide;
+  the first omitted term is small enough, summed in the same tiles.
+  Before any tile, a point on the negative axis whose envelope stop
+  and envelope minimum, read from |z| and the cached envelope, prove
+  that the accept test must fail goes straight to the contour;
 * a Hankel-contour quadrature for the band in between, where neither
   expansion reaches tolerance: one fixed rule per (alpha, beta) on an
   arc and two rays turned at least pi/8 away from the pole pair, plus
@@ -81,15 +77,12 @@ _CONTOUR_CELLS = 1 << 15
 # take 64 KiB each
 _CHUNK = 8192
 
-# The series runs in tiles of K terms by the points still summing,
-# K = _TILE_CELLS // points clamped to [1, _TILE_TERMS]: a call of a few
-# dozen points makes a few tiles, and a chunk one term per tile.  The
-# asymptotic sum tiles while at most _TILE_TERMS points run, its K from
-# their planned stops, counting _TILE_SPLIT cells for a tile's fixed
-# cost (_asymp_tile_terms).
+# The series and asymptotic sums run in tiles of K terms by the points
+# still summing, K = _TILE_CELLS // points clamped to [1, _TILE_TERMS]:
+# a call of a few dozen points makes a few tiles, and a chunk one term
+# per tile.
 _TILE_CELLS = 4096
 _TILE_TERMS = 64
-_TILE_SPLIT = 256
 # the longest series; a point that needs more goes to the next regime
 _SERIES_TERMS = 16384
 # the longest asymptotic sum
@@ -99,11 +92,6 @@ _ASYMP_TERMS = 160
 # of the accept test; both dwarf the rounding of what they cover
 _ASYMP_ETA = 1e-9
 _ASYMP_SLACK = 1e-3
-# the table of planned asymptotic stops (_asymp_plan): 2^_PLAN_BITS bins
-# per octave of |z|, over _PLAN_OCTAVES octaves
-_PLAN_BITS = 4
-_PLAN_BINS = 1 << _PLAN_BITS
-_PLAN_OCTAVES = 64
 # natural-log budget of the series' predicted cancellation on the
 # negative axis: 15.8 float64 digits less the digits of _RTOL
 _SERIES_LOST = (15.8 + math.log10(_RTOL)) * math.log(10.0)
@@ -219,8 +207,7 @@ def mittag_leffler(p: MLParams, z):
     _CHUNK (8192) points of that order and the values go back through
     it.  Arguments are not deduplicated: the package's calls repeat
     none, and a repeated one gets the same bits again.  In each chunk
-    the series plans only the points its first-term gate passes, and
-    the asymptotic sum sizes its tiles by stops planned from |z|.
+    the series plans only the points its first-term gate passes.
     """
     if not isinstance(p, MLParams):
         raise TypeError("first argument must be an MLParams instance")
@@ -457,33 +444,17 @@ def _series_plan(a: float, b: float, z: np.ndarray, force: bool = False):
     x = np.abs(z)
     lnx = np.log(x)
     k, lg_first, _, _ = _series_first(a, b)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         r = x ** (1.0 / a)
         nstar = np.maximum((r - b) / a, 0.0)
         first = k * lnx - lg_first
         # the points with n* = 0 share lnGamma(b)
         lg = np.full(z.shape, _gammaln1(b))
         hump = nstar > 0.0
-        refused = None
-        if hump.any() and not force:
-            # lnGamma(y) < (y - 1/2) ln y - y + ln(2 pi)/2 + 1/(12 y) for
-            # y > 0 (Binet), so the hump term is at least this less a
-            # margin far past its rounding; where that already fails
-            # the gate the point is refused without the exact lnGamma
-            at = np.flatnonzero(hump)
-            yh = b + a * nstar[at]
-            low = (nstar[at] * lnx[at]
-                   - ((yh - 0.5) * np.log(yh) - yh + _HALF_LN_2PI
-                      + 1.0 / (12.0 * yh))) - 1e-6
-            low = np.fmax(low, first[at])
-            fail = ~_series_gate(low, x[at], z[at] < 0.0)
-            refused, hump[at[fail]] = at[fail], False
         if hump.any():
             lg[hump] = _special.gammaln(b + a * nstar[hump])
         ln_max = np.maximum(nstar * lnx - lg, first)
     ln_max = np.where(np.isnan(ln_max), np.inf, ln_max)
-    if refused is not None:
-        ln_max[refused] = np.inf
     safe = _series_gate(ln_max, x, z < 0.0)
     count = np.zeros(z.shape, dtype=np.int64)
     sub = slice(None) if force or safe.all() else np.flatnonzero(safe)
@@ -634,7 +605,10 @@ def _series_block(a: float, b: float, z: np.ndarray, count,
                 et[0] = e[:m]
                 et[1:] = (st[:-1] - (st[1:] - bb)) + (t - bb)
                 np.add.accumulate(et, axis=0, out=et)
-                p[:m], s[:m], e[:m] = pt[-1], st[-1], et[-1]
+                # both sum rows, as the one-term steps that may follow
+                # swap them, and the points that stopped here keep theirs
+                p[:m], e[:m] = pt[-1], et[-1]
+                s[:m] = s_next[:m] = st[-1]
                 np.maximum(big[:m], np.abs(t).max(axis=0), out=big[:m])
                 j = live[n + k]
                 if j < m:
@@ -815,78 +789,6 @@ def _asymp_hopeful(a: float, b: float, z: np.ndarray) -> np.ndarray:
     return hope
 
 
-@lru_cache(maxsize=256)
-def _asymp_plan(a: float, b: float) -> np.ndarray:
-    """Planned count of asymptotic terms, as a table over bins of |z|.
-
-    Bin e _PLAN_BINS + i holds 2^e (1 + [i, i + 1) / _PLAN_BINS), e >= 0,
-    and plans the larger count of its two edges, the plan rising or
-    falling across a bin at most once in practice; one last entry plans
-    every |z| >= 2^_PLAN_OCTAVES.  At an edge, L = ln|z|: let term m
-    (index i0 = m - 1) be the first with a non-zero coefficient and
-    t_m = |z^-m / Gamma(b - a m)|.  Envelope j falls under 2^-56 t_m
-    where L exceeds W_j = (ln renv_j - ln |1/Gamma(b - a m)| + 56 ln 2)
-    / (j - i0), j > i0; take the first j with W_j < L - _ASYMP_ETA.  If
-    the envelope stop thresholds of _asymp_stops stay below
-    L - _ASYMP_ETA through term j, envelopes 1..j fall, so every partial
-    sum is at least S- = t_m - t_{m+1} - (j - m) env_{m+2} in modulus
-    (the bound of _asymp_hopeful with its signs turned).  Where also
-    S- >= t_m / 2, envelope j is under 2^-55 of every partial sum, and
-    the plan stops at term j.  Otherwise it stops at the envelope stop,
-    the first term whose threshold is at or above L + _ASYMP_ETA.  It is
-    a plan only: _asymp_block tests every term itself.
-    """
-    nmax = _ASYMP_TERMS
-    edge = np.arange(_PLAN_OCTAVES * _PLAN_BINS + 1)
-    lnx = (np.log1p((edge % _PLAN_BINS) / _PLAN_BINS)
-           + (edge // _PLAN_BINS) * math.log(2.0))
-    found = _asymp_stops(a, b)
-    if found is None:
-        at = np.full(edge.shape, nmax)
-    else:
-        stops, _, c2, c3, c1, lead, _ = found
-        renv, _ = _asymp_coefs(a, b)
-        i = np.arange(renv.size) - (lead - 1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            w = (np.log(renv) - math.log(c1) + 56.0 * math.log(2.0)) / i
-        w[(i <= 0) | np.isnan(w)] = np.inf
-        j = np.searchsorted(-np.minimum.accumulate(w), _ASYMP_ETA - lnx,
-                            side="right")
-        k = np.minimum(j + 1, nmax)
-        u = np.exp(-lnx)
-        floor = ((stops[j] < lnx - _ASYMP_ETA)
-                 & (u * (c2[k] + u * c3[k]) <= 0.5 * c1))
-        env = np.searchsorted(stops, lnx + _ASYMP_ETA) + 1
-        at = np.where(floor, k, np.minimum(env, nmax))
-    out = np.append(np.maximum(at[:-1], at[1:]), at[-1]).astype(np.uint8)
-    out.setflags(write=False)
-    return out
-
-
-def _asymp_planned(a: float, b: float, x: np.ndarray) -> np.ndarray:
-    """Each point's planned count of asymptotic terms, |z| = x > 1."""
-    table = _asymp_plan(a, b)
-    # the bin: the exponent field and the leading bits of the fraction
-    k = (x.view(np.int64) >> (52 - _PLAN_BITS)) - (1023 << _PLAN_BITS)
-    return table[np.minimum(k, table.size - 1)]
-
-
-def _asymp_tile_terms(need: np.ndarray) -> int:
-    """Terms K of the first tile over the points still summing, whose
-    planned terms left are ``need`` (all positive).  K minimises the
-    cells of the tile plus, for K short of the longest plan, those of
-    one more tile that runs the points planned past K to it, and
-    _TILE_SPLIT cells for that tile's fixed cost; the largest such K."""
-    top = int(need.max())
-    if top * need.size <= _TILE_SPLIT:
-        return top
-    past = np.cumsum(np.bincount(need, minlength=top + 2)[::-1])[::-1]
-    k = np.arange(top, 0, -1)
-    cells = k * need.size + (top - k) * past[k + 1] + _TILE_SPLIT
-    cells[0] = top * need.size
-    return top - int(np.argmin(cells))
-
-
 def _asymp_block(a: float, b: float, z: np.ndarray):
     """E ~ residues - sum_{n>=1} z^{-n}/Gamma(b - a n), optimally truncated.
 
@@ -906,18 +808,12 @@ def _asymp_block(a: float, b: float, z: np.ndarray):
     and accept flag are therefore those of running every point to its
     envelope minimum.
 
-    Each point's stop is planned from |z| (_asymp_planned).  While at
-    most _TILE_TERMS points run, a tile of K terms by all of them runs
-    ufunc.accumulate down its terms (powers, partial sums, running
-    minimum of the envelope) and finds each point's first stop in it:
-    the first tile's K from _asymp_tile_terms, a later one's the longest
-    plan left.  More points are sorted by plan, longest first, and take
-    the terms one at a time through preallocated rows; the points that
-    stop leave the running set by shortening it when they are its tail,
-    as planned, else by compaction.  Both take the very operations of
-    the term-by-term loop in its order, every term's stop tests
-    included, so the plan moves no value: a point still running past its
-    planned stop is planned to the last term.
+    The points still running are summed in the tiles of _series_block:
+    a tile wider than it is tall runs one term at a time and drops each
+    point at its stop, a taller one runs ufunc.accumulate down its
+    terms (powers, partial sums, running minimum of the envelope) and
+    finds each point's first stop in it.  Both take the very operations
+    of the term-by-term loop in its order.
     """
     nmax = _ASYMP_TERMS
     renv, rg = _asymp_coefs(a, b)
@@ -925,111 +821,68 @@ def _asymp_block(a: float, b: float, z: np.ndarray):
     s = np.zeros_like(z)
     minenv = np.full(z.shape, np.inf)
     idx = np.flatnonzero(np.abs(z) > 1.0)  # |z| <= 1 never converges here
-    plan = _asymp_planned(a, b, np.abs(z[idx]))
-    if idx.size > _TILE_TERMS:
-        # longest plan first, and within one plan by falling position, so
-        # that on the negative axis the points that stop first are the tail
-        idx, plan = idx[::-1], plan[::-1]
-        order = np.argsort(np.uint8(255) - plan, kind="stable")
-        idx, plan = idx[order], plan[order]
-        # work rows of the one-term steps; the running sum and the next
-        # one swap roles every term
-        sn, env, w = (np.empty(idx.size) for _ in range(3))
-        grew, done = np.empty(idx.size, bool), np.empty(idx.size, bool)
-    plan = plan.astype(np.int64)
     zi = 1.0 / z[idx]
-    rl = res[idx]
     p = np.ones_like(zi)
     sl = np.zeros_like(zi)
     me = np.full(zi.shape, np.inf)
-    m = idx.size  # the running points are the first m of every row
+    rl = res[idx]
     n = 0
-    first = True
     with np.errstate(over="ignore", invalid="ignore"):
-        while m and n < nmax:
-            if n:
-                plan[plan <= n] = nmax
-            need = plan - n
-            if m <= _TILE_TERMS:
-                k = _asymp_tile_terms(need) if first else int(need.max())
-                first = False
+        while idx.size and n < nmax:
+            m = idx.size
+            k = min(max(_TILE_CELLS // m, 1), _TILE_TERMS, nmax - n)
+            if k < m:
+                for i in range(n, n + k):
+                    p = p * zi
+                    env = np.abs(p) * renv[i]
+                    grew = env >= me
+                    snew = sl + p * rg[i]
+                    done = env < _ULP_FLOOR * np.abs(snew)
+                    if done.any():
+                        done &= env <= _RTOL * np.maximum(np.abs(rl - snew),
+                                                          1e-300)
+                    out = grew | done
+                    if out.any():
+                        s[idx[out]] = np.where(grew, sl, snew)[out]
+                        minenv[idx[out]] = np.where(grew, me, env)[out]
+                        keep = ~out
+                        idx, zi, p, rl = idx[keep], zi[keep], p[keep], rl[keep]
+                        snew, me, env = snew[keep], me[keep], env[keep]
+                    sl = snew
+                    me = np.minimum(me, env)
+                    if not idx.size:
+                        break
+            else:
                 pt = np.empty((k, m))
-                np.multiply(p, zi, out=pt[0])
+                pt[0] = p * zi
                 pt[1:] = zi
                 np.multiply.accumulate(pt, axis=0, out=pt)
-                et = np.abs(pt)
-                et *= renv[n:n + k, None]
-                # mt[j]: the smallest envelope before term j
-                mt = np.empty((k + 1, m))
-                mt[0] = me
-                mt[1:] = et
-                np.minimum.accumulate(mt, axis=0, out=mt)
+                env = np.abs(pt) * renv[n:n + k, None]
+                # me[j]: the smallest envelope before term j
+                me = np.concatenate([me[None], env])
+                np.minimum.accumulate(me, axis=0, out=me)
                 st = np.empty((k + 1, m))
                 st[0] = sl
-                np.multiply(pt, rg[n:n + k, None], out=st[1:])
+                st[1:] = pt * rg[n:n + k, None]
                 np.add.accumulate(st, axis=0, out=st)
-                out = ((et < _ULP_FLOOR * np.abs(st[1:]))
-                       & (et <= _RTOL * np.maximum(np.abs(rl - st[1:]),
-                                                   1e-300)))
-                gt = et >= mt[:-1]
-                out |= gt
+                grew = env >= me[:-1]
+                done = ((env < _ULP_FLOOR * np.abs(st[1:]))
+                        & (env <= _RTOL * np.maximum(np.abs(rl - st[1:]),
+                                                     1e-300)))
+                out = grew | done
                 stop = out.any(axis=0)
-                j = np.flatnonzero(stop)
-                i = out[:, j].argmax(axis=0)
-                # a point stopping on a grown envelope at term i keeps the
-                # sum and the least envelope before it, else those after
-                # it: mt[i + 1] = et[i] where et[i] < mt[i]
-                i += ~gt[i, j]
-                s[idx[j]] = st[i, j]
-                minenv[idx[j]] = mt[i, j]
-                if j.size < m:
-                    keep = ~stop
-                    idx, zi, rl = idx[keep], zi[keep], rl[keep]
-                    plan, p = plan[keep], pt[-1, keep]
-                    sl, me = st[-1, keep], mt[-1, keep]
-                m -= j.size
-                n += k
-                continue
-            for i in range(n, n + int(need.max())):
-                pm, en, snm, wm = p[:m], env[:m], sn[:m], w[:m]
-                np.multiply(pm, zi[:m], out=pm)
-                np.abs(pm, out=en)
-                np.multiply(en, renv[i], out=en)
-                gr = np.greater_equal(en, me[:m], out=grew[:m])
-                np.multiply(pm, rg[i], out=snm)
-                np.add(sl[:m], snm, out=snm)
-                np.abs(snm, out=wm)
-                np.multiply(wm, _ULP_FLOOR, out=wm)
-                out = np.less(en, wm, out=done[:m])
-                if out.any():
-                    np.subtract(rl[:m], snm, out=wm)
-                    np.abs(wm, out=wm)
-                    np.maximum(wm, 1e-300, out=wm)
-                    np.multiply(wm, _RTOL, out=wm)
-                    out &= en <= wm
-                np.logical_or(out, gr, out=out)
-                stops = np.count_nonzero(out)
-                if stops:
-                    m -= stops
-                    tail = bool(out[m:].all())
-                    j = slice(m, m + stops) if tail else np.flatnonzero(out)
-                    g = gr[j]
-                    s[idx[j]] = np.where(g, sl[j], snm[j])
-                    minenv[idx[j]] = np.where(g, me[j], en[j])
-                    if not tail:  # compact
-                        keep = np.flatnonzero(~out)
-                        idx, zi, rl, plan = (idx[keep], zi[keep], rl[keep],
-                                             plan[keep])
-                        p, sn, me, env = p[keep], sn[keep], me[keep], env[keep]
-                sl, sn = sn, sl
-                np.minimum(me[:m], env[:m], out=me[:m])
-                if m <= _TILE_TERMS:
-                    break  # few enough for tiles
-            n = i + 1
-            idx, zi, rl, plan = idx[:m], zi[:m], rl[:m], plan[:m]
-            p, sl, me = p[:m], sl[:m], me[:m]
-    s[idx[:m]] = sl[:m]
-    minenv[idx[:m]] = me[:m]
+                if stop.any():
+                    j = np.flatnonzero(stop)
+                    i = out[:, j].argmax(axis=0)
+                    g = grew[i, j]
+                    s[idx[j]] = np.where(g, st[i, j], st[i + 1, j])
+                    minenv[idx[j]] = np.where(g, me[i, j], env[i, j])
+                keep = ~stop
+                idx, zi, rl = idx[keep], zi[keep], rl[keep]
+                p, sl, me = pt[-1, keep], st[-1, keep], me[-1, keep]
+            n += k
+    s[idx] = sl
+    minenv[idx] = me
     err = np.where(np.isfinite(minenv), minenv, np.inf)
     total = res - s
     with np.errstate(invalid="ignore"):

@@ -474,6 +474,23 @@ def test_values_do_not_depend_on_tiles(a, b):
     assert np.array_equal(alone, whole[pick])
 
 
+@pytest.mark.parametrize("counts", [[65, 65, 50], [65, 65, 65, 40],
+                                    [66, 66, 66, 40], [67, 67, 67, 67, 30],
+                                    [130, 130, 100, 70, 20]])
+def test_series_block_after_a_tile(counts):
+    """A tile that stops some points, then one-term steps for the rest
+    (fewer terms left than points): every point's value and flag are
+    those of a call with that point alone."""
+    a, b = 0.7, 1.0
+    z = -np.linspace(0.3, 0.9, len(counts))
+    count = np.array(counts, dtype=np.int64)
+    val, ok = specfun._series_block(a, b, z, count)
+    for i in range(z.size):
+        one = specfun._series_block(a, b, z[i:i + 1], count[i:i + 1])
+        assert np.array_equal(val[i:i + 1], one[0])
+        assert np.array_equal(ok[i:i + 1], one[1])
+
+
 # ---------------------------------------------------------------------------
 # asymptotic block: live-point passes with an exact early exit against the
 # masked loop that runs every point to its envelope minimum
@@ -566,96 +583,6 @@ def test_asymp_values_match_loop(a, b, monkeypatch):
     got = mittag_leffler(p, z)
     monkeypatch.setattr(specfun, "_asymp_block", _asymp_block_loop)
     assert np.array_equal(got, mittag_leffler(p, z))
-
-
-def _asymp_terms_loop(a, b, z, nmax=160):
-    """Terms each point of |z| > 1 takes in the asymptotic sum, its
-    stopping term included: the first term whose envelope does not fall
-    below the smallest so far, or that is below both 2^-55 |s| and
-    _RTOL |residues - s|; nmax for a point that never stops, 0 for
-    |z| <= 1.  A masked loop over the whole batch."""
-    from scipy import special as sp
-    res = specfun._ml_residue(a, b, z)
-    zi = 1.0 / z
-    p = np.ones_like(z)
-    s = np.zeros_like(z)
-    minenv = np.full(z.shape, np.inf)
-    live = np.abs(z) > 1.0
-    terms = np.where(live, nmax, 0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(1, nmax + 1):
-            x = b - a * n
-            if x >= 0.5:
-                renv = abs(float(sp.rgamma(x)))
-            else:
-                renv = float(np.exp(sp.gammaln(1.0 - x))) / math.pi
-            p = p * zi
-            env = np.abs(p) * renv
-            snew = s + p * sp.rgamma(x)
-            stop = live & ((env >= minenv)
-                           | ((env < specfun._ULP_FLOOR * np.abs(snew))
-                              & (env <= specfun._RTOL * np.maximum(
-                                  np.abs(res - snew), 1e-300))))
-            terms[stop] = n
-            live &= ~stop
-            s, minenv = snew, np.minimum(minenv, env)
-    return terms
-
-
-def _zeros_of_the_loop(a, b, lo, hi, count=8):
-    """Up to count zeros of the loop's value on -[lo, hi], bisected to
-    the last bit, with the 81 floats within 40 ulp-sized steps of each."""
-    z = -np.linspace(lo, hi, 20001)
-    v = _asymp_block_loop(a, b, z)[0]
-    i = np.flatnonzero(np.sign(v[1:]) != np.sign(v[:-1]))[:count]
-    left_end, right_end = z[i], z[i + 1]
-    sign_lo = np.sign(v[i])
-    for _ in range(60):
-        mid = 0.5 * (left_end + right_end)
-        left = np.sign(_asymp_block_loop(a, b, mid)[0]) == sign_lo
-        left_end = np.where(left, mid, left_end)
-        right_end = np.where(left, right_end, mid)
-    steps = 1.0 + np.arange(-40, 41)[:, None] * 1e-15
-    return (left_end * steps).ravel()
-
-
-@pytest.mark.parametrize("a,b", [(1.9, 0.6), (2.0, 0.6)])
-def test_asymp_planned_block_matches_loop(a, b):
-    """One call mixing points whose stop comes before, at and after the
-    planned one gives the loop's values and accept flags: points within
-    rounding of the envelope stop thresholds and of the edges where the
-    plan table changes (the floor stop), next to zeros of E, where the
-    error test fails at the floor stop and the point runs on past its
-    plan, and seeded |z| in [1.01, 1e9].  The same points in calls of
-    50, where the tiles run, keep the bits too."""
-    rng = np.random.default_rng(37)
-    stops = specfun._asymp_stops(a, b)[0][:-1]
-    ln_x = stops[np.isfinite(stops) & (stops > 0.0) & (stops < 40.0)]
-    off = np.array([-1e-8, -1e-9, -1e-12, 0.0, 1e-12, 1e-9, 1e-8])
-    near_env = np.exp((ln_x[:, None] + off).ravel())
-    table = specfun._asymp_plan(a, b)
-    k = np.flatnonzero(table[1:] != table[:-1]) + 1
-    edge = np.ldexp(1.0 + (k % specfun._PLAN_BINS) / specfun._PLAN_BINS,
-                    k // specfun._PLAN_BINS)
-    near_floor = (edge[:, None]
-                  * (1.0 + np.array([-1e-3, -1e-9, 0.0, 1e-9, 1e-3]))).ravel()
-    wide = np.exp(rng.uniform(np.log(1.01), np.log(1e9), 300))
-    z = np.concatenate([-near_env, -near_floor, -wide,
-                        _zeros_of_the_loop(a, b, 2000.0, 3000.0)])
-    z = rng.permutation(z[np.abs(z) > 1.0])
-    planned = specfun._asymp_planned(a, b, np.abs(z)).astype(int)
-    taken = _asymp_terms_loop(a, b, z)
-    for side in (taken < planned, taken == planned, taken > planned):
-        assert np.count_nonzero(side) >= 20
-    want = _asymp_block_loop(a, b, z)
-    got = specfun._asymp_block(a, b, z)
-    assert np.array_equal(got[0], want[0], equal_nan=True)
-    assert np.array_equal(got[1], want[1])
-    parts = [specfun._asymp_block(a, b, z[lo:lo + 50])
-             for lo in range(0, z.size, 50)]
-    assert np.array_equal(np.concatenate([v for v, _ in parts]), want[0],
-                          equal_nan=True)
-    assert np.array_equal(np.concatenate([ok for _, ok in parts]), want[1])
 
 
 # ---------------------------------------------------------------------------

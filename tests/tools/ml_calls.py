@@ -30,12 +30,10 @@ sum's tiles and one-term steps computed against the cells its points
 needed, each point's terms up to and including its stopping term.  A
 replay of the stop rule, one masked term-by-term pass per call, gives
 each point's terms; the cells computed come from running the block's
-schedule on them, the planned one where the package has
-``_asymp_plan`` and the fixed tiles of _TILE_CELLS // points terms
-(at most _TILE_TERMS) before it.  The replay is left out of the wall
-time too.  Work inside a closed form's own helpers counts towards no
-table.  The wrappers are installed on the module from outside; nothing
-in the package changes.
+schedule, tiles of _TILE_CELLS // points terms (at most _TILE_TERMS),
+on them.  The replay is left out of the wall time too.  Work inside a
+closed form's own helpers counts towards no table.  The wrappers are
+installed on the module from outside; nothing in the package changes.
 """
 
 import sys
@@ -93,48 +91,26 @@ def asymp_terms(a: float, b: float, z: np.ndarray) -> np.ndarray:
     return terms
 
 
-def asymp_cells(a: float, b: float, z: np.ndarray, terms) -> int:
+def asymp_cells(z: np.ndarray, terms) -> int:
     """Cells specfun._asymp_block computes on z, its points taking
     ``terms`` terms: its tiles' (terms x points) and one cell a point in
     its one-term steps, run on the counts alone."""
     nmax = specfun._ASYMP_TERMS
-    big = np.abs(z) > 1.0
-    left, n, cells = terms[big], 0, 0
-    planned = hasattr(specfun, "_asymp_plan")
-    if planned:
-        plan = specfun._asymp_planned(a, b, np.abs(z[big])).astype(np.int64)
-        first = True
+    left, n, cells = terms[np.abs(z) > 1.0], 0, 0
     while left.size and n < nmax:
         m = left.size
-        if planned:
-            plan[plan <= n] = nmax
-            need = plan - n
-            tile = m <= specfun._TILE_TERMS
-            if tile:
-                k = specfun._asymp_tile_terms(need) if first else need.max()
-                first = False
-            else:
-                k = int(need.max())
-        else:
-            k = min(max(specfun._TILE_CELLS // m, 1), specfun._TILE_TERMS,
-                    nmax - n)
-            tile = k >= m
-        if tile:
+        k = min(max(specfun._TILE_CELLS // m, 1), specfun._TILE_TERMS,
+                nmax - n)
+        if k >= m:
             cells += k * m
-            keep = left > n + k
-            left, n = left[keep], n + k
-            if planned:
-                plan = plan[keep]
+            left, n = left[left > n + k], n + k
             continue
         for i in range(n, n + k):
             cells += left.size
-            keep = left > i + 1
-            left = left[keep]
-            if planned:
-                plan = plan[keep]
-            if not left.size or (planned and left.size <= specfun._TILE_TERMS):
+            left = left[left > i + 1]
+            if not left.size:
                 break
-        n = i + 1
+        n += k
     return cells
 
 
@@ -228,7 +204,7 @@ class Recorder:
                 terms = asymp_terms(a, b, z)
                 work = self.work[self._group]
                 work["needed"] += int(terms.sum())
-                work["cells"] += asymp_cells(a, b, z, terms)
+                work["cells"] += asymp_cells(z, terms)
                 self.probe_s += time.perf_counter() - t0
             return val, ok
 
