@@ -6,7 +6,8 @@ grid CSV, a mode table CSV, and a JSON report.  The exit status encodes
 the outcome so scripted callers never have to parse the report:
 
     0   solved and every verification check passed
-    1   configuration error (unreadable, malformed, or invalid input)
+    1   configuration error (unreadable, malformed, or invalid input,
+        or a command line that does not parse)
     2   solvability failure: some mode determinant sits on the floor
     3   numeric failure: an internal routine missed its accuracy
         contract, or the verification report is not clean
@@ -28,8 +29,8 @@ import numpy as np
 
 from .errors import NumericError, SolvabilityError
 from .fracops import OperatorParams
-from .solver import (DELTA_VARIANTS, Forcing, ProblemSpec, mode_matrix,
-                     radial_bases, solve_modes)
+from .solver import (Forcing, ProblemSpec, mode_matrix, radial_bases,
+                     solve_modes)
 from .verify import verify_solution
 
 __all__ = ["RunConfig", "parse_config", "run", "main"]
@@ -147,10 +148,9 @@ def _build_forcing(raw, base_dir: Path) -> Forcing:
     return Forcing(**_block(raw, "problem.forcing", keys))
 
 
-_EIGEN_CHOICES = ("true", "asymptotic")
 _OPERATOR_KEYS = tuple(f.name for f in fields(OperatorParams))
 # ProblemSpec fields that the problem block and the command line may set
-_SETTINGS = ("N", "delta_variant", "asymptotic_eigenvalues")
+_SETTINGS = ("N",)
 _OUTPUT_FIELDS = {"solution": "solution_path", "modes": "mode_table_path",
                   "report": "report_path"}
 
@@ -159,9 +159,9 @@ def parse_config(path, *, overrides: dict = None,
                  strict_hypotheses: bool = False) -> RunConfig:
     """Load and validate a JSON run configuration.
 
-    overrides maps some of the ProblemSpec fields N, delta_variant and
-    asymptotic_eigenvalues to command-line values that win over the
-    problem block; ProblemSpec, Forcing and RunConfig hold the defaults.
+    overrides maps the ProblemSpec field N to a command-line value that
+    wins over the problem block; ProblemSpec, Forcing and RunConfig hold
+    the defaults.
     Raises ConfigError on any problem, a key that no block reads
     included; JSON syntax errors are reported with their line and
     column.
@@ -298,9 +298,6 @@ def run(cfg: RunConfig, out_dir=".") -> int:
         "problem": {
             "N": cfg.spec.N,
             "T": cfg.spec.T,
-            "delta_variant": cfg.spec.delta_variant,
-            "eigenvalues": ("asymptotic" if cfg.spec.asymptotic_eigenvalues
-                            else "true"),
         },
     }
     doc.update(report.as_dict())
@@ -331,24 +328,19 @@ def main(argv=None) -> int:
                     help="directory for the output artifacts")
     ps.add_argument("--modes", type=int, default=None,
                     help="override the series truncation N")
-    ps.add_argument("--eigen", choices=_EIGEN_CHOICES, default=None,
-                    help="use Newton-refined Bessel zeros or the "
-                         "closed-form asymptotic approximation")
-    ps.add_argument("--delta-variant", choices=DELTA_VARIANTS, default=None,
-                    help="Mittag-Leffler argument convention inside the "
-                         "mode determinant")
     ps.add_argument("--strict-hypotheses", action="store_true",
                     help="reject configs whose forcing hypotheses cannot "
                          "be verified")
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # -h exits 0; a usage error is a configuration error, not the
+        # solvability failure that argparse's own code 2 would read as
+        return EXIT_OK if exc.code == 0 else EXIT_CONFIG
 
     overrides = {}
     if args.modes is not None:
         overrides["N"] = args.modes
-    if args.eigen is not None:
-        overrides["asymptotic_eigenvalues"] = args.eigen == "asymptotic"
-    if args.delta_variant is not None:
-        overrides["delta_variant"] = args.delta_variant
     try:
         cfg = parse_config(args.config, overrides=overrides,
                            strict_hypotheses=args.strict_hypotheses)

@@ -48,9 +48,6 @@ __all__ = [
 
 _NAN = float("nan")
 
-# Mittag-Leffler argument conventions inside Delta_k; see ProblemSpec.
-DELTA_VARIANTS = ("consistent", "paper-literal")
-
 # solve_modes refuses a mode whose |Delta_k| falls below this rather
 # than divide its data through.
 DELTA_FLOOR = 1e-10
@@ -162,13 +159,10 @@ class ProblemSpec:
 
     nonlocal_points holds (p_i, xi_i) pairs: weights and history times
     of the condition sum_i p_i (I^a u)(x, xi_i) = u(x, T), with the
-    xi_i strictly increasing inside [-T, 0].
-
-    delta_variant, one of DELTA_VARIANTS, selects the Mittag-Leffler
-    argument convention inside Delta_k: the consistent one uses
-    -lam^2 (-xi)^{delta2} (the power that the fractional-integral shift
-    identity actually produces), while the paper-literal one drops the
-    delta2 exponent.  The two coincide when every |xi_i| = 1.
+    xi_i strictly increasing inside [-T, 0].  The modes run over the
+    first N zeros of J0, and Delta_k takes its Mittag-Leffler arguments
+    at -lam^2 (-xi)^{delta2}, the power that the fractional-integral
+    shift identity produces.
     """
 
     op: OperatorParams
@@ -176,8 +170,6 @@ class ProblemSpec:
     nonlocal_points: tuple
     forcing: Forcing
     N: int = 50
-    delta_variant: str = "consistent"
-    asymptotic_eigenvalues: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "T", float(self.T))
@@ -203,12 +195,6 @@ class ProblemSpec:
         object.__setattr__(self, "N", int(self.N))
         if self.N < 1:
             raise ValueError("N must be at least 1")
-        if self.delta_variant not in DELTA_VARIANTS:
-            raise ValueError(f"delta_variant must be one of {DELTA_VARIANTS}, "
-                             f"got {self.delta_variant!r}")
-        if not isinstance(self.asymptotic_eigenvalues, bool):
-            raise ValueError("asymptotic_eigenvalues must be true or false, "
-                             f"got {self.asymptotic_eigenvalues!r}")
         if not self.forcing.is_builtin:
             xg, tg = self.forcing.x_grid, self.forcing.t_grid
             if xg[0] > 0.0 or xg[-1] < 1.0 or tg[0] > -self.T or tg[-1] < self.T:
@@ -710,9 +696,7 @@ def compute_Delta_k(mode, spec: ProblemSpec):
     d2 = op.delta2
     pa = op.p ** op.alpha1 * gamma(op.alpha1)
     pts = spec.nonlocal_points
-    consistent = spec.delta_variant == "consistent"
-    z = -lam2 * np.array([[(-xi) ** d2 if consistent else (-xi)]
-                          for _, xi in pts])
+    z = -lam2 * np.array([[(-xi) ** d2] for _, xi in pts])
     e1 = mittag_leffler(MLParams(alpha=d2, beta=1.0), z)
     e2 = mittag_leffler(MLParams(alpha=d2, beta=2.0), z)
     total = np.zeros(lam2.shape)
@@ -724,13 +708,11 @@ def compute_Delta_k(mode, spec: ProblemSpec):
 
 
 def delta_limit(spec: ProblemSpec) -> float:
-    """Large-k limit of Delta_k under the spec's argument variant.
+    """Large-k limit of Delta_k.
 
     The backward bracket tends to (-xi)^{1-delta2} / (p^{a1} Gamma(a1)
-    Gamma(2-delta2)) per point under the consistent variant; the
-    paper-literal variant loses the (-xi) power.  At |xi| = 1 the two
-    limits agree.  At xi = 0 the bracket is E_{delta2,1}(0) = 1 for
-    every k, so that point adds its weight p_i.
+    Gamma(2-delta2)) per point.  At xi = 0 the bracket is
+    E_{delta2,1}(0) = 1 for every k, so that point adds its weight p_i.
 
     Raises NumericError at delta2 = 2 when some xi is not 0: the bracket
     then holds E_{2,1}(-x^2) = cos(x) at an x that grows with lam, which
@@ -749,9 +731,7 @@ def delta_limit(spec: ProblemSpec) -> float:
                 f"Delta_k has no large-k limit at delta2 = 2: at xi = {xi} "
                 "its bracket holds E_(2,1)(-x^2) = cos(x) with x growing "
                 "like lambda_k")
-        w = ((-xi) ** (1.0 - op.delta2)
-             if spec.delta_variant == "consistent" else 1.0)
-        total += p_i * w / denom
+        total += p_i * (-xi) ** (1.0 - op.delta2) / denom
     return total
 
 
@@ -829,7 +809,7 @@ def solve_modes(spec: ProblemSpec) -> SeriesSolution:
     DELTA_FLOOR, before any F_k is computed.
     """
     op = spec.op
-    eigs = eigenvalue_table(spec.N, asymptotic=spec.asymptotic_eigenvalues)
+    eigs = eigenvalue_table(spec.N)
     f_ks = _mode_coefficient_callables(spec, eigs)
     pa = op.p ** op.alpha1 * gamma(op.alpha1)
     partial = [ModeRecord(ev=ev, f_k=f_k, op=op)

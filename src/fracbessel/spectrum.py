@@ -25,7 +25,7 @@ import numpy as np
 
 from ._special import j0, j0_integral, j0_zeros, j1
 from .errors import NumericError
-from .quadrature import QuadratureRule, gauss_legendre_rule
+from .quadrature import gauss_legendre_rule
 from .specfun import bessel_j
 
 __all__ = [
@@ -67,30 +67,20 @@ class Eigenvalue:
             raise ValueError(f"norm_sq must be positive, got {self.norm_sq}")
 
 
-def eigenvalue_table(N: int, *, asymptotic: bool = False) -> tuple:
-    """First N eigenpairs, either the true zeros of J0 (default, from
-    McMahon's expansion and Newton steps, all at once) or the verbatim
-    asymptotic values pi*k - pi/4.
-
-    The asymptotic table deliberately does not satisfy J0(lam) = 0 to
-    machine precision; it exists to reproduce results derived under
-    that approximation.
-    """
+def eigenvalue_table(N: int) -> tuple:
+    """First N eigenpairs: the zeros of J0, all at once from McMahon's
+    expansion and Newton steps, with their norms."""
     if N < 1:
         raise ValueError("N must be at least 1")
-    ks = range(1, N + 1)
-    if asymptotic:
-        lams = np.array([math.pi * k - math.pi / 4.0 for k in ks])
-    else:
-        lams = j0_zeros(N)
+    lams = j0_zeros(N)
     j1 = bessel_j(1, lams)
     return tuple(Eigenvalue(k=k, lam=lam, norm_sq=0.5 * j * j)
-                 for k, lam, j in zip(ks, lams, j1))
+                 for k, lam, j in zip(range(1, N + 1), lams, j1))
 
 
 @lru_cache(maxsize=None)
 def bessel_zero(k: int) -> Eigenvalue:
-    """k-th positive zero of J0 with its norm: entry k of the true-zero
+    """k-th positive zero of J0 with its norm: entry k of
     ``eigenvalue_table``."""
     if not (isinstance(k, (int, np.integer)) and k >= 1):
         raise ValueError(f"k must be a positive integer, got {k}")
@@ -230,24 +220,19 @@ def _project(g, lams, norms, nodes, weights) -> np.ndarray:
     return out / norms.reshape((-1,) + (1,) * (out.ndim - 1))
 
 
-def fourier_bessel_table(g, eigs: Sequence[Eigenvalue],
-                         quad: QuadratureRule = None) -> np.ndarray:
+def fourier_bessel_table(g, eigs: Sequence[Eigenvalue]) -> np.ndarray:
     """Weighted projections (2 / J1(lam_k)^2) int_0^1 x g(x) J0(lam_k x) dx
     of g onto every mode of ``eigs``, one row per mode.
 
     g takes an array of nodes and returns one value per node, or one row
     of values per node (a batch of functions, one column each).  The
-    default rule is a composite Gauss-Legendre rule whose panels each
-    span at most half a period of the highest mode.  The whole table is
-    made again on twice the panels, and a NumericError names the first
-    mode whose two values disagree; the refined table is returned.  A
-    caller-supplied rule is trusted as given (that is the hook for
-    deliberately different oracle rules).
+    rule is a composite Gauss-Legendre rule whose panels each span at
+    most half a period of the highest mode.  The whole table is made
+    again on twice the panels, and a NumericError names the first mode
+    whose two values disagree; the refined table is returned.
     """
     lams = np.array([ev.lam for ev in eigs])
     norms = np.array([ev.norm_sq for ev in eigs])
-    if quad is not None:
-        return _project(g, lams, norms, quad.nodes, quad.weights)
     panels = max(_MIN_PANELS, math.ceil(float(lams.max()) / math.pi))
     c0 = _project(g, lams, norms, *_panel_rule(panels))
     c1 = _project(g, lams, norms, *_panel_rule(2 * panels))
@@ -261,10 +246,10 @@ def fourier_bessel_table(g, eigs: Sequence[Eigenvalue],
     return c1
 
 
-def fourier_bessel_coeff(g, ev: Eigenvalue, quad: QuadratureRule = None):
+def fourier_bessel_coeff(g, ev: Eigenvalue):
     """Weighted projection (2 / J1(lam_k)^2) int_0^1 x g(x) J0(lam_k x) dx
     of g onto one mode: ``fourier_bessel_table`` for that mode alone, with
-    the same convergence check and ``quad`` hook.  A float for a
-    scalar-valued g, one value per column for a batch g."""
-    out = fourier_bessel_table(g, (ev,), quad)[0]
+    the same convergence check.  A float for a scalar-valued g, one value
+    per column for a batch g."""
+    out = fourier_bessel_table(g, (ev,))[0]
     return float(out) if out.ndim == 0 else out

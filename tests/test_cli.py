@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -58,8 +59,6 @@ class TestParseConfig:
         cfg = parse_config(p)
         spec = cfg.spec
         assert spec.N == 50 and spec.T == 1.0
-        assert spec.delta_variant == "consistent"
-        assert not spec.asymptotic_eigenvalues
         assert (cfg.nx, cfg.nt_pos, cfg.nt_neg) == (21, 9, 9)
         assert cfg.verify_modes == 10
         assert cfg.hypothesis_note == "satisfied"
@@ -101,7 +100,7 @@ class TestParseConfig:
         assert "config error: 'flags.tolerances'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("dotted,value", [
-        # deleted duplicates of problem.delta_variant and --eigen, and the
+        # older homes of the deleted run settings below, and the
         # solvability floor, which is solver.DELTA_FLOOR
         ("flags.delta_variant", "paper-literal"),
         ("flags.eigenvalues", "asymptotic"),
@@ -114,6 +113,10 @@ class TestParseConfig:
         ("csv.samples", [[0.0, 0.0], [0.0, 0.0]]),
         ("grid.nxx", 5), ("flags.verfy_modes", 2),
         ("outputs.soluton", "u.csv"),
+        # the deleted run settings: the Delta_k argument without the
+        # (-xi) power, and the closed-form eigenvalues
+        ("problem.delta_variant", "paper-literal"),
+        ("problem.asymptotic_eigenvalues", True),
     ])
     def test_unknown_keys_rejected(self, tmp_path, capsys, dotted, value):
         """Every block refuses a key it does not read, led by its dotted
@@ -159,17 +162,16 @@ class TestParseConfig:
         ({"forcing": {"kind": "tabulated", "x_grid": [0.0, 1.0],
                       "t_grid": [-1.0, 1.0],
                       "samples": [[0.0, math.nan], [0.0, 0.0]]}}, None),
-        ({"asymptotic_eigenvalues": "false"}, None),
         ({}, "1,1,nan"), ({}, "inf,1,0"), ({}, "1,-inf,0"),
     ], ids=["theta=-inf", "T=inf", "p=nan", "p=inf", "p=-inf",
             "time_poly-nan", "space_poly-inf", "x_grid-nan", "t_grid-inf",
-            "sample-nan", "asymptotic_eigenvalues-str", "csv-f-nan",
+            "sample-nan", "csv-f-nan",
             "csv-x-inf", "csv-t-inf"])
     def test_invalid_values_exit_config(self, tmp_path, capsys, problem,
                                         csv_row):
-        """Non-finite numbers, a non-boolean switch and non-finite CSV
-        cells are config errors, each refused by the type that owns it
-        (the CSV reader for the CSV cells)."""
+        """Non-finite numbers and non-finite CSV cells are config errors,
+        each refused by the type that owns it (the CSV reader for the CSV
+        cells)."""
         if csv_row is not None:
             rows = ["x,t,f", "0,-1,0", "0,1,0", "1,-1,0", csv_row]
             (tmp_path / "force.csv").write_text("\n".join(rows) + "\n")
@@ -293,9 +295,7 @@ class TestMainRuns:
         report = json.loads((out / "report.json").read_text())
         assert report["overall"] is True
         assert report["hypothesis_check"] == "satisfied"
-        assert report["problem"] == {"N": 12, "T": 1.0,
-                                     "delta_variant": "consistent",
-                                     "eigenvalues": "true"}
+        assert report["problem"] == {"N": 12, "T": 1.0}
 
     def test_axis_rows_leave_derivatives_empty(self, tmp_path, capsys):
         cfg_path = zero_config(tmp_path / "c.json")
@@ -333,19 +333,14 @@ class TestMainRuns:
         cfg_path = zero_config(tmp_path / "c.json")
         out = tmp_path / "out"
         rc = main(["solve", str(cfg_path), "--out-dir", str(out),
-                   "--modes", "3", "--eigen", "asymptotic",
-                   "--delta-variant", "paper-literal"])
+                   "--modes", "3"])
         assert rc == EXIT_OK
         capsys.readouterr()
         report = json.loads((out / "report.json").read_text())
         assert report["problem"]["N"] == 3
-        assert report["problem"]["eigenvalues"] == "asymptotic"
-        assert report["problem"]["delta_variant"] == "paper-literal"
         rows = (out / "modes.csv").read_text().splitlines()[1:]
-        assert len(rows) == 3
-        for row in rows:
-            k, lam = int(row.split(",")[0]), float(row.split(",")[1])
-            assert lam == math.pi * k - math.pi / 4.0
+        assert [float(row.split(",")[1]) for row in rows] == [
+            bessel_zero(k).lam for k in (1, 2, 3)]
 
     def test_tabulated_forcing_notes_unverifiable(self, tmp_path, capsys):
         cfg_path = write_config(
@@ -401,6 +396,39 @@ class TestMainRuns:
         bad.write_text("{not json")
         assert main(["solve", str(bad)]) == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra", [
+        ["--bogus"], ["--modes", "ten"], ["--eigen", "asymptotic"],
+        ["--delta-variant", "paper-literal"]],
+        ids=["unknown", "modes-ten", "eigen", "delta-variant"])
+    def test_usage_error_exits_config(self, tmp_path, capsys, extra):
+        """A command line that does not parse exits 1, never 2, which
+        is the solvability code; the two flags of the deleted run
+        settings are unknown options now, and nothing is written."""
+        cfg_path = zero_config(tmp_path / "c.json")
+        out = tmp_path / "out"
+        assert main(["solve", str(cfg_path), "--out-dir", str(out)]
+                    + extra) == EXIT_CONFIG
+        assert "usage: fracbessel" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bare_command_exits_config(self, capsys):
+        assert main([]) == EXIT_CONFIG
+        assert "usage: fracbessel" in capsys.readouterr().err
+
+    def test_readme_settings_table_lists_every_flag(self, capsys):
+        """The flags of README's settings table, plus --out-dir, are the
+        options that `fracbessel solve -h` prints."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md")
+        text = readme.read_text().split("| key | default | flag |", 1)[1]
+        rows = text.split("\n\n", 1)[0].splitlines()[2:]
+        documented = {"--out-dir"}
+        for row in rows:
+            flag_cell = row.replace("\\|", "").rstrip(" |").rsplit("|", 1)[1]
+            documented.update(re.findall(r"--[a-z][a-z-]*", flag_cell))
+        assert main(["solve", "-h"]) == EXIT_OK
+        printed = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+        assert documented == printed - {"--help"}
 
 
 class TestModeBatching:

@@ -115,9 +115,6 @@ class TestProblemSpec:
         for n in (0, 7.9, True, math.inf):
             with pytest.raises(ValueError):
                 small_spec(default_op, N=n)
-        with pytest.raises(ValueError):
-            ProblemSpec(op=default_op, T=1.0, nonlocal_points=((0.6, -1.0),),
-                        forcing=DEFAULT_FORCING, delta_variant="other")
 
     def test_tabulated_grid_must_cover_domain(self, default_op):
         narrow = Forcing(kind="tabulated", x_grid=(0.0, 1.0),
@@ -217,22 +214,6 @@ class TestDeltaK:
         want = sum(p for p, _ in spec.nonlocal_points) - 1.0
         assert_allclose(compute_Delta_k(mode, spec), want, atol=1e-10)
 
-    def test_variants_coincide_at_unit_history_time(self, default_op):
-        spec = small_spec(default_op, points=((0.6, -1.0),))
-        mode = ModeRecord(ev=bessel_zero(4), f_k=ones, op=default_op)
-        dc = compute_Delta_k(mode, replace(spec, delta_variant="consistent"))
-        dl = compute_Delta_k(mode, replace(spec,
-                                           delta_variant="paper-literal"))
-        assert dc == dl
-
-    def test_variants_differ_inside_interval(self, default_op):
-        spec = small_spec(default_op, points=((0.6, -0.6),))
-        mode = ModeRecord(ev=bessel_zero(4), f_k=ones, op=default_op)
-        dc = compute_Delta_k(mode, replace(spec, delta_variant="consistent"))
-        dl = compute_Delta_k(mode, replace(spec,
-                                           delta_variant="paper-literal"))
-        assert abs(dc - dl) > 1e-6
-
     def test_limit_value_and_approach(self, default_op):
         spec = small_spec(default_op)
         L = delta_limit(spec)
@@ -252,11 +233,14 @@ class TestDeltaK:
         assert ratio < 5.0 * quad_ratio
         assert gaps[100] <= 1e-3
 
-    def test_limit_variants_scale_by_history_power(self, default_op):
-        spec_c = small_spec(default_op, points=((0.6, -0.6),))
-        lc = delta_limit(spec_c)
-        ll = delta_limit(replace(spec_c, delta_variant="paper-literal"))
-        assert_allclose(lc / ll, 0.6 ** (1.0 - default_op.delta2), rtol=1e-13)
+    def test_limit_carries_history_power(self, default_op):
+        """Inside the interval the limit keeps the (-xi)^{1-delta2}
+        power that the shift identity puts in the bracket."""
+        op = default_op
+        spec = small_spec(op, points=((0.6, -0.6),))
+        want = 0.6 * 0.6 ** (1.0 - op.delta2) / (
+            op.p ** op.alpha1 * gamma(op.alpha1) * gamma(2.0 - op.delta2))
+        assert_allclose(delta_limit(spec), want, rtol=1e-13)
 
     def test_limit_rejects_zero_history_time(self, default_op):
         """A point at xi = 0 is accepted: its bracket is E_{d2,1}(0) = 1
@@ -264,10 +248,8 @@ class TestDeltaK:
         still approaches that limit."""
         spec = small_spec(default_op, points=((0.5, -0.5), (0.4, 0.0)))
         alone = small_spec(default_op, points=((0.5, -0.5),))
-        for v in ("consistent", "paper-literal"):
-            assert_allclose(delta_limit(replace(spec, delta_variant=v)),
-                            delta_limit(replace(alone, delta_variant=v))
-                            + 0.4, rtol=1e-15)
+        assert_allclose(delta_limit(spec), delta_limit(alone) + 0.4,
+                        rtol=1e-15)
         L = delta_limit(spec)
         eigs = eigenvalue_table(100)
         gaps = [abs(compute_Delta_k(ModeRecord(ev=eigs[k - 1], f_k=ones,
@@ -278,14 +260,13 @@ class TestDeltaK:
 
     def test_limit_at_delta2_two(self):
         """At delta2 = 2 the bracket holds E_{2,1}(-x^2) = cos(x), so a
-        point with xi < 0 has no limit: a NumericError, under both
-        variants.  A point at xi = 0 still adds its weight."""
+        point with xi < 0 has no limit: a NumericError.  A point at
+        xi = 0 still adds its weight."""
         op = OperatorParams(alpha1=0.7, theta=0.2, alpha2=2.0, beta2=2.0,
                             mu=0.5)
         assert op.delta2 == 2.0
-        for v in ("consistent", "paper-literal"):
-            with pytest.raises(NumericError, match="no large-k limit"):
-                delta_limit(replace(small_spec(op), delta_variant=v))
+        with pytest.raises(NumericError, match="no large-k limit"):
+            delta_limit(small_spec(op))
         assert delta_limit(small_spec(op, points=((0.4, 0.0),))) == 0.4
 
 

@@ -182,14 +182,14 @@ class TestModeOdeSampling:
 
 class TestDeltaAsymptote:
     def test_cancelling_weights_edge(self, default_op):
-        """Weights summing to zero push the limit to exactly zero under
-        the variant whose per-point factors are all one; the gap still
-        shrinks at the inverse-square rate."""
+        """Weights that cancel the per-point factors (-xi)^{1-delta2}
+        push the limit to exactly zero; the gap still shrinks at the
+        inverse-square rate."""
+        w = -0.5 * 0.5 ** (default_op.delta2 - 1.0)
         spec = ProblemSpec(
             op=default_op, T=1.0,
-            nonlocal_points=((0.5, -1.0), (-0.5, -0.5)),
-            forcing=Forcing(kind="separable_builtin"), N=4,
-            delta_variant="paper-literal")
+            nonlocal_points=((0.5, -1.0), (w, -0.5)),
+            forcing=Forcing(kind="separable_builtin"), N=4)
         assert delta_limit(spec) == 0.0
         rows = check_delta_asymptote(spec, (10, 25, 50))
         assert all(c.passed for c in rows)
