@@ -16,13 +16,12 @@ library's:
 * psi: reflection, the recurrence into [1, 2] with Boost's rational
   form there, and the asymptotic series past 10.
 
-The rest are classical forms: J2 from its power series up to x = 2 and
-2 J1/x - J0 beyond; int_0^y J0 from its power series, its Neumann
-series by Miller's backward recurrence and its asymptotic expansion;
-the zeros of J0 from McMahon's expansion (A&S 9.5.12) and Newton steps;
-the beta function from the C library's Gamma; Jacobi polynomials from
-their three-term recurrence (A&S 22.7); and 1F1(1; b; z) from its
-series, under Kummer's transform for z < 0.
+The rest are classical forms: int_0^y J0 from its power series, its
+Neumann series by Miller's backward recurrence and its asymptotic
+expansion; the zeros of J0 from McMahon's expansion (A&S 9.5.12) and
+Newton steps; the beta function from the C library's Gamma; Jacobi
+polynomials from their three-term recurrence (A&S 22.7); and
+1F1(1; b; z) from its series, under Kummer's transform for z < 0.
 """
 
 from __future__ import annotations
@@ -31,8 +30,8 @@ import math
 
 import numpy as np
 
-__all__ = ["j0", "j1", "j2", "j0_integral", "j0_zeros", "gammaln", "rgamma",
-           "psi", "gamma", "beta", "eval_jacobi", "jacobi_pair", "hyp1f1_one"]
+__all__ = ["j0", "j1", "j0_integral", "j0_zeros", "gammaln", "rgamma", "psi",
+           "gamma", "beta", "eval_jacobi", "jacobi_pair", "hyp1f1_one"]
 
 _PIO4 = math.pi / 4.0
 _THPIO4 = 3.0 * math.pi / 4.0
@@ -222,22 +221,6 @@ def j1(x):
     out = _split(np.abs(x), np.abs(x) <= 5.0, _j1_near,
                  lambda v: _hankel(v, _J1_H, _THPIO4))
     return np.where(x < 0.0, -out, out)
-
-
-# J2(x) = sum_k (-1)^k (x/2)^{2k+2} / (k! (k+2)!), 12 terms for |x| <= 2
-_J2_SERIES = tuple((-1.0) ** k / (math.factorial(k) * math.factorial(k + 2))
-                   for k in range(11, -1, -1))
-
-
-@_flat
-def j2(x):
-    """Bessel J2, elementwise: its power series up to |x| = 2, where
-    2 J1(x)/x - J0(x) would cancel, and that recurrence beyond."""
-    def series(v):
-        h = 0.25 * v * v
-        return h * _polevl(h, _J2_SERIES)
-    return _split(x, np.abs(x) <= 2.0, series,
-                  lambda v: 2.0 * j1(v) / v - j0(v))
 
 
 # int_0^y J0: y sum_m (-y^2/4)^m / (m!^2 (2m + 1)), 13 terms for y <= 2

@@ -11,8 +11,9 @@ from t up to 0; the Erdelyi-Kober family lives on t > 0.  Every oracle
 takes a float or a 1-d array of t and gives a float or one value per t.
 It calls its integrand once, on the quadrature nodes and stencil points
 of every t together, and sums each t on its own row, so a value never
-depends on the other t of the call.  rl_integral_right also takes a g
-that returns one row per node, and then gives one row per t.
+depends on the other t of the call.  A batch integrand, one row per
+node and one column per function, gives one row per t, each column
+the bits of the call with that column's function alone.
 """
 
 from __future__ import annotations
@@ -96,11 +97,17 @@ class OperatorParams:
 
 def _rule_sum(g, tt: np.ndarray, scaled, damp, weights) -> np.ndarray:
     """sum_i weights_i damp_i g(t scaled_i) for each t of the 1-d tt, its
-    own row each, from one g call (a batch g: one row per t)."""
+    own row each, from one g call (a batch g: one row per t).  Each
+    (t, column) sum runs over contiguous nodes, as a one-column sum does."""
     pts = np.multiply.outer(tt, scaled)
     vals = np.asarray(g(pts.ravel()), dtype=float)
     vals = np.moveaxis(vals.reshape(pts.shape + vals.shape[1:]), 1, -1)
-    return (vals * damp * weights).sum(axis=-1)
+    return (np.multiply(vals, damp, order="C") * weights).sum(axis=-1)
+
+
+def _per_t(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """a, one value per t, shaped to broadcast over out's batch axes."""
+    return a.reshape(a.shape + (1,) * (out.ndim - 1))
 
 
 def _shaped(shape: tuple, out: np.ndarray):
@@ -124,8 +131,8 @@ def rl_integral_right(sigma: float, g, t, *, n: int = 256,
         Integration order, > 0.
     g : callable
         Integrand on [t, 0]; takes a 1-d array of nodes and returns one
-        value per node, or one row of values per node (a batch of
-        integrands, one column each, giving one row per t).
+        value per node, or one row per node (a batch, see the module
+        docstring).
     t : float or 1-d array
         Evaluation point(s), strictly negative.
     n : int, optional
@@ -145,7 +152,7 @@ def rl_integral_right(sigma: float, g, t, *, n: int = 256,
     x = quad.nodes
     out = _rule_sum(g, tt, 1.0 - x, (1.0 - x) ** (-q), quad.weights)
     scale = (-tt) ** sigma / gamma(sigma)
-    return _shaped(np.shape(t), (scale * out.T).T)
+    return _shaped(np.shape(t), _per_t(scale, out) * out)
 
 
 def ek_integral(gma: float, delta: float, beta: float, g, t,
@@ -209,23 +216,24 @@ def ek_derivative(gma: float, delta: float, beta: float, g, t,
         f = inner if j == 1 else (lambda x: factored(j - 1, x))
         h = np.minimum(np.maximum(1e-6, 1e-3 * s), 0.45 * s)
         up, mid, down = np.split(f(np.concatenate([s + h, s, s - h])), 3)
-        deriv = (up - down) / (2.0 * h)
+        deriv = (up - down) / _per_t(2.0 * h, up)
         bad = ~np.isfinite(deriv)
         if np.any(bad):
-            raise NumericError(
-                f"finite difference failed at t={s[bad][0]:.3e}")
-        return (gma + j) * mid + (s / beta) * deriv
+            raise NumericError("finite difference failed at "
+                               f"t={s[np.nonzero(bad)[0][0]]:.3e}")
+        return (gma + j) * mid + _per_t(s / beta, deriv) * deriv
 
     return _shaped(np.shape(t), factored(m, tt))
 
 
-def hyper_bessel_caputo(op: OperatorParams, u, u0: float, t,
+def hyper_bessel_caputo(op: OperatorParams, u, u0, t,
                         *, n: int = 256):
     """Regularized hyper-Bessel Caputo derivative of order alpha1 at t > 0.
 
     Evaluates p^{alpha1} t^{-p alpha1} D^{-alpha1, alpha1}_p (u - u0)
     with p = 1 - theta.  Subtracting u(0) first is what makes the
-    operator kill constants; pass the true initial value as ``u0``.
+    operator kill constants; pass the true initial value as ``u0``, one
+    value per column for a batch u.
 
     The solution class behaves like t^{p alpha1} near zero, so the inner
     Erdelyi-Kober integral gets that exponent absorbed into its rule.
@@ -244,12 +252,12 @@ def hyper_bessel_caputo(op: OperatorParams, u, u0: float, t,
         h = np.minimum(np.maximum(1e-8, 1e-4 * tt), 0.45 * tt)
         wp, wm, hp, hm = np.split(
             w(np.concatenate([tt + h, tt - h, tt + h / 2, tt - h / 2])), 4)
-        d1 = (wp - wm) / (2.0 * h)
-        d2 = (hp - hm) / h
-        out = tt ** op.theta * ((4.0 * d2 - d1) / 3.0)
+        d1 = (wp - wm) / _per_t(2.0 * h, wp)
+        d2 = (hp - hm) / _per_t(h, hp)
+        out = _per_t(tt ** op.theta, d1) * ((4.0 * d2 - d1) / 3.0)
     else:
-        out = p ** a * tt ** (-p * a) * ek_derivative(
-            -a, a, p, w, tt, n=n, singular_exponent=a)
+        out = ek_derivative(-a, a, p, w, tt, n=n, singular_exponent=a)
+        out = _per_t(p ** a * tt ** (-p * a), out) * out
     return _shaped(np.shape(t), out)
 
 
@@ -323,11 +331,11 @@ def bi_ordinal_hilfer(op: OperatorParams, u, t, *, n: int = 256,
                 f"cross t=0"
             )
         up, u0, um = np.split(inner(np.concatenate([s + h, s, s - h])), 3)
-        return (up - 2.0 * u0 + um) / (h * h)
+        return (up - 2.0 * u0 + um) / _per_t(h * h, up)
 
     if c == 0.0:
         return _shaped(np.shape(t), second(tt))
     quad = gauss_jacobi_rule(n, c - 1.0, e)
     x = quad.nodes
     out = _rule_sum(second, tt, 1.0 - x, (1.0 - x) ** (-e), quad.weights)
-    return _shaped(np.shape(t), (-tt) ** c / gamma(c) * out)
+    return _shaped(np.shape(t), _per_t((-tt) ** c / gamma(c), out) * out)

@@ -264,9 +264,7 @@ class ModeRecord:
     """Everything known about one mode k.
 
     f_k is the mode's TimeCoefficient (the determinant alone accepts any
-    callable).  op is carried so that per-mode evaluators need no
-    separate problem handle; it is None only for hand-built partial
-    records."""
+    callable)."""
 
     ev: Eigenvalue
     f_k: Callable
@@ -275,7 +273,6 @@ class ModeRecord:
     tau_k: float = _NAN
     phi_k: float = _NAN
     psi_k: float = _NAN
-    op: Optional[OperatorParams] = None
 
 
 def _frozen(values) -> np.ndarray:
@@ -812,8 +809,7 @@ def solve_modes(spec: ProblemSpec) -> SeriesSolution:
     eigs = eigenvalue_table(spec.N)
     f_ks = _mode_coefficient_callables(spec, eigs)
     pa = op.p ** op.alpha1 * gamma(op.alpha1)
-    partial = [ModeRecord(ev=ev, f_k=f_k, op=op)
-               for ev, f_k in zip(eigs, f_ks)]
+    partial = [ModeRecord(ev=ev, f_k=f_k) for ev, f_k in zip(eigs, f_ks)]
     deltas = compute_Delta_k(partial, spec)
     low = np.flatnonzero(np.abs(deltas) < DELTA_FLOOR)
     if low.size:

@@ -1,4 +1,4 @@
-"""Gamma, Bessel J0/J1/J2, and a two-parameter Mittag-Leffler function.
+"""Gamma, Bessel J0/J1, and a two-parameter Mittag-Leffler function.
 
 The Mittag-Leffler evaluator is the workhorse of the package.  Every
 time kernel on either side of t = 0 reduces to E_{alpha,beta} on the
@@ -136,13 +136,13 @@ def _gammaln1(x: float) -> float:
 
 
 def bessel_j(order: int, x):
-    """Bessel function J_nu for nu in {0, 1, 2} and x >= 0.
+    """Bessel function J_nu for nu in {0, 1} and x >= 0.
 
     Parameters
     ----------
     order : int
-        0, 1 or 2.  Nothing else is needed for a zero-order
-        Fourier-Bessel expansion and its first two derivatives.
+        0 or 1, all that a zero-order Fourier-Bessel expansion and its
+        first two derivatives need (Bessel's equation gives J2).
     x : float or ndarray
         Non-negative argument(s).
 
@@ -151,12 +151,12 @@ def bessel_j(order: int, x):
     float or ndarray
         J_order(x), scalar in, scalar out.
     """
-    if order not in (0, 1, 2):
-        raise ValueError(f"bessel_j supports orders 0, 1, 2; got {order!r}")
+    if order not in (0, 1):
+        raise ValueError(f"bessel_j supports orders 0, 1; got {order!r}")
     arr = np.asarray(x, dtype=float)
     if np.any(arr < 0.0):
         raise ValueError("bessel_j requires x >= 0")
-    val = (_special.j0, _special.j1, _special.j2)[order](arr)
+    val = (_special.j0, _special.j1)[order](arr)
     return float(val) if arr.ndim == 0 else val
 
 

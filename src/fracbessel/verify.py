@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fracops import (bi_ordinal_hilfer, hyper_bessel_caputo,
+from .fracops import (_per_t, bi_ordinal_hilfer, hyper_bessel_caputo,
                       rl_integral_right)
 from .quadrature import gauss_jacobi_rule
 from .solver import (ModeRecord, ProblemSpec, SeriesSolution, compute_Delta_k,
@@ -127,19 +127,21 @@ def _expo_index(es, e: float) -> int:
 
 
 def weighted_spline_candidate(u, gamma2: float, span: float, *,
-                              knot0: float, M: int = 400):
+                              knot0, M: int = 400):
     """Cubic-spline surrogate of a right-sided weighted candidate.
 
-    ``u`` must accept arrays of negative t.  The surrogate represents
+    ``u`` must accept arrays of negative t and return one value, or one
+    row of candidates, per t.  The surrogate represents
     h(q) = u(-q) q^{2-gamma2} on the cube-graded knots q_i = span (i/M)^3,
-    i = 0..M, and returns u(t) = S((-t)^{1/3}) (-t)^{gamma2-2}, so
-    operator oracles can sample the candidate densely at negligible
-    cost.  ``knot0`` is the finite limit of u(t) (-t)^{2-gamma2} at
-    t -> 0-.
+    i = 0..M, and returns u(t) = S((-t)^{1/3}) (-t)^{gamma2-2}, one value
+    (or row) per t, so operator oracles can sample the candidate densely
+    at negligible cost.  ``knot0`` is the finite limit of
+    u(t) (-t)^{2-gamma2} at t -> 0-, one per candidate.
 
     S is the not-a-knot cubic spline through (s_i, h(q_i)) on the knots
     s_i = q_i^{1/3}, which are uniform with step span^{1/3}/M.  Its
-    slopes come from one tridiagonal sweep and a point is evaluated in
+    slopes come from one tridiagonal sweep over all candidates, which
+    gives each the bits of its fit alone, and a point is evaluated in
     the piece its index floor(s/step) names (the end pieces extend past
     the knots).  Needs M >= 3: with three knots the two not-a-knot
     conditions coincide.
@@ -147,29 +149,32 @@ def weighted_spline_candidate(u, gamma2: float, span: float, *,
     if M < 3:
         raise ValueError(f"the not-a-knot spline needs M >= 3, got {M}")
     q = span * (np.arange(M + 1) / M) ** 3
-    y = np.empty(M + 1)
+    vals = np.asarray(u(-q[1:]), dtype=float)
+    y = np.empty((M + 1,) + vals.shape[1:])
     y[0] = knot0
-    y[1:] = np.asarray(u(-q[1:]), dtype=float) * q[1:] ** (2.0 - gamma2)
+    y[1:] = vals * _per_t(q[1:] ** (2.0 - gamma2), vals)
     step = np.cbrt(span) / M
-    sec = np.diff(y) / step
+    sec = np.diff(y, axis=0) / step
 
     # slopes m_i: m_{i-1} + 4 m_i + m_{i+1} = 3 (sec_{i-1} + sec_i) inside,
-    # with the not-a-knot rows m_0 + 2 m_1 and 2 m_{M-1} + m_M at the ends
-    sub = [1.0] * M + [2.0]
-    sup = [2.0] + [1.0] * M
+    # with the not-a-knot rows m_0 + 2 m_1 and 2 m_{M-1} + m_M at the ends.
+    # The factors depend on M only; each step of the sweep takes one row of
+    # right-hand sides, one per candidate, and a row of one is a scalar,
+    # whose arithmetic costs numpy a fraction of a one-element array's.
+    rhs = np.concatenate([(5.0 * sec[:1] + sec[1:2]) / 2.0,
+                          3.0 * (sec[:-1] + sec[1:]),
+                          (sec[-2:-1] + 5.0 * sec[-1:]) / 2.0])
+    r = list(rhs.reshape(M + 1, -1).squeeze())
     diag = [1.0] + [4.0] * (M - 1) + [1.0]
-    rhs = ([(5.0 * sec[0] + sec[1]) / 2.0]
-           + (3.0 * (sec[:-1] + sec[1:])).tolist()
-           + [(sec[-2] + 5.0 * sec[-1]) / 2.0])
-    for i in range(1, M + 1):  # Thomas forward sweep
-        f = sub[i] / diag[i - 1]
-        diag[i] -= f * sup[i - 1]
-        rhs[i] -= f * rhs[i - 1]
-    m = [0.0] * (M + 1)
-    m[M] = rhs[M] / diag[M]
-    for i in range(M - 1, -1, -1):
-        m[i] = (rhs[i] - sup[i] * m[i + 1]) / diag[i]
-    m = np.array(m)
+    for i in range(1, M + 1):
+        f = (2.0 if i == M else 1.0) / diag[i - 1]
+        diag[i] -= f * (2.0 if i == 1 else 1.0)
+        r[i] = r[i] - f * r[i - 1]
+    r[M] = r[M] / diag[M]
+    for i in range(M - 1, 0, -1):
+        r[i] = (r[i] - r[i + 1]) / diag[i]
+    r[0] = (r[0] - 2.0 * r[1]) / diag[0]
+    m = np.array(r).reshape(y.shape)
 
     # piece i is y_i + m_i d + c2_i d^2 + c3_i d^3 with d = s - i step
     k3 = (m[:-1] + m[1:] - 2.0 * sec) / step
@@ -180,9 +185,10 @@ def weighted_spline_candidate(u, gamma2: float, span: float, *,
         qq = -np.asarray(t, dtype=float)
         s = np.cbrt(qq)
         i = np.clip(np.floor(s / step).astype(int), 0, M - 1)
-        d = s - i * step
-        return ((((c3[i] * d + c2[i]) * d + m[i]) * d + y[i])
-                * qq ** (gamma2 - 2.0))
+        d = _per_t(s - i * step, c3)
+        return ((((c3.take(i, axis=0) * d + c2.take(i, axis=0)) * d
+                  + m.take(i, axis=0)) * d + y.take(i, axis=0))
+                * _per_t(qq ** (gamma2 - 2.0), c3))
 
     return wrapped
 
@@ -305,9 +311,11 @@ def check_gluing(sol: SeriesSolution, *, _scale: float = None) -> list:
     # only below its own crossover time, so the comparison is made mode
     # by mode: project the series evaluator onto the first few basis
     # functions, difference in t on a window under the crossover, and
-    # gate the mismatch against the defect model.  The projection takes
-    # one Gauss-Legendre rule sized for all N modes of the integrand, not
-    # fourier_bessel_coeff, whose panels follow the projected mode only.
+    # gate the mismatch against the defect model.  Every window is
+    # sampled in one call, and each mode projects a contiguous copy of
+    # its own 16 columns.  The projection takes one Gauss-Legendre rule
+    # sized for all N modes of the integrand, not fourier_bessel_coeff,
+    # whose panels follow the projected mode only.
     p = op.p
     a1 = op.alpha1
     pa1 = p * a1
@@ -315,14 +323,17 @@ def check_gluing(sol: SeriesSolution, *, _scale: float = None) -> list:
     worst_d = 0.0
     raw_d = 0.0
     model_d = 0.0
-    for idx in range(min(3, spec.N)):
-        m = sol.modes[idx]
+    windows = []
+    for m in sol.modes[:3]:
         cb = m.ev.lam ** 2 / p ** a1
         t_hi = min((0.05 / cb) ** (1.0 / pa1), 0.45 * T)
         ts = np.geomspace(t_hi / 20.0, t_hi, 8)
-        h = 0.02 * ts
-        vals = mode_matrix(sol, np.concatenate([ts + h, ts - h]))
-        fk = _project(lambda x: radial_basis(sol, x) @ vals,
+        windows.append((m, ts, 0.02 * ts))
+    vals = mode_matrix(sol, np.concatenate(
+        [np.concatenate([ts + h, ts - h]) for _, ts, h in windows]))
+    for j, (m, ts, h) in enumerate(windows):
+        own = np.ascontiguousarray(vals[:, 16 * j:16 * (j + 1)])
+        fk = _project(lambda x: radial_basis(sol, x) @ own,
                       np.array([m.ev.lam]), np.array([m.ev.norm_sq]),
                       proj_rule.nodes, proj_rule.weights)[0]
         gk = ts ** (1.0 - pa1) * (fk[:len(ts)] - fk[len(ts):]) / (2.0 * h)
@@ -410,57 +421,57 @@ def check_nonlocal(sol: SeriesSolution, *, _scale: float = None) -> list:
 def check_mode_odes(sol: SeriesSolution, k_max: int) -> list:
     """Plug each mode back into its own fractional ODE via the oracles.
 
-    Forward side: the hyper-Bessel Caputo oracle samples the mode
-    evaluator directly.  Backward side: the bi-ordinal oracle samples a
-    spline surrogate (the weighted candidate is smooth only after the
-    (-t)^{gamma2-2} factor is stripped, and the oracle needs thousands
-    of candidate values).
+    The first k_max modes go through each stage at once, one column
+    each, in one mode_matrix call: forward values, forward oracle,
+    backward values, spline knots.  Forward side: the hyper-Bessel
+    Caputo oracle samples the mode evaluator directly.  Backward side:
+    the bi-ordinal oracle samples a spline surrogate (the weighted
+    candidate is smooth only after the (-t)^{gamma2-2} factor is
+    stripped, and the oracle needs thousands of candidate values).
     """
     spec = sol.spec
     op = spec.op
     if k_max > spec.N:
         raise ValueError(f"k_max={k_max} exceeds N={spec.N}")
+    if k_max < 1:
+        return []
     T = spec.T
     d2, g2 = op.delta2, op.gamma2
     fwd_ts = T * np.array([0.25, 0.55, 0.85])
     bwd_ts = T * np.array([-0.75, -0.4])
-    checks = []
-    for idx in range(k_max):
-        m = sol.modes[idx]
-        lam2 = m.ev.lam ** 2
+    modes = sol.modes[:k_max]
 
-        def uk(t):
-            return mode_matrix(sol, t, modes=[idx])[0]
+    def samples(t):
+        return mode_matrix(sol, t, modes=slice(0, k_max)).T
 
-        def residual(ts, Lu):
-            # |L u_k + lam^2 u_k - f_k| over ts, relative to the larger
-            # of lam^2 |u_k| and |f_k| there
-            uvals = uk(ts)
-            fvals = np.asarray(m.f_k(ts), dtype=float)
-            scale = max(lam2 * float(np.max(np.abs(uvals))),
-                        float(np.max(np.abs(fvals))), 1e-300)
-            return float(np.max(np.abs(Lu + lam2 * uvals - fvals) / scale))
+    fwd = hyper_bessel_caputo(op, samples, sol.taus[:k_max], fwd_ts, n=192)
+    uspl = weighted_spline_candidate(
+        samples, g2, 1.02 * float(np.max(-bwd_ts)),
+        knot0=sol.phis[:k_max] * rgamma(g2 - 1.0))
+    bwd = bi_ordinal_hilfer(op, uspl, bwd_ts, n=160, inner_exponent=g2 - 2.0,
+                            outer_exponent=d2 - 2.0)
 
-        worst = residual(fwd_ts, hyper_bessel_caputo(
-            op, uk, float(m.tau_k), fwd_ts, n=192))
-        checks.append(CheckResult(
-            f"mode_ode_forward_k{m.ev.k:02d}", 0.0, worst, MODE_ODE_REL,
-            worst <= MODE_ODE_REL,
-            "relaxation equation residual on t > 0, derivative by "
-            "independent quadrature oracle"))
+    # |L u_k + lam^2 u_k - f_k| over ts, relative to the larger of
+    # lam^2 |u_k| and |f_k| there, one column per mode; lam^2 is the
+    # float power of each mode, since numpy's square rounds some apart
+    lam2 = np.array([m.ev.lam ** 2 for m in modes])
+    worst = []
+    for ts, Lu in ((fwd_ts, fwd), (bwd_ts, bwd)):
+        uvals = samples(ts)
+        fvals = np.column_stack([m.f_k(ts) for m in modes])
+        scale = np.maximum(np.maximum(lam2 * np.max(np.abs(uvals), axis=0),
+                                      np.max(np.abs(fvals), axis=0)), 1e-300)
+        worst.append(np.max(np.abs(Lu + lam2 * uvals - fvals) / scale,
+                            axis=0).tolist())
 
-        uspl = weighted_spline_candidate(
-            uk, g2, 1.02 * float(np.max(-bwd_ts)),
-            knot0=m.phi_k * rgamma(g2 - 1.0))
-        worst = residual(bwd_ts, bi_ordinal_hilfer(
-            op, uspl, bwd_ts, n=160, inner_exponent=g2 - 2.0,
-            outer_exponent=d2 - 2.0))
-        checks.append(CheckResult(
-            f"mode_ode_backward_k{m.ev.k:02d}", 0.0, worst, MODE_ODE_REL,
-            worst <= MODE_ODE_REL,
-            "two-parameter evolution equation residual on t < 0 via the "
-            "composition oracle on a spline surrogate"))
-    return checks
+    sides = (("forward", "relaxation equation residual on t > 0, "
+              "derivative by independent quadrature oracle"),
+             ("backward", "two-parameter evolution equation residual on "
+              "t < 0 via the composition oracle on a spline surrogate"))
+    return [CheckResult(f"mode_ode_{side}_k{m.ev.k:02d}", 0.0, w,
+                        MODE_ODE_REL, w <= MODE_ODE_REL, note)
+            for m, row in zip(modes, zip(*worst))
+            for (side, note), w in zip(sides, row)]
 
 
 def check_delta_asymptote(spec: ProblemSpec, k_list) -> list:

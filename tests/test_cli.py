@@ -450,7 +450,7 @@ class TestModeBatching:
         assert len(rows) == 12
         for row, m in zip(rows, solve_modes(spec).modes):
             _, _, delta, F, tau, _ = (float(v) for v in row.split(","))
-            one = ModeRecord(ev=m.ev, f_k=m.f_k, op=spec.op)
+            one = ModeRecord(ev=m.ev, f_k=m.f_k)
             d1 = compute_Delta_k(one, spec)
             F1 = compute_Fk(one, spec)
             assert (delta, F, tau) == (d1, F1, F1 / d1)

@@ -155,11 +155,11 @@ class TestRightRLIntegral:
         for j, f in enumerate(freqs):
             want = rl_integral_right(sigma, lambda s: np.cos(f * s) * (-s) ** q,
                                      ts, n=64, singular_exponent=q)
-            assert_allclose(got[:, j], want, rtol=1e-14, atol=0.0)
+            assert np.array_equal(got[:, j], want)
         row = rl_integral_right(sigma, batch, float(ts[2]), n=64,
                                 singular_exponent=q)
         assert row.shape == (3,)
-        assert_allclose(row, got[2], rtol=1e-14, atol=0.0)
+        assert np.array_equal(row, got[2])
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
@@ -168,6 +168,64 @@ class TestRightRLIntegral:
             rl_integral_right(0.5, lambda s: s, 0.3)
         with pytest.raises(ValueError):
             rl_integral_right(0.5, lambda s: s, np.array([-0.5, 0.0]))
+
+
+def _bi_ordinal(mu):
+    op = OperatorParams(0.7, 0.2, 1.5, 1.2, mu)
+    return lambda u, u0, t: bi_ordinal_hilfer(op, u, t, n=32,
+                                              inner_exponent=3.0)
+
+
+def _hyper_bessel(alpha1):
+    op = OperatorParams(alpha1, 0.3, 1.5, 1.2, 0.5)
+    return lambda u, u0, t: hyper_bessel_caputo(op, u, u0, t, n=64)
+
+
+# oracle(u, u0, t), the side of t = 0 it lives on, and the power the
+# sample functions carry at 0
+BATCH_ORACLES = {
+    "rl_integral_right": (lambda u, u0, t: rl_integral_right(
+        0.4, u, t, n=64, singular_exponent=-0.4), -1.0, -0.4),
+    "ek_integral": (lambda u, u0, t: ek_integral(
+        0.2, 0.6, 1.3, u, t, n=64), 1.0, 1.6),
+    "ek_derivative-0.75": (lambda u, u0, t: ek_derivative(
+        0.2, 0.75, 1.3, u, t, n=64), 1.0, 1.6),
+    "ek_derivative-1.6": (lambda u, u0, t: ek_derivative(
+        0.2, 1.6, 1.3, u, t, n=64), 1.0, 1.6),
+    "ek_derivative-2.0": (lambda u, u0, t: ek_derivative(
+        0.2, 2.0, 1.3, u, t, n=64), 1.0, 1.6),
+    "hyper_bessel_caputo-0.7": (_hyper_bessel(0.7), 1.0, 0.56),
+    "hyper_bessel_caputo-1.0": (_hyper_bessel(1.0), 1.0, 0.7),
+    "bi_ordinal_hilfer-a,c>0": (_bi_ordinal(0.5), -1.0, 3.0),
+    "bi_ordinal_hilfer-c=0": (_bi_ordinal(0.0), -1.0, 3.0),
+    "bi_ordinal_hilfer-a=0": (_bi_ordinal(1.0), -1.0, 3.0),
+}
+
+
+@pytest.mark.parametrize("name", list(BATCH_ORACLES))
+def test_batch_u_matches_per_column_calls(name):
+    """Every oracle and branch takes a u with one column per function
+    (and, for the hyper-Bessel derivative, one u0 per column), calls it
+    once and gives one row per t, each column the bits of the call with
+    that column's function alone."""
+    oracle, side, c = BATCH_ORACLES[name]
+    ts = side * np.array([0.2, 0.45, 0.8])
+    offsets, freqs = np.array([0.3, -1.2, 2.0]), (1.0, 2.0, 3.5)
+
+    def column(j):
+        return lambda s: offsets[j] + (side * s) ** c * np.cos(freqs[j] * s)
+
+    calls = []
+
+    def batch(s):
+        calls.append(np.shape(s))
+        return np.column_stack([column(j)(s) for j in range(3)])
+
+    got = oracle(batch, offsets, ts)
+    assert len(calls) == 1
+    assert got.shape == (3, 3)
+    for j in range(3):
+        assert np.array_equal(got[:, j], oracle(column(j), offsets[j], ts))
 
 
 class TestEKIntegral:
@@ -285,6 +343,18 @@ class TestEKDerivative:
         want = [ek_derivative(g, d, b, f, float(t), n=n) for t in ts]
         assert got.shape == ts.shape
         assert_allclose(got, want, rtol=1e-14, atol=0.0)
+
+    def test_failed_difference_names_t(self):
+        """A non-finite difference names the first t it hit, for a batch
+        u as for a single one."""
+        ts = np.array([0.2, 0.6])
+
+        def bad(s):
+            return np.where(s > 0.5, np.nan, s)
+
+        for u in (bad, lambda s: np.column_stack([s, bad(s)])):
+            with pytest.raises(NumericError, match=r"t=6\.000e-01"):
+                ek_derivative(0.0, 1.0, 1.0, u, ts)
 
     def test_validation(self):
         with pytest.raises(ValueError):

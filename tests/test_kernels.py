@@ -203,7 +203,7 @@ def test_hinge_at_either_end(default_op, frac):
     spec = ProblemSpec(op=op, T=1.0, nonlocal_points=((0.6, -1.0),),
                        forcing=Forcing(), N=1)
     mode = ModeRecord(ev=Eigenvalue(k=1, lam=lam, norm_sq=0.5), f_k=coef,
-                      tau_k=0.0, phi_k=0.0, psi_k=0.0, op=op)
+                      tau_k=0.0, phi_k=0.0, psi_k=0.0)
     sol = SeriesSolution(spec=spec, modes=(mode,), tail_estimate=0.0)
     got = mode_matrix(sol, [-W])[0, 0]
     with mp.workdps(25):

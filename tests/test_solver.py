@@ -27,10 +27,11 @@ DEFAULT_FORCING = Forcing(kind="separable_builtin", space_poly=(1.0,),
 ones = TimeCoefficient(poly=(1.0,))
 
 
-def G_k(mode, t):
-    """Forward particular solution G_k(t) of one mode record: the
-    convolution term that mode_matrix adds to tau_k E_{a,1} on t > 0."""
-    return float(solver._forward_particular(mode.op, [mode.ev.lam],
+def G_k(mode, op, t):
+    """Forward particular solution G_k(t) of one mode record under the
+    operator op: the convolution term that mode_matrix adds to
+    tau_k E_{a,1} on t > 0."""
+    return float(solver._forward_particular(op, [mode.ev.lam],
                                             mode.f_k, t)[0, 0])
 
 
@@ -125,30 +126,30 @@ class TestProblemSpec:
 
 class TestGkClosedForms:
     def test_zero_at_zero(self, default_op):
-        mode = ModeRecord(ev=bessel_zero(3), f_k=ones, op=default_op)
-        assert G_k(mode, 0.0) == 0.0
+        mode = ModeRecord(ev=bessel_zero(3), f_k=ones)
+        assert G_k(mode, default_op, 0.0) == 0.0
 
     def test_constant_forcing_relaxation(self, default_op):
         """f_k = 1 integrates to (1 - E_{a,1}(-cb t^{pa})) / lam^2."""
         op = default_op
         ev = bessel_zero(3)
-        mode = ModeRecord(ev=ev, f_k=ones, op=op)
+        mode = ModeRecord(ev=ev, f_k=ones)
         cb = ev.lam ** 2 / op.p ** op.alpha1
         for t in (0.15, 0.6, 1.0):
             E = float(mittag_leffler(MLParams(alpha=op.alpha1, beta=1.0),
                                      -cb * t ** (op.p * op.alpha1)))
             want = (1.0 - E) / ev.lam ** 2
-            assert_allclose(G_k(mode, t), want, rtol=1e-6,
+            assert_allclose(G_k(mode, op, t), want, rtol=1e-6,
                             err_msg=f"t={t}")
 
     def test_small_eigenvalue_limit(self, default_op):
         op = default_op
         ev = Eigenvalue(k=1, lam=1e-4, norm_sq=0.5)
-        mode = ModeRecord(ev=ev, f_k=ones, op=op)
+        mode = ModeRecord(ev=ev, f_k=ones)
         t = 0.8
         pa = op.p * op.alpha1
         want = t ** pa / (op.p ** op.alpha1 * gamma(op.alpha1 + 1.0))
-        assert_allclose(G_k(mode, t), want, rtol=1e-6)
+        assert_allclose(G_k(mode, op, t), want, rtol=1e-6)
 
     def test_alternate_quadrature_route(self, default_op):
         op = default_op
@@ -156,7 +157,7 @@ class TestGkClosedForms:
         sol = solve_modes(spec)
         m = sol.modes[0]
         rule = gauss_jacobi_rule(320, op.p - 1.0, op.alpha1 - 1.0)
-        assert_allclose(mapped_Gk(m, op, 0.35, rule), G_k(m, 0.35),
+        assert_allclose(mapped_Gk(m, op, 0.35, rule), G_k(m, op, 0.35),
                         rtol=1e-5)
 
 
@@ -172,7 +173,7 @@ class TestFk:
         kernel = MLParams(alpha=d2, beta=d2 - g2 + 2.0)
         for idx in (0, 2):
             m = sol.modes[idx]
-            total = G_k(m, spec.T)
+            total = G_k(m, op, spec.T)
             for p_i, xi in spec.nonlocal_points:
                 x = rule.nodes
                 kern = mittag_leffler(kernel,
@@ -210,7 +211,7 @@ class TestDeltaK:
     def test_small_eigenvalue_limit(self, default_op):
         spec = small_spec(default_op)
         ev = Eigenvalue(k=1, lam=1e-8, norm_sq=0.5)
-        mode = ModeRecord(ev=ev, f_k=ones, op=default_op)
+        mode = ModeRecord(ev=ev, f_k=ones)
         want = sum(p for p, _ in spec.nonlocal_points) - 1.0
         assert_allclose(compute_Delta_k(mode, spec), want, atol=1e-10)
 
@@ -224,7 +225,7 @@ class TestDeltaK:
         eigs = eigenvalue_table(100)
         gaps = {}
         for k in (10, 100):
-            mode = ModeRecord(ev=eigs[k - 1], f_k=ones, op=op)
+            mode = ModeRecord(ev=eigs[k - 1], f_k=ones)
             gaps[k] = abs(compute_Delta_k(mode, spec) - L)
         assert gaps[100] < gaps[10]
         # the approach is quadratic in 1/lam
@@ -252,8 +253,8 @@ class TestDeltaK:
                         rtol=1e-15)
         L = delta_limit(spec)
         eigs = eigenvalue_table(100)
-        gaps = [abs(compute_Delta_k(ModeRecord(ev=eigs[k - 1], f_k=ones,
-                                               op=default_op), spec) - L)
+        gaps = [abs(compute_Delta_k(ModeRecord(ev=eigs[k - 1], f_k=ones),
+                                    spec) - L)
                 for k in (10, 100)]
         assert gaps[1] < gaps[0]
         assert gaps[1] <= 1e-3
@@ -284,7 +285,7 @@ class TestTerminalCondition:
             assert_allclose(m.Delta_k, -E, rtol=1e-13)
             # solve_modes integrates F_k on its own panel count, so this
             # is a two-route comparison, not an identity
-            assert_allclose(m.tau_k, -G_k(m, spec.T) / E, rtol=1e-8)
+            assert_allclose(m.tau_k, -G_k(m, op, spec.T) / E, rtol=1e-8)
         scale = abs(eval_u(sol, 0.5, 0.5 * spec.T))
         for x in (0.3, 0.7):
             assert abs(eval_u(sol, x, spec.T)) <= 1e-10 * scale
@@ -340,8 +341,8 @@ class TestSolveInvariants:
             sol.taus = np.zeros(sol.spec.N)
 
     def test_modes_must_stay_sorted(self, default_op):
-        m2 = ModeRecord(ev=bessel_zero(2), f_k=ones, op=default_op)
-        m1 = ModeRecord(ev=bessel_zero(1), f_k=ones, op=default_op)
+        m2 = ModeRecord(ev=bessel_zero(2), f_k=ones)
+        m1 = ModeRecord(ev=bessel_zero(1), f_k=ones)
         spec = small_spec(default_op, N=2)
         with pytest.raises(ValueError):
             SeriesSolution(spec=spec, modes=(m2, m1), tail_estimate=0.0)

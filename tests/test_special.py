@@ -52,29 +52,8 @@ class TestBessel:
         assert np.array_equal(_special.j1(-x), -_special.j1(x))
         assert np.array_equal(_special.j0(-x), _special.j0(x))
 
-    def test_j2_matches_scipy(self):
-        """scipy's own J2 is off by up to about 10 eps of the scale.
-        Past x = 5, 2 J1/x - J0 carries the phase error of Cephes' J0
-        and J1 (scipy's j0 and j1 alike), which round x - pi/4 and
-        x - 3 pi/4 to the ulp of x."""
-        x = _bessel_args()
-        got, want = _special.j2(x), sp.jn(2, x)
-        err = np.abs(got - want)
-        assert np.all(err <= (16.0 * EPS + np.spacing(x))
-                      * np.maximum(np.abs(want), _scale(x)))
-
-    @pytest.mark.parametrize("x", [1e-6, 1e-3, 0.5, 1.999, 2.0, 2.001,
-                                   5.1356223, 30.0])
-    def test_j2_against_mpmath(self, x):
-        """The series below x = 2 keeps the relative accuracy that
-        2 J1/x - J0 loses to cancellation there."""
-        want = _ref(mp.besselj, 2, x)
-        tol = 4.0 * EPS * (abs(want) if x <= 2.0 else _scale(x) * x)
-        assert abs(_special.j2(x) - want) <= tol
-
     def test_scalars_and_shapes(self):
         assert _special.j0(0.0) == 1.0 and _special.j1(0.0) == 0.0
-        assert _special.j2(0.0) == 0.0
         assert _special.j0(np.zeros((2, 3))).shape == (2, 3)
 
     def test_j0_integral_against_mpmath(self):

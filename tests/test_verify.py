@@ -16,9 +16,9 @@ from fracbessel.specfun import MLParams, mittag_leffler, rgamma
 from fracbessel.spectrum import bessel_zero
 from fracbessel.verify import (CheckResult, VerificationReport,
                                check_boundary, check_decay_rates,
-                               check_delta_asymptote, check_mode_odes,
-                               check_nonlocal, verify_solution,
-                               weighted_spline_candidate)
+                               check_delta_asymptote, check_gluing,
+                               check_mode_odes, check_nonlocal,
+                               verify_solution, weighted_spline_candidate)
 
 STRUCTURAL_ROWS = {
     "boundary_wall_value", "boundary_axis_flux",
@@ -155,18 +155,24 @@ class TestModeOdeValidation:
         with pytest.raises(ValueError, match="exceeds N"):
             check_mode_odes(sol, 3)
 
-
-class TestModeOdeSampling:
-    def test_at_most_four_mode_matrix_calls_per_mode(self, default_op,
-                                                     monkeypatch):
-        """Each oracle stage samples a verified mode in one call: the
-        forward values, the forward oracle, the backward values and the
-        spline candidate."""
+    def test_no_modes_give_no_rows(self, default_op):
+        """verify_solution(k_max=0) checks no mode equation."""
         spec = ProblemSpec(
             op=default_op, T=1.0, nonlocal_points=((0.6, -1.0),),
+            forcing=Forcing(kind="separable_builtin"), N=2)
+        assert check_mode_odes(solve_modes(spec), 0) == []
+
+
+class TestModeOdeSampling:
+    @pytest.fixture(scope="class")
+    def sol4(self, default_op):
+        return solve_modes(ProblemSpec(
+            op=default_op, T=1.0, nonlocal_points=((0.6, -1.0),),
             forcing=Forcing(kind="separable_builtin", space_poly=(1.0,),
-                            time_poly=(1.0, 0.5)), N=4)
-        sol = solve_modes(spec)
+                            time_poly=(1.0, 0.5)), N=4))
+
+    @staticmethod
+    def _counted(monkeypatch):
         calls = []
         real = verify.mode_matrix
 
@@ -175,9 +181,34 @@ class TestModeOdeSampling:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(verify, "mode_matrix", counted)
-        rows = check_mode_odes(sol, 2)
+        return calls
+
+    def test_at_most_four_mode_matrix_calls_per_mode(self, sol4,
+                                                     monkeypatch):
+        """Each oracle stage samples every verified mode in one call:
+        the forward values, the forward oracle, the backward values and
+        the spline candidate, four calls whatever k_max is."""
+        calls = self._counted(monkeypatch)
+        for k_max in (1, 2, 4):
+            calls.clear()
+            rows = check_mode_odes(sol4, k_max)
+            assert len(rows) == 2 * k_max
+            assert all(r.passed for r in rows)
+            assert 0 < len(calls) <= 4, k_max
+
+    def test_gluing_samples_in_two_calls(self, sol4, monkeypatch):
+        """One call for the interface profiles and one for the difference
+        windows of every mode of row (d)."""
+        calls = self._counted(monkeypatch)
+        rows = check_gluing(sol4, _scale=1.0)
         assert all(r.passed for r in rows)
-        assert 0 < len(calls) <= 4 * 2
+        assert 0 < len(calls) <= 2
+
+    def test_batch_rows_keep_one_mode_bits(self, sol4):
+        """A mode's rows do not depend on the other modes checked with
+        it: the first two of four equal a check of that mode alone."""
+        one = [r.as_dict() for r in check_mode_odes(sol4, 1)]
+        assert one == [r.as_dict() for r in check_mode_odes(sol4, 4)[:2]]
 
 
 class TestDeltaAsymptote:
@@ -246,6 +277,26 @@ class TestSplineCandidate:
         w = (-ts) ** (g2 - 2.0)
         err = np.abs(cand(ts) - ref(np.cbrt(-ts)) * w) / w
         assert np.max(err) <= 8 * np.finfo(float).eps * np.max(np.abs(phi(q)))
+
+    def test_batch_columns_keep_one_column_bits(self):
+        """Two candidates fitted together give, column by column, the
+        bits that each one fitted alone gives, at every t."""
+        g2, span = 1.6, 0.8
+        cols = (lambda q: np.exp(-q), lambda q: np.cos(3.0 * q))
+
+        def u(t, j):
+            return cols[j](-t) * (-t) ** (g2 - 2.0)
+
+        both = weighted_spline_candidate(
+            lambda t: np.column_stack([u(t, 0), u(t, 1)]), g2, span,
+            knot0=np.array([1.0, 1.0]))
+        ts = -np.concatenate([np.linspace(1e-9, span, 2001), [1.5 * span]])
+        got = both(ts)
+        assert got.shape == (ts.size, 2)
+        for j in range(2):
+            alone = weighted_spline_candidate(lambda t: u(t, j), g2, span,
+                                              knot0=1.0)
+            assert np.array_equal(got[:, j], alone(ts))
 
     def test_needs_four_knots(self):
         with pytest.raises(ValueError):
