@@ -35,7 +35,6 @@ __all__ = [
     "TimeCoefficient",
     "ModeRecord",
     "SeriesSolution",
-    "cauchy_solution",
     "compute_Fk",
     "compute_Delta_k",
     "solve_modes",
@@ -211,7 +210,9 @@ class TimeCoefficient:
     of a in ascending powers in ``poly``.  Tabulated forcing gives the
     linear interpolant of ``values`` on ``t_grid``, held constant
     outside it.  A batch of modes carries an array of scales (or one row
-    of values per mode); indexing a batch selects modes.
+    of values per mode); indexing a batch selects modes, and calling it
+    gives one row per mode, of shape (modes,) + shape(t), each row with
+    the bits of that mode's own call.
     """
 
     scale: object = 1.0
@@ -232,10 +233,15 @@ class TimeCoefficient:
                                np.asarray(self.values, dtype=float))
 
     def __call__(self, t):
+        t = np.asarray(t, dtype=float)
         if self.poly is not None:
-            return self.scale * np.polynomial.polynomial.polyval(
-                np.asarray(t, dtype=float), self.poly)
-        return np.interp(np.asarray(t, dtype=float), self.t_grid, self.values)
+            return np.multiply.outer(
+                self.scale, np.polynomial.polynomial.polyval(t, self.poly))
+        if self.values.ndim == 1:
+            return np.interp(t, self.t_grid, self.values)
+        return np.array([np.interp(t, self.t_grid, row)
+                         for row in self.values]).reshape(
+                             self.values.shape[:1] + t.shape)
 
     def __getitem__(self, sel):
         if self.poly is not None:
@@ -421,11 +427,12 @@ class _KernelTable:
     monotone.
 
     Clenshaw's recurrence sums the series in blocks of _TABLE_BLOCK
-    points, each block to the longest series among its pieces (the
-    others are zero-padded, which leaves their bits alone), with series
-    longer than _TABLE_NODES summed on their own.  So a value depends on
-    its own argument only: not on the other points of a call, nor on the
-    order the pieces were built in."""
+    points.  A block groups its points by series length, up to
+    _TABLE_NODES terms and then each doubling beyond, and sums each
+    group to its longest series (the others are zero-padded, which
+    leaves their bits alone).  So a value depends on its own argument
+    only: not on the other points of a call, nor on the order the pieces
+    were built in."""
 
     def __init__(self, alpha: float):
         self.alpha = alpha
@@ -482,7 +489,6 @@ class _KernelTable:
         pieces = 1 if top < 0.5 else math.frexp(top)[1] + 2
         if pieces > self.terms.size:
             self._grow(pieces)
-        long = self.terms.max() > _TABLE_NODES
         for lo in range(0, v.size, _TABLE_BLOCK):
             vb = v[lo:lo + _TABLE_BLOCK]
             ob = out[lo:lo + _TABLE_BLOCK]
@@ -491,9 +497,6 @@ class _KernelTable:
             k = np.where(low, 0, expo + 1)
             x = np.where(low, 4.0 * vb - 1.0, 4.0 * mant - 3.0)
             terms = self.terms.take(k)
-            if not long:
-                ob[:] = self._clenshaw(k, x, int(terms.max()))
-                continue
             # each doubling of the series length on its own
             lower, n = 0, _TABLE_NODES
             while lower < _TABLE_MAX_NODES:
@@ -730,31 +733,6 @@ def delta_limit(spec: ProblemSpec) -> float:
                 "like lambda_k")
         total += p_i * (-xi) ** (1.0 - op.delta2) / denom
     return total
-
-
-def cauchy_solution(lam_coeff: float, alpha2: float, beta2: float, mu: float,
-                    xi0: float, xi1: float, g: TimeCoefficient) -> Callable:
-    """Solution operator for the backward-side Cauchy problem
-    D u = lam_coeff * u + g(t) on t < 0 with weighted traces
-    lim I^{2-gamma} u = xi0 and lim (d/dt) I^{2-gamma} u = xi1.
-
-    Returns a vectorized callable u(t).  The two homogeneous pieces are
-    weighted Mittag-Leffler kernels; the particular part is the
-    delta-order resolvent convolution against g, a TimeCoefficient, in
-    closed form.  mode_matrix evaluates the same formula with
-    lam_coeff = -lam_k^2 for the backward half of every mode.
-    """
-    d = beta2 + mu * (alpha2 - beta2)
-    gm = beta2 + mu * (2.0 - beta2)
-
-    def u(t):
-        ts = np.atleast_1d(np.asarray(t, dtype=float))
-        if np.any(ts >= 0.0):
-            raise ValueError("the backward representation needs t < 0")
-        out = _backward_values(d, gm, [lam_coeff], [xi0], [xi1], g, -ts)[0]
-        return out if np.ndim(t) else float(out[0])
-
-    return u
 
 
 def _backward_values(d: float, gm: float, lam_coeff, phis, psis,

@@ -314,6 +314,14 @@ def _ml_alpha_one(b: float, z: np.ndarray) -> np.ndarray:
     if abs(b - 2.0) < 1e-14:
         with np.errstate(over="ignore"):
             return np.expm1(z) / z
+    if b <= 0.0 and b == math.floor(b):
+        # E_{1,-m}(z) = z^{m+1} e^z: the terms k <= m of the series
+        # vanish with 1/Gamma(k - m).  The recurrence below would cancel
+        # at large |z|.  Where e^z underflows the value is 0.
+        with np.errstate(over="ignore"):
+            e = np.exp(z)
+            return np.multiply(z ** (1 - int(b)), e, out=np.zeros_like(z),
+                               where=e != 0.0)
 
     # Shift beta upward until the confluent-hypergeometric route is
     # comfortably inside its domain, then unwind the recurrence

@@ -10,8 +10,8 @@ The solve projects its forcing in closed form (``fourier_bessel_closed``):
 a polynomial plus hinges (x - a)_+ has moments against x J0(lam x) that
 need J0, J1 and int_0^y J0 only.  The composite-quadrature table
 (``fourier_bessel_table``, ``fourier_bessel_coeff``) projects any
-callable, checks itself under node refinement, and serves verification
-as the independent oracle.
+callable, checks itself under node refinement, and serves the tests as
+the closed form's independent oracle.
 """
 
 from __future__ import annotations

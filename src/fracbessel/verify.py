@@ -20,11 +20,10 @@ import numpy as np
 
 from .fracops import (_per_t, bi_ordinal_hilfer, hyper_bessel_caputo,
                       rl_integral_right)
-from .quadrature import gauss_jacobi_rule
 from .solver import (ModeRecord, ProblemSpec, SeriesSolution, compute_Delta_k,
                      delta_limit, eval_u, mode_matrix, radial_basis)
 from .specfun import gamma, rgamma
-from .spectrum import _project, eigenvalue_table
+from .spectrum import eigenvalue_table
 
 __all__ = [
     "CheckResult",
@@ -309,17 +308,13 @@ def check_gluing(sol: SeriesSolution, *, _scale: float = None) -> list:
     # t^{1-p a1} u_t does not reproduce the psi series; it differs by a
     # defect fixed by the transfer rule.  Each mode reaches that limit
     # only below its own crossover time, so the comparison is made mode
-    # by mode: project the series evaluator onto the first few basis
-    # functions, difference in t on a window under the crossover, and
-    # gate the mismatch against the defect model.  Every window is
-    # sampled in one call, and each mode projects a contiguous copy of
-    # its own 16 columns.  The projection takes one Gauss-Legendre rule
-    # sized for all N modes of the integrand, not fourier_bessel_coeff,
-    # whose panels follow the projected mode only.
+    # by mode: read the first few mode values, difference in t on a
+    # window under the crossover, and gate the mismatch against the
+    # defect model.  Every window is sampled in one call, and each mode
+    # reads its own row at its own 16 columns.
     p = op.p
     a1 = op.alpha1
     pa1 = p * a1
-    proj_rule = gauss_jacobi_rule(max(256, 8 * spec.N), 0.0, 0.0)
     worst_d = 0.0
     raw_d = 0.0
     model_d = 0.0
@@ -330,17 +325,16 @@ def check_gluing(sol: SeriesSolution, *, _scale: float = None) -> list:
         ts = np.geomspace(t_hi / 20.0, t_hi, 8)
         windows.append((m, ts, 0.02 * ts))
     vals = mode_matrix(sol, np.concatenate(
-        [np.concatenate([ts + h, ts - h]) for _, ts, h in windows]))
+        [np.concatenate([ts + h, ts - h]) for _, ts, h in windows]),
+        modes=slice(0, len(windows)))
+    f0 = sol.time_coefs[:len(windows)](0.0)
     for j, (m, ts, h) in enumerate(windows):
-        own = np.ascontiguousarray(vals[:, 16 * j:16 * (j + 1)])
-        fk = _project(lambda x: radial_basis(sol, x) @ own,
-                      np.array([m.ev.lam]), np.array([m.ev.norm_sq]),
-                      proj_rule.nodes, proj_rule.weights)[0]
+        fk = vals[j, 16 * j:16 * (j + 1)]
         gk = ts ** (1.0 - pa1) * (fk[:len(ts)] - fk[len(ts):]) / (2.0 * h)
         es2, coef2 = _power_fit(ts, gk, (0.0, pa1, 1.0, 2.0 * pa1))
         b0 = float(coef2[_expo_index(es2, 0.0)])
         target = (p ** (1.0 - a1)
-                  * (float(np.asarray(m.f_k(0.0))) - m.ev.lam ** 2 * m.tau_k)
+                  * (float(f0[j]) - m.ev.lam ** 2 * m.tau_k)
                   / gamma(a1))
         scale_k = max(abs(m.psi_k), abs(target), floor)
         worst_d = max(worst_d, abs(b0 - target) / scale_k)
@@ -458,7 +452,7 @@ def check_mode_odes(sol: SeriesSolution, k_max: int) -> list:
     worst = []
     for ts, Lu in ((fwd_ts, fwd), (bwd_ts, bwd)):
         uvals = samples(ts)
-        fvals = np.column_stack([m.f_k(ts) for m in modes])
+        fvals = sol.time_coefs[:k_max](ts).T
         scale = np.maximum(np.maximum(lam2 * np.max(np.abs(uvals), axis=0),
                                       np.max(np.abs(fvals), axis=0)), 1e-300)
         worst.append(np.max(np.abs(Lu + lam2 * uvals - fvals) / scale,
@@ -526,11 +520,8 @@ def check_decay_rates(sol: SeriesSolution) -> list:
                   and N >= 30)
     lams = sol.lams
     sel = slice(9, N)
-    probe = (0.2 * T, 0.7 * T, -0.5 * T)
-    fmag = np.array([
-        max(abs(float(np.asarray(m.f_k(t)))) for t in probe)
-        for m in sol.modes
-    ])
+    probe = np.array([0.2 * T, 0.7 * T, -0.5 * T])
+    fmag = np.abs(sol.time_coefs(probe)).max(axis=1)
     seqs = [
         ("decay_forcing_coeff", fmag, -3.5, -3.2,
          "projected forcing coefficients"),

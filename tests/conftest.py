@@ -9,7 +9,9 @@ own spec.
 import pytest
 
 from fracbessel.fracops import OperatorParams
-from fracbessel.solver import Forcing, ProblemSpec, solve_modes
+from fracbessel.solver import (Forcing, ModeRecord, ProblemSpec,
+                               SeriesSolution, solve_modes)
+from fracbessel.spectrum import Eigenvalue
 from fracbessel.verify import verify_solution
 
 ACCEPTANCE_LINES = []
@@ -54,6 +56,23 @@ def default_spec(default_op):
                         time_poly=(1.0, 0.5)),
         N=50,
     )
+
+
+@pytest.fixture(scope="session")
+def backward_cauchy():
+    """Factory of one-mode solutions under ``op`` whose backward half
+    solves D u = -4 u + g(t) on t < 0 with weighted traces xi0 and xi1:
+    lam = 2, phi = tau = xi0, psi = xi1, f_k = g, so that
+    mode_matrix(sol, t)[0] is u(t)."""
+
+    def build(op, xi0, xi1, g):
+        mode = ModeRecord(ev=Eigenvalue(k=1, lam=2.0, norm_sq=0.5), f_k=g,
+                          tau_k=xi0, phi_k=xi0, psi_k=xi1)
+        spec = ProblemSpec(op=op, T=1.0, nonlocal_points=((1.0, -1.0),),
+                           forcing=Forcing(), N=1)
+        return SeriesSolution(spec=spec, modes=(mode,), tail_estimate=0.0)
+
+    return build
 
 
 @pytest.fixture(scope="session")

@@ -18,9 +18,8 @@ from fracbessel.cli import EXIT_SOLVABILITY, main
 from fracbessel.fracops import (OperatorParams, bi_ordinal_hilfer,
                                 hyper_bessel_caputo)
 from fracbessel.solver import (DELTA_FLOOR, Forcing, ModeRecord,
-                               ProblemSpec, TimeCoefficient, cauchy_solution,
-                               compute_Delta_k, delta_limit, eval_u,
-                               solve_modes)
+                               ProblemSpec, TimeCoefficient, compute_Delta_k,
+                               delta_limit, eval_u, mode_matrix, solve_modes)
 from fracbessel.specfun import MLParams, gamma, mittag_leffler, rgamma
 from fracbessel.spectrum import bessel_zero
 from fracbessel.verify import weighted_spline_candidate
@@ -97,10 +96,10 @@ def test_criterion_03_hilfer_interpolation_endpoints(criterion):
     assert criterion(3, ok, detail), detail
 
 
-def test_criterion_04_backward_cauchy_plug_back(criterion):
-    """The closed-form backward solution, wrapped as a weighted spline
-    candidate, must satisfy its own equation under the quadrature
-    operator oracle."""
+def test_criterion_04_backward_cauchy_plug_back(criterion, backward_cauchy):
+    """The closed-form backward solution of one mode, wrapped as a
+    weighted spline candidate, must satisfy its own equation under the
+    quadrature operator oracle."""
     worst = 0.0
     lam_coeff = -4.0
 
@@ -112,14 +111,15 @@ def test_criterion_04_backward_cauchy_plug_back(criterion):
         alpha2, beta2, mu = params
         op = OperatorParams(0.7, 0.2, alpha2, beta2, mu)
         g2, d2 = op.gamma2, op.delta2
-        u = cauchy_solution(lam_coeff, alpha2, beta2, mu, xi0, xi1, g)
-        cand = weighted_spline_candidate(u, g2, 1.0,
+        sol = backward_cauchy(op, xi0, xi1, g)
+        cand = weighted_spline_candidate(lambda t: mode_matrix(sol, t)[0],
+                                         g2, 1.0,
                                          knot0=xi0 * rgamma(g2 - 1.0))
         for t in (-0.5, -0.25):
             got = bi_ordinal_hilfer(op, cand, t, n=160,
                                     inner_exponent=g2 - 2.0,
                                     outer_exponent=d2 - 2.0)
-            want = lam_coeff * float(u(t)) + float(g(t))
+            want = lam_coeff * mode_matrix(sol, [t])[0, 0] + float(g(t))
             worst = max(worst, abs(got - want) / abs(want))
     ok = worst <= 1e-3
     detail = (f"equation residual of the solution formula: max rel "

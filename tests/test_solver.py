@@ -305,6 +305,38 @@ class TestZeroForcing:
             assert np.max(np.abs(eval_u(sol, xs, t))) == 0.0
 
 
+BATCH_MODES = {
+    "builtin": [TimeCoefficient(scale=s, poly=(1.0, 0.5, -0.25))
+                for s in (0.3, -1.7, 2.0 / 3.0)],
+    "tabulated": [TimeCoefficient(t_grid=(-1.0, -0.4, 0.1, 0.7, 1.0),
+                                  values=row)
+                  for row in ((0.2, -1.0, 0.5, 3.0, 1.0),
+                              (1.0, 1.0, 0.0, -0.3, 2.0),
+                              (-0.7, 0.9, 1.3, 0.1, -2.2))],
+}
+
+
+class TestTimeCoefficientBatch:
+    """A batch called at t gives one row per mode, of shape
+    (modes,) + shape(t), each row with the bits of its mode's own call."""
+
+    @pytest.mark.parametrize("kind", sorted(BATCH_MODES))
+    @pytest.mark.parametrize("t", [0.37, [-0.8, 0.05, 0.9], [-1.3, 0.25],
+                                   [[-0.5, 0.0], [0.6, 1.2]]])
+    def test_rows_match_single_mode_calls(self, kind, t):
+        modes = BATCH_MODES[kind]
+        got = TimeCoefficient.stack(modes)(t)
+        assert got.shape == (len(modes),) + np.shape(t)
+        for row, mode in zip(got, modes):
+            assert np.array_equal(row, mode(t))
+
+    @pytest.mark.parametrize("kind", sorted(BATCH_MODES))
+    def test_selected_modes(self, kind):
+        modes = BATCH_MODES[kind]
+        got = TimeCoefficient.stack(modes)[1:](0.3)
+        assert np.array_equal(got, [m(0.3) for m in modes[1:]])
+
+
 class TestSolveInvariants:
     def test_coefficient_relations(self, default_solution):
         sol = default_solution

@@ -338,6 +338,37 @@ def test_alpha_two_integer_beta_against_mpmath(b):
         f"E_{{2,{b}}}({z[i]!r}) = {got[i]!r}, mpmath {ref[i]!r}")
 
 
+def _ml_alpha_one_mp(b: float, z: float) -> float:
+    """E_{1,b}(z) = sum_k z^k / Gamma(k + b) by mpmath.  On the negative
+    axis the largest term is near e^|z| and the sum near e^-|z|, so the
+    digits carry the 0.87 |z| that cancel."""
+    with mp.workdps(int(abs(z)) + 40):
+        b, z = mp.mpf(b), mp.mpf(z)
+        k, total = 0, mp.mpf(0)
+        while k + b <= 1.0:
+            total += z ** k * mp.rgamma(k + b)
+            k += 1
+        term = z ** k * mp.rgamma(k + b)
+        while k < abs(z) or abs(term) > abs(total) * mp.mpf(10) ** -30:
+            total += term
+            term = term * z / (k + b)
+            k += 1
+        return float(total)
+
+
+@pytest.mark.parametrize("m", range(4))
+def test_alpha_one_non_positive_integer_beta(m):
+    """E_{1,-m}(z) = z^{m+1} e^z within 1e-12 of mpmath on z in
+    [-700, 30]; the beta recurrence raised NumericError below z = -40."""
+    z = np.concatenate([np.linspace(-700.0, 30.0, 12), [-45.0, -40.5, -0.5]])
+    got = mittag_leffler(MLParams(1.0, -float(m)), z)
+    ref = np.array([_ml_alpha_one_mp(-m, zi) for zi in z])
+    err = np.abs(got - ref) / np.abs(ref)
+    i = int(np.argmax(err))
+    assert err[i] <= 1e-12, (
+        f"E_{{1,{-m}}}({z[i]!r}) = {got[i]!r}, mpmath {ref[i]!r}")
+
+
 @pytest.mark.parametrize("b", range(1, 10))
 def test_alpha_two_integer_beta_positive_axis(b):
     """E_{2,b} at integer b on the positive axis past the closed forms'

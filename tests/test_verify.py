@@ -198,11 +198,12 @@ class TestModeOdeSampling:
 
     def test_gluing_samples_in_two_calls(self, sol4, monkeypatch):
         """One call for the interface profiles and one for the difference
-        windows of every mode of row (d)."""
+        windows of every mode of row (d), which reads only its modes."""
         calls = self._counted(monkeypatch)
         rows = check_gluing(sol4, _scale=1.0)
         assert all(r.passed for r in rows)
         assert 0 < len(calls) <= 2
+        assert slice(0, min(3, sol4.spec.N)) in calls
 
     def test_batch_rows_keep_one_mode_bits(self, sol4):
         """A mode's rows do not depend on the other modes checked with
