@@ -375,12 +375,47 @@ _TABLE_RTOL = 5e-12       # the table against mittag_leffler, likewise
 _TABLE_BLOCK = 8192       # points per evaluation block
 
 
-def _power_kernel(alpha: float, beta: float, c, W, gam: float) -> np.ndarray:
-    """Gamma(gam) W^{beta+gam-1} E_{alpha,beta+gam}(c W^alpha)."""
+class _Kernels:
+    """The Mittag-Leffler values that one evaluation needs at one alpha,
+    made by one mittag_leffler call with a beta per point.
+
+    ``ask(beta, z)`` records a request and returns a function that gives
+    E_{alpha,beta}(z), shaped as z; the first such function called makes
+    the call for every request recorded by then.  Each value depends on
+    its own (alpha, beta, z) only, so it has the bits of a call of its
+    own."""
+
+    def __init__(self, alpha: float):
+        self.alpha = alpha
+        self._asks = []
+        self._values = None
+
+    def ask(self, beta: float, z) -> Callable[[], np.ndarray]:
+        z = np.asarray(z, dtype=float)
+        n = len(self._asks)
+        self._asks.append((float(beta), z))
+        return lambda: self._value(n)
+
+    def _value(self, n: int) -> np.ndarray:
+        if self._values is None:
+            betas = [b for b, _ in self._asks]
+            sizes = [z.size for _, z in self._asks]
+            beta = (betas[0] if len(set(betas)) == 1
+                    else np.repeat(betas, sizes))
+            vals = mittag_leffler(
+                MLParams(alpha=self.alpha, beta=beta),
+                np.concatenate([z.ravel() for _, z in self._asks]))
+            self._values = [v.reshape(z.shape) for v, (_, z) in zip(
+                np.split(vals, np.cumsum(sizes)[:-1]), self._asks)]
+        return self._values[n]
+
+
+def _power_kernel(ml: _Kernels, beta: float, c, W, gam: float):
+    """Gamma(gam) W^{beta+gam-1} E_{alpha,beta+gam}(c W^alpha), alpha
+    that of ml, as a function that gives it once ml has its values."""
     W = np.asarray(W, dtype=float)
-    return (gamma(gam) * W ** (beta + gam - 1.0)
-            * mittag_leffler(MLParams(alpha=alpha, beta=beta + gam),
-                             c * W ** alpha))
+    E = ml.ask(beta + gam, c * W ** ml.alpha)
+    return lambda: gamma(gam) * W ** (beta + gam - 1.0) * E()
 
 
 def _hinges(grid, values, sign: float):
@@ -610,44 +645,56 @@ def _hinge_quadrature(alpha, c, W, knots, D, q):
     return out
 
 
-def _conv(alpha: float, beta: float, c, W, f: TimeCoefficient, *,
-          sign: float = 1.0, q: float = 1.0) -> np.ndarray:
+def _conv(ml: _Kernels, beta: float, c, W, f: TimeCoefficient, *,
+          sign: float = 1.0, q: float = 1.0):
     """int_0^W w^{beta-1} E_{alpha,beta}(c w^alpha) f(sign (W-w)^q) dw,
-    one row per mode (entries of c, rows of f) and one column per W.
+    alpha that of ml, one row per mode (entries of c, rows of f) and one
+    column per W, as a function that gives it once ml has its values.
     Tabulated f with q != 1 takes beta = alpha (the forward side)."""
     c = np.asarray(c, dtype=float).reshape(-1, 1)
     W = np.asarray(W, dtype=float).reshape(-1)
-    out = np.zeros((c.shape[0], W.size))
     if f.poly is not None:
-        for m, am in enumerate(f.poly):
-            if am != 0.0:
-                out += am * sign ** m * _power_kernel(alpha, beta, c, W,
-                                                      m * q + 1.0)
-        return np.atleast_1d(f.scale)[:, None] * out
+        terms = [(am * sign ** m, _power_kernel(ml, beta, c, W, m * q + 1.0))
+                 for m, am in enumerate(f.poly) if am != 0.0]
+
+        def poly():
+            out = np.zeros((c.shape[0], W.size))
+            for coef, kernel in terms:
+                out += coef * kernel()
+            return np.atleast_1d(f.scale)[:, None] * out
+        return poly
     ys, g0, g1, D = _hinges(f.t_grid, f.values, sign)
-    out = (g0[:, None] * _power_kernel(alpha, beta, c, W, 1.0)
-           + g1[:, None] * _power_kernel(alpha, beta, c, W, q + 1.0))
+    k0 = _power_kernel(ml, beta, c, W, 1.0)
+    k1 = _power_kernel(ml, beta, c, W, q + 1.0)
     if q != 1.0:
-        return out + _hinge_quadrature(alpha, c[:, 0], W, ys, D, q)
+        hinge = _hinge_quadrature(ml.alpha, c[:, 0], W, ys, D, q)
+        return lambda: g0[:, None] * k0() + g1[:, None] * k1() + hinge
     X = W[:, None] - ys[None, :]
     inside = X > 0.0
-    if inside.any():
-        hinge = np.zeros((c.shape[0],) + X.shape)
-        hinge[:, inside] = _power_kernel(alpha, beta, c, X[inside], 2.0)
-        # each (mode, W) row is summed on its own, so that a mode's
-        # value does not depend on the other modes of the batch
-        out += (hinge * D[:, None, :]).sum(axis=2)
-    return out
+    kink = _power_kernel(ml, beta, c, X[inside], 2.0) if inside.any() else None
+
+    def tabulated():
+        out = g0[:, None] * k0() + g1[:, None] * k1()
+        if kink is not None:
+            hinge = np.zeros((c.shape[0],) + X.shape)
+            hinge[:, inside] = kink()
+            # each (mode, W) row is summed on its own, so that a mode's
+            # value does not depend on the other modes of the batch
+            out += (hinge * D[:, None, :]).sum(axis=2)
+        return out
+    return tabulated
 
 
-def _forward_particular(op: OperatorParams, lams, f: TimeCoefficient,
-                        ts) -> np.ndarray:
-    """G_k(t) on t > 0: in w = t^p - tau^p the kernel is
-    w^{a-1} E_{a,a}(-cb w^a) / p^a with a = alpha1, cb = lam^2 / p^a."""
-    a, p = op.alpha1, op.p
+def _forward_particular(ml: _Kernels, p: float, lams, f: TimeCoefficient,
+                        ts):
+    """G_k(t) on t > 0, as a function that gives it once ml, at
+    a = alpha1, has its values: in w = t^p - tau^p the kernel is
+    w^{a-1} E_{a,a}(-cb w^a) / p^a with cb = lam^2 / p^a."""
+    a = ml.alpha
     pa = p ** a
-    return _conv(a, a, -np.asarray(lams) ** 2 / pa, np.asarray(ts) ** p, f,
-                 q=1.0 / p) / pa
+    conv = _conv(ml, a, -np.asarray(lams) ** 2 / pa, np.asarray(ts) ** p, f,
+                 q=1.0 / p)
+    return lambda: conv() / pa
 
 
 def _mode_batch(mode):
@@ -664,18 +711,19 @@ def compute_Fk(mode, spec: ProblemSpec):
     kernel is w^{d2-g2+1} E_{d2,d2-g2+2}(-lam^2 w^{d2}).
 
     ``mode`` is one ModeRecord (a float is returned) or a sequence of
-    them (an array, with one Mittag-Leffler call per kernel for all).
+    them (an array, with one Mittag-Leffler call per side for all).
     """
     modes, lams, single = _mode_batch(mode)
     op = spec.op
     f = TimeCoefficient.stack([m.f_k for m in modes])
-    total = _forward_particular(op, lams, f, spec.T)[:, 0]
+    total = _forward_particular(_Kernels(op.alpha1), op.p, lams, f,
+                                spec.T)()[:, 0]
     pts = [(p_i, xi) for p_i, xi in spec.nonlocal_points
            if p_i != 0.0 and xi != 0.0]
     if pts:
         d2, g2 = op.delta2, op.gamma2
-        hist = _conv(d2, d2 - g2 + 2.0, -lams ** 2, [-xi for _, xi in pts], f,
-                     sign=-1.0)
+        hist = _conv(_Kernels(d2), d2 - g2 + 2.0, -lams ** 2,
+                     [-xi for _, xi in pts], f, sign=-1.0)()
         for j, (p_i, _) in enumerate(pts):
             total = total - p_i * hist[:, j]
     return float(total[0]) if single else total
@@ -688,7 +736,7 @@ def compute_Delta_k(mode, spec: ProblemSpec):
     through the fractional integral of the non-local condition; the
     final term is the forward-side Mittag-Leffler factor at t = T.
     ``mode`` is one ModeRecord (a float is returned) or a sequence of
-    them (an array, with one Mittag-Leffler call per kernel for all).
+    them (an array, with one Mittag-Leffler call per side for all).
     """
     modes, lams, single = _mode_batch(mode)
     lam2 = lams ** 2
@@ -697,13 +745,14 @@ def compute_Delta_k(mode, spec: ProblemSpec):
     pa = op.p ** op.alpha1 * gamma(op.alpha1)
     pts = spec.nonlocal_points
     z = -lam2 * np.array([[(-xi) ** d2] for _, xi in pts])
-    e1 = mittag_leffler(MLParams(alpha=d2, beta=1.0), z)
-    e2 = mittag_leffler(MLParams(alpha=d2, beta=2.0), z)
+    backward = _Kernels(d2)
+    e1, e2 = backward.ask(1.0, z), backward.ask(2.0, z)
+    e1, e2 = e1(), e2()
     total = np.zeros(lam2.shape)
     for i, (p_i, xi) in enumerate(pts):
         total = total + p_i * (e1[i] + lam2 * (-xi) / pa * e2[i])
     zT = -(lam2 / op.p ** op.alpha1) * spec.T ** (op.alpha1 * op.p)
-    out = total - mittag_leffler(MLParams(alpha=op.alpha1, beta=1.0), zT)
+    out = total - _Kernels(op.alpha1).ask(1.0, zT)()
     return float(out[0]) if single else out
 
 
@@ -735,20 +784,25 @@ def delta_limit(spec: ProblemSpec) -> float:
     return total
 
 
-def _backward_values(d: float, gm: float, lam_coeff, phis, psis,
-                     f: TimeCoefficient, W, order: float = 0.0) -> np.ndarray:
+def _backward_values(ml: _Kernels, gm: float, lam_coeff, phis, psis,
+                     f: TimeCoefficient, W, order: float = 0.0):
     """Right-sided integral of order ``order`` of the backward modes at
-    t = -W < 0: weighted traces phi, psi on the kernels
+    t = -W < 0, as a function that gives it once ml, at d = delta2, has
+    its values: weighted traces phi, psi on the kernels
     W^{gm-2} E_{d,gm-1} and W^{gm-1} E_{d,gm}, plus the resolvent
     convolution, each shifted by ``order`` in both the power and beta."""
+    d = ml.alpha
     c = np.asarray(lam_coeff, dtype=float)[:, None]
     W = np.asarray(W, dtype=float)
     z = c * W ** d
-    return (np.asarray(phis)[:, None] * W ** (gm - 2.0 + order)
-            * mittag_leffler(MLParams(alpha=d, beta=gm - 1.0 + order), z)
-            - np.asarray(psis)[:, None] * W ** (gm - 1.0 + order)
-            * mittag_leffler(MLParams(alpha=d, beta=gm + order), z)
-            + _conv(d, d + order, c, W, f, sign=-1.0))
+    e_phi = ml.ask(gm - 1.0 + order, z)
+    e_psi = ml.ask(gm + order, z)
+    conv = _conv(ml, d + order, c, W, f, sign=-1.0)
+    return lambda: (np.asarray(phis)[:, None] * W ** (gm - 2.0 + order)
+                    * e_phi()
+                    - np.asarray(psis)[:, None] * W ** (gm - 1.0 + order)
+                    * e_psi()
+                    + conv())
 
 
 # ---------------------------------------------------------------------------
@@ -815,7 +869,8 @@ def mode_matrix(sol: SeriesSolution, ts, *, modes=None,
     trace.  A positive ``order`` gives the right-sided Riemann-Liouville
     integral of that order of each backward mode instead and needs
     t <= 0; at order 2 - gamma2 its t = 0 limit is the weighted trace
-    phi_k = tau_k.
+    phi_k = tau_k.  Each side makes one Mittag-Leffler call, besides
+    any growth of the forward hinges' kernel table.
     """
     ts = np.asarray(ts, dtype=float).reshape(-1)
     sel = slice(None) if modes is None else modes
@@ -829,14 +884,15 @@ def mode_matrix(sol: SeriesSolution, ts, *, modes=None,
         if order != 0.0:
             raise ValueError("integrated mode values need t <= 0")
         a, p = op.alpha1, op.p
-        z = -(lams[:, None] ** 2 / p ** a) * ts[pos] ** (a * p)
-        out[:, pos] = (taus[:, None]
-                       * mittag_leffler(MLParams(alpha=a, beta=1.0), z)
-                       + _forward_particular(op, lams, f, ts[pos]))
+        forward = _Kernels(a)
+        E = forward.ask(1.0, -(lams[:, None] ** 2 / p ** a)
+                        * ts[pos] ** (a * p))
+        G = _forward_particular(forward, p, lams, f, ts[pos])
+        out[:, pos] = taus[:, None] * E() + G()
     if neg.any():
         out[:, neg] = _backward_values(
-            op.delta2, op.gamma2, -lams ** 2, sol.phis[sel], sol.psis[sel],
-            f, -ts[neg], order)
+            _Kernels(op.delta2), op.gamma2, -lams ** 2, sol.phis[sel],
+            sol.psis[sel], f, -ts[neg], order)()
     return out
 
 

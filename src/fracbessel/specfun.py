@@ -35,11 +35,16 @@ the error tracking above.
 
 Every value depends on its own (alpha, beta, z) only: never on the
 other points of a call, their order or the chunk they fall in.
-Callers may therefore batch freely, and the solver evaluates each
-kernel for all modes in one call.  ``mittag_leffler`` sorts a call's
-arguments once and runs the cascade on _CHUNK-point chunks of that
-order, so a chunk holds neighbouring |z|, mostly of one regime; a
-repeated argument is simply evaluated again.
+Callers may therefore batch freely.  beta may be given per point, so
+one call serves every kernel of one alpha, and the solver makes one
+call per alpha for all modes.  Each stage gathers its beta-dependent
+constants from the caches kept per beta; the contour and the closed
+forms run each beta's points together.  A single beta is a float that
+every point shares, and the stages then gather nothing.
+``mittag_leffler`` sorts a call's arguments once and runs the cascade
+on _CHUNK-point chunks of that order, so a chunk holds neighbouring
+|z|, mostly of one regime; a repeated argument is simply evaluated
+again.
 
 1/Gamma, ln Gamma, psi, the Bessel functions and 1F1(1; b; z) come
 from the numpy ports of ``_special``.
@@ -165,19 +170,25 @@ class MLParams:
     """Parameter pair (alpha, beta) of the Mittag-Leffler function.
 
     alpha must lie in (0, 2]; every kernel in this package has its
-    first parameter in that range.  beta is any finite real.
+    first parameter in that range.  beta is any finite real, or an
+    array of them, one per point, that broadcasts against the
+    arguments of ``mittag_leffler`` (kept as a read-only copy).
     """
 
     alpha: float
-    beta: float
+    beta: float | np.ndarray
 
     def __post_init__(self):
         a = float(self.alpha)
-        b = float(self.beta)
+        b = np.array(self.beta, dtype=float)
         if not (0.0 < a <= 2.0):
             raise ValueError(f"alpha must lie in (0, 2], got {self.alpha!r}")
-        if not math.isfinite(b):
+        if not np.all(np.isfinite(b)):
             raise ValueError(f"beta must be finite, got {self.beta!r}")
+        if b.ndim:
+            b.setflags(write=False)
+        else:
+            b = float(b)
         object.__setattr__(self, "alpha", a)
         object.__setattr__(self, "beta", b)
 
@@ -188,7 +199,7 @@ def mittag_leffler(p: MLParams, z):
     Parameters
     ----------
     p : MLParams
-        The (alpha, beta) pair.
+        The (alpha, beta) pair; beta may hold one value per point.
     z : float or ndarray
         Real argument(s).  The negative axis is the accuracy-critical
         regime and is honoured down to -1e8 and beyond; large positive
@@ -198,8 +209,8 @@ def mittag_leffler(p: MLParams, z):
     Returns
     -------
     float or ndarray
-        E_{alpha,beta}(z), matching the shape of ``z``, to a relative
-        accuracy of 1e-12.
+        E_{alpha,beta}(z), matching the shape of ``z`` (broadcast
+        against a per-point beta), to a relative accuracy of 1e-12.
 
     Notes
     -----
@@ -207,13 +218,20 @@ def mittag_leffler(p: MLParams, z):
     _CHUNK (8192) points of that order and the values go back through
     it.  Arguments are not deduplicated: the package's calls repeat
     none, and a repeated one gets the same bits again.  In each chunk
-    the series plans only the points its first-term gate passes.
+    the series plans only the points its first-term gate passes.  A
+    per-point beta rides along with its argument, and every value has
+    the bits of a call with its beta alone, so the kernels of one
+    alpha share one call and pay the cascade's fixed cost once.
     """
     if not isinstance(p, MLParams):
         raise TypeError("first argument must be an MLParams instance")
     arr = np.asarray(z, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise ValueError("mittag_leffler requires finite z")
+    beta = p.beta
+    if np.ndim(beta):
+        arr, beta = np.broadcast_arrays(arr, beta)
+        beta = beta.ravel()
     flat = np.atleast_1d(arr).ravel()
     # One ascending sort: each chunk then holds neighbouring arguments,
     # mostly of one regime, and the values go back through the order.
@@ -221,7 +239,7 @@ def mittag_leffler(p: MLParams, z):
     out = np.empty_like(flat)
     for lo in range(0, flat.size, _CHUNK):
         sel = order[lo:lo + _CHUNK]
-        out[sel] = _ml_core(p.alpha, p.beta, flat[sel])
+        out[sel] = _ml_core(p.alpha, _at(beta, sel), flat[sel])
     if arr.ndim == 0:
         return float(out[0])
     return out.reshape(arr.shape)
@@ -231,64 +249,70 @@ def mittag_leffler(p: MLParams, z):
 # dispatcher
 
 
-def _ml_core(a: float, b: float, z: np.ndarray) -> np.ndarray:
+def _ml_core(a: float, b, z: np.ndarray) -> np.ndarray:
+    """E_{a,b}(z) on one chunk; b is one float or one beta per point."""
     out = np.full(z.shape, np.nan)
     todo = np.ones(z.shape, dtype=bool)
 
     zero = z == 0.0
     if zero.any():
-        out[zero] = _rgamma1(b)
+        out[zero] = _per_beta(_rgamma1, _at(b, zero))
         todo &= ~zero
 
     if a == 1.0:
         if todo.any():
-            out[todo] = _ml_alpha_one(b, z[todo])
+            out[todo] = _by_beta(_ml_alpha_one, _at(b, todo), z[todo])
         return out
 
-    if a == 2.0 and abs(b - round(b)) < 1e-12 and 1 <= round(b) <= 9:
-        # Closed trigonometric forms.  Their recurrence in b loses a
-        # factor of about (m-1)(m-2)/|z| at its step to E_{2,m}, so they
-        # hold only once |z| is not small against b (4.6e-11 at b = 9,
-        # z = -0.5, where the cascade gives 6e-17), and on the positive
-        # axis only while cosh(sqrt(z)) is finite.
-        bint = int(round(b))
-        m = todo & (np.abs(z) >= max(0.5, bint - 1.0)) & (z <= 709.0 ** 2)
+    if a == 2.0:
+        # Closed trigonometric forms at integer b in 1..9.  Their
+        # recurrence in b loses a factor of about (m-1)(m-2)/|z| at its
+        # step to E_{2,m}, so they hold only once |z| is not small
+        # against b (4.6e-11 at b = 9, z = -0.5, where the cascade gives
+        # 6e-17), and on the positive axis only while cosh(sqrt(z)) is
+        # finite.
+        bint = np.round(b)
+        m = (todo & (np.abs(b - bint) < 1e-12) & (bint >= 1.0) & (bint <= 9.0)
+             & (np.abs(z) >= np.maximum(0.5, bint - 1.0)) & (z <= 709.0 ** 2))
         if m.any():
-            out[m] = _ml_alpha_two_int(bint, z[m])
+            out[m] = _by_beta(lambda n, zm: _ml_alpha_two_int(int(n), zm),
+                              _at(bint, m), z[m])
             todo &= ~m
 
     if todo.any():
         idx = np.flatnonzero(todo & _series_hopeful(a, b, z))
         if idx.size:
-            zs = z if idx.size == z.size else z[idx]
-            safe, count = _series_plan(a, b, zs)
+            zs, bs = (z, b) if idx.size == z.size else (z[idx], _at(b, idx))
+            safe, count = _series_plan(a, bs, zs)
             idx, zs, count = _narrow(safe, idx, zs, count)
             if idx.size:
-                val, ok = _series_block(a, b, zs, count)
+                val, ok = _series_block(a, _at(bs, safe), zs, count)
                 idx, val = _narrow(ok, idx, val)
                 out[idx] = val
                 todo[idx] = False
 
     if todo.any():
         idx = np.flatnonzero(todo)
-        zs = z if idx.size == z.size else z[idx]
-        idx, zs = _narrow(_asymp_hopeful(a, b, zs), idx, zs)
+        zs, bs = (z, b) if idx.size == z.size else (z[idx], _at(b, idx))
+        hope = _asymp_hopeful(a, bs, zs)
+        idx, zs = _narrow(hope, idx, zs)
         if idx.size:
-            val, ok = _asymp_block(a, b, zs)
+            val, ok = _asymp_block(a, _at(bs, hope), zs)
             idx, val = _narrow(ok, idx, val)
             out[idx] = val
             todo[idx] = False
 
     m = todo & (z < 0.0)
     if m.any():
-        out[m] = _contour_block(a, b, z[m])
+        out[m] = _contour_block(a, _at(b, m), z[m])
         todo &= ~m
 
     if todo.any():
         # Positive arguments that dodged both expansions: force the
         # series, at most _SERIES_TERMS terms; overflow becomes inf.
-        _, count = _series_plan(a, b, z[todo], force=True)
-        val, _ = _series_block(a, b, z[todo], count, force=True)
+        bs = _at(b, todo)
+        _, count = _series_plan(a, bs, z[todo], force=True)
+        val, _ = _series_block(a, bs, z[todo], count, force=True)
         out[todo] = val
         todo &= False
 
@@ -301,6 +325,70 @@ def _narrow(keep: np.ndarray, *rows) -> tuple:
     if keep.all():
         return rows
     return tuple(row[keep] for row in rows)
+
+
+# ---------------------------------------------------------------------------
+# beta per point
+#
+# A stage takes b as one float, which every point shares, or as an array
+# of one beta per point.  Its beta-dependent constants come from the
+# caches kept per beta: for a float they are that beta's own, and for
+# an array they are gathered per point from the distinct betas.
+
+def _at(row, idx):
+    """row[idx], or row itself where it is one value for every point (a
+    float beta, or the column 0 of the one beta); the sums' term loops
+    call it, so it reads the attribute and not np.ndim."""
+    return row[idx] if getattr(row, "ndim", 0) else row
+
+
+def _distinct(b) -> tuple:
+    """The distinct betas of b, as floats, and each point's index among
+    them; a float is one beta, and its index is the int 0, so that a
+    table's row then gives a scalar."""
+    if np.ndim(b) == 0:
+        return (float(b),), 0
+    # not np.unique, whose first call imports numpy.ma (10-18 ms), nor
+    # np.sort, whose first call maps 0.1 MiB of sort kernel that the
+    # argsort of mittag_leffler has not
+    srt = b[np.argsort(b)]
+    betas = srt[np.flatnonzero(srt[1:] != srt[:-1]).tolist() + [-1]]
+    return tuple(betas.tolist()), np.searchsorted(betas, b)
+
+
+def _per_beta(fn, b):
+    """fn(beta), a float or a tuple of floats, at each point's beta:
+    fn(b) itself for a float b, else arrays of one value per point."""
+    if np.ndim(b) == 0:
+        return fn(b)
+    betas, col = _distinct(b)
+    vals = np.array([fn(v) for v in betas])
+    return vals[col] if vals.ndim == 1 else tuple(vals.T[:, col])
+
+
+def _table(rows) -> np.ndarray:
+    """Equal-length 1-d rows, one per distinct beta, as the columns of
+    one table; a single row as an (n, 1) view."""
+    return rows[0][:, None] if len(rows) == 1 else np.stack(rows, axis=1)
+
+
+def _by_beta(fn, b, z: np.ndarray) -> np.ndarray:
+    """fn(beta, z) on the points of each distinct beta of b."""
+    betas, col = _distinct(b)
+    if len(betas) == 1:
+        return fn(betas[0], z)
+    out = np.empty_like(z)
+    for j, beta in enumerate(betas):
+        sel = col == j
+        out[sel] = fn(beta, z[sel])
+    return out
+
+
+def _pow(x: np.ndarray, e) -> np.ndarray:
+    """x ** e with e one float or one per point.  Each point takes
+    x ** float(e), numpy's scalar paths included (square at 2,
+    reciprocal at -1, ...), which round differently from np.power."""
+    return _by_beta(lambda v, xs: xs ** v, e, x)
 
 
 # ---------------------------------------------------------------------------
@@ -418,17 +506,17 @@ def _series_hopeful(a: float, b: float, z: np.ndarray) -> np.ndarray:
     lnGamma(b + a k).  A point's largest term is at least its first, so
     where this fails _series_plan refuses the point too, and the point
     needs no plan.  At k = 0 the gate is evaluated only between the
-    moduli of _series_first."""
-    k, lg, sure, never = _series_first(a, b)
+    moduli of _series_first; elsewhere they decide it."""
+    k, lg, sure, never = _per_beta(lambda v: _series_first(a, v), b)
     x = np.abs(z)
     neg = z < 0.0
-    if k:
-        with np.errstate(divide="ignore"):
-            return _series_gate(k * np.log(x) - lg, x, neg)
     hope = np.where(neg, x <= sure, 0.0 - lg < 650.0)
-    near = np.flatnonzero(neg & (x > sure) & (x < never))
+    near = np.flatnonzero((k > 0) | (neg & (x > sure) & (x < never)))
     if near.size:
-        hope[near] = _series_gate(0.0 - lg, x[near], True)
+        xn = x[near]
+        with np.errstate(divide="ignore"):
+            hope[near] = _series_gate(_at(k, near) * np.log(xn)
+                                      - _at(lg, near), xn, neg[near])
     return hope
 
 
@@ -451,26 +539,27 @@ def _series_plan(a: float, b: float, z: np.ndarray, force: bool = False):
     """
     x = np.abs(z)
     lnx = np.log(x)
-    k, lg_first, _, _ = _series_first(a, b)
+    k, lg_first, _, _ = _per_beta(lambda v: _series_first(a, v), b)
     with np.errstate(over="ignore", invalid="ignore"):
         r = x ** (1.0 / a)
         nstar = np.maximum((r - b) / a, 0.0)
         first = k * lnx - lg_first
-        # the points with n* = 0 share lnGamma(b)
-        lg = np.full(z.shape, _gammaln1(b))
+        # the points with n* = 0 take lnGamma(b)
+        lg = np.full(z.shape, _per_beta(_gammaln1, b))
         hump = nstar > 0.0
         if hump.any():
-            lg[hump] = _special.gammaln(b + a * nstar[hump])
+            lg[hump] = _special.gammaln(_at(b, hump) + a * nstar[hump])
         ln_max = np.maximum(nstar * lnx - lg, first)
     ln_max = np.where(np.isnan(ln_max), np.inf, ln_max)
     safe = _series_gate(ln_max, x, z < 0.0)
     count = np.zeros(z.shape, dtype=np.int64)
     sub = slice(None) if force or safe.all() else np.flatnonzero(safe)
     if force or safe.any():
-        lnx, r, ln_max = lnx[sub], r[sub], ln_max[sub]
+        lnx, r, ln_max, b = lnx[sub], r[sub], ln_max[sub], _at(b, sub)
         lr = lnx / a
         target = ln_max + math.log(0.25 * _EPS)
-        y = np.maximum(max(b, 1.0), math.exp(1.5) * r)
+        y = np.maximum(np.maximum(b, 1.0), math.exp(1.5) * r)
+        floor = np.maximum(b, 1e-300)
         ly, g, w = np.empty_like(y), np.empty_like(y), np.empty_like(y)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             for _ in range(2):
@@ -491,7 +580,7 @@ def _series_plan(a: float, b: float, z: np.ndarray, force: bool = False):
                 np.add(ly, w, out=ly)
                 np.divide(g, ly, out=g)
                 np.subtract(y, g, out=y)
-                np.maximum(y, max(b, 1e-300), out=y)
+                np.maximum(y, floor, out=y)
             n = np.maximum(np.ceil((y - b) / a), 1.0)
         count[sub] = np.where(n <= _SERIES_TERMS, n, _SERIES_TERMS + 1.0)
     if force:
@@ -554,8 +643,12 @@ def _series_block(a: float, b: float, z: np.ndarray, count,
     live = np.zeros(nmax + 2, dtype=np.int64)
     live[:-1] = np.cumsum(np.bincount(cnt, minlength=nmax + 1)[::-1])[::-1]
     live = live.tolist()
-    coef = _series_coefs(a, b, 1 << max(6, nmax.bit_length()))
-    s = np.full(zs.shape, coef[0])
+    # coef[n, col]: the coefficients of term n at each point's beta
+    betas, col = _distinct(b)
+    size = 1 << max(6, nmax.bit_length())
+    coef = _table([_series_coefs(a, v, size) for v in betas])
+    col = _at(col, order)
+    s = np.full(zs.shape, coef[0, col])
     e = np.zeros_like(s)
     p = np.ones_like(s)
     big = np.abs(s)
@@ -575,11 +668,12 @@ def _series_block(a: float, b: float, z: np.ndarray, count,
                         m = mv = live[i]
                         pm, zm, em, bm = p[:m], zs[:m], e[:m], big[:m]
                         sm, sn = s[:m], s_next[:m]
+                        cm = _at(col, slice(None, m))
                         t, bb, w = t_row[:m], b_row[:m], w_row[:m]
                     # Sum2 step: sn = sm + t and its TwoSum error
                     # (sm - (sn - bb)) + (t - bb), bb = sn - sm, into e
                     np.multiply(pm, zm, out=pm)
-                    np.multiply(pm, coef[i], out=t)
+                    np.multiply(pm, coef[i, cm], out=t)
                     np.add(sm, t, out=sn)
                     np.subtract(sn, sm, out=bb)
                     np.subtract(sn, bb, out=w)
@@ -602,7 +696,8 @@ def _series_block(a: float, b: float, z: np.ndarray, count,
                 pt[0] = p[:m] * zm
                 pt[1:] = zm
                 np.multiply.accumulate(pt, axis=0, out=pt)
-                t = pt * coef[n:n + k, None]
+                # (k, 1) for one beta, as (k, m) for a beta per point
+                t = pt * coef[n:n + k, _at(col, slice(None, m))].reshape(k, -1)
                 t[np.arange(n, n + k)[:, None] > cnt[:m]] = 0.0
                 st = np.empty((k + 1, m))
                 st[0] = s[:m]
@@ -647,26 +742,29 @@ def _ml_residue(a: float, b: float, z: np.ndarray) -> np.ndarray:
     For z < 0 and alpha in (1, 2] the conjugate pole pair contributes
     (2/a) r^{1-b} e^{r cos(pi/a)} cos(r sin(pi/a) + (1-b) pi/a) with
     r = |z|^{1/a}; for z > 0 the single real pole contributes
-    (1/a) z^{(1-b)/a} e^{z^{1/a}}.
+    (1/a) z^{(1-b)/a} e^{z^{1/a}}.  b is one float or one per point.
     """
     out = np.zeros_like(z)
     with np.errstate(over="ignore", invalid="ignore"):
         pos = z > 0.0
         if pos.any():
             r = z[pos] ** (1.0 / a)
-            v = (r ** (1.0 - b)) * np.exp(np.minimum(r, 745.0)) / a
+            c = 1.0 - _at(b, pos)
+            v = _pow(r, c) * np.exp(np.minimum(r, 745.0)) / a
             # past exp's range the product is inf or nan; logs keep the
             # values that r^(1-b) brings back into range
             big = ~np.isfinite(v)
-            v[big] = np.exp(r[big] + (1.0 - b) * np.log(r[big]) - math.log(a))
+            v[big] = np.exp(r[big] + _at(c, big) * np.log(r[big])
+                            - math.log(a))
             out[pos] = v
         if a > 1.0:
             neg = z < 0.0
             if neg.any():
                 r = (-z[neg]) ** (1.0 / a)
+                c = 1.0 - _at(b, neg)
                 ang = math.pi / a
-                out[neg] = (2.0 / a) * r ** (1.0 - b) * np.exp(r * math.cos(ang)) \
-                    * np.cos(r * math.sin(ang) + (1.0 - b) * ang)
+                out[neg] = (2.0 / a) * _pow(r, c) * np.exp(r * math.cos(ang)) \
+                    * np.cos(r * math.sin(ang) + c * ang)
     return out
 
 
@@ -768,33 +866,52 @@ def _asymp_hopeful(a: float, b: float, z: np.ndarray) -> np.ndarray:
     regime's bulk, cost two comparisons.
     """
     hope = (z < -1.0) | (z >= 0.0)
-    plan = _asymp_stops(a, b)
-    if plan is None:
-        return hope
-    stops, lr, c2, c3, c1, lead, far = plan
-    idx = np.flatnonzero((z < -1.0) & (z >= -far))
+    betas, col = _distinct(b)
+    plans = [_asymp_stops(a, v) for v in betas]
+    # a beta without thresholds keeps its points: no z < -1 is >= 0
+    far = np.array([0.0 if plan is None else plan[-1] for plan in plans])
+    idx = np.flatnonzero((z < -1.0) & (z >= -far[col]))
     if not idx.size:
         return hope
+    col, b = _at(col, idx), _at(b, idx)
+    # no point is left of a beta without thresholds; another beta's plan
+    # fills its columns, which are never read
+    plans = [plan or next(filter(None, plans)) for plan in plans]
+    stops, lr, c2, c3 = (_table([plan[j] for plan in plans])
+                         for j in range(4))
+    c1, lead = (np.array([plan[j] for plan in plans])[col] for j in (4, 5))
     u = -1.0 / z[idx]
     L = np.log(-z[idx])
-    k = np.searchsorted(stops, L - _ASYMP_ETA)
-    refuse = stops[k] >= L + _ASYMP_ETA
+    k = _searchsorted(stops, col, L - _ASYMP_ETA)
+    refuse = stops[k, col] >= L + _ASYMP_ETA
     tol = _RTOL * (1.0 + _ASYMP_SLACK)
     with np.errstate(over="ignore", invalid="ignore"):
-        env = np.exp(lr[k] - k * L) * (1.0 - _ASYMP_SLACK)
-        bound = tol * u ** lead * (c1 + u * (c2[k] + u * c3[k]))
+        env = np.exp(lr[k, col] - k * L) * (1.0 - _ASYMP_SLACK)
+        bound = tol * _pow(u, lead) * (c1 + u * (c2[k, col]
+                                                 + u * c3[k, col]))
         refuse &= env > np.maximum(bound, _RTOL * 1e-300)
         if a > 1.0 and refuse.any():
             # the residues only raise the bound, so only the points
             # refused on S alone need them
             sel = np.flatnonzero(refuse)
             ln_r = L[sel] / a
-            res = (2.0 / a) * np.exp((1.0 - b) * ln_r
+            res = (2.0 / a) * np.exp((1.0 - _at(b, sel)) * ln_r
                                      + np.exp(ln_r) * math.cos(math.pi / a))
             bound = bound[sel] + tol * res
             refuse[sel] = env[sel] > np.maximum(bound, _RTOL * 1e-300)
     hope[idx[refuse]] = False
     return hope
+
+
+def _searchsorted(table: np.ndarray, col, x: np.ndarray) -> np.ndarray:
+    """np.searchsorted(table[:, col_i], x_i) at each point i."""
+    if table.shape[1] == 1:
+        return np.searchsorted(table[:, 0], x)
+    k = np.empty(x.shape, dtype=np.intp)
+    for j in range(table.shape[1]):
+        sel = col == j
+        k[sel] = np.searchsorted(table[:, j], x[sel])
+    return k
 
 
 def _asymp_block(a: float, b: float, z: np.ndarray):
@@ -824,11 +941,15 @@ def _asymp_block(a: float, b: float, z: np.ndarray):
     of the term-by-term loop in its order.
     """
     nmax = _ASYMP_TERMS
-    renv, rg = _asymp_coefs(a, b)
+    # renv[n, col], rg[n, col]: term n + 1 at each point's beta
+    betas, col = _distinct(b)
+    coefs = [_asymp_coefs(a, v) for v in betas]
+    renv, rg = (_table([c[j] for c in coefs]) for j in (0, 1))
     res = _ml_residue(a, b, z)
     s = np.zeros_like(z)
     minenv = np.full(z.shape, np.inf)
     idx = np.flatnonzero(np.abs(z) > 1.0)  # |z| <= 1 never converges here
+    col = _at(col, idx)
     zi = 1.0 / z[idx]
     p = np.ones_like(zi)
     sl = np.zeros_like(zi)
@@ -842,9 +963,9 @@ def _asymp_block(a: float, b: float, z: np.ndarray):
             if k < m:
                 for i in range(n, n + k):
                     p = p * zi
-                    env = np.abs(p) * renv[i]
+                    env = np.abs(p) * renv[i, col]
                     grew = env >= me
-                    snew = sl + p * rg[i]
+                    snew = sl + p * rg[i, col]
                     done = env < _ULP_FLOOR * np.abs(snew)
                     if done.any():
                         done &= env <= _RTOL * np.maximum(np.abs(rl - snew),
@@ -855,6 +976,7 @@ def _asymp_block(a: float, b: float, z: np.ndarray):
                         minenv[idx[out]] = np.where(grew, me, env)[out]
                         keep = ~out
                         idx, zi, p, rl = idx[keep], zi[keep], p[keep], rl[keep]
+                        col = _at(col, keep)
                         snew, me, env = snew[keep], me[keep], env[keep]
                     sl = snew
                     me = np.minimum(me, env)
@@ -865,13 +987,13 @@ def _asymp_block(a: float, b: float, z: np.ndarray):
                 pt[0] = p * zi
                 pt[1:] = zi
                 np.multiply.accumulate(pt, axis=0, out=pt)
-                env = np.abs(pt) * renv[n:n + k, None]
+                env = np.abs(pt) * renv[n:n + k, col].reshape(k, -1)
                 # me[j]: the smallest envelope before term j
                 me = np.concatenate([me[None], env])
                 np.minimum.accumulate(me, axis=0, out=me)
                 st = np.empty((k + 1, m))
                 st[0] = sl
-                st[1:] = pt * rg[n:n + k, None]
+                st[1:] = pt * rg[n:n + k, col].reshape(k, -1)
                 np.add.accumulate(st, axis=0, out=st)
                 grew = env >= me[:-1]
                 done = ((env < _ULP_FLOOR * np.abs(st[1:]))
@@ -886,7 +1008,7 @@ def _asymp_block(a: float, b: float, z: np.ndarray):
                     s[idx[j]] = np.where(g, st[i, j], st[i + 1, j])
                     minenv[idx[j]] = np.where(g, me[i, j], env[i, j])
                 keep = ~stop
-                idx, zi, rl = idx[keep], zi[keep], rl[keep]
+                idx, zi, rl, col = idx[keep], zi[keep], rl[keep], _at(col, keep)
                 p, sl, me = pt[-1, keep], st[-1, keep], me[-1, keep]
             n += k
     s[idx] = sl
@@ -953,31 +1075,36 @@ def _contour_block(a: float, b: float, z: np.ndarray) -> np.ndarray:
     added, so the arc must stay inside the pair: each point takes the
     largest power of 2 at most half its pole modulus |z|^{1/a}, capped
     at 1, and each such rung has its own rule.  Otherwise the pair is
-    enclosed wherever it lies, and the arc is the unit circle.
+    enclosed wherever it lies, and the arc is the unit circle.  The
+    points of each (rung, beta) are summed on that pair's rule.
     """
     residues = math.pi / a <= 0.75 * math.pi
     eps = np.ones_like(z)
     if residues:
         _, e = np.frexp(0.5 * (-z) ** (1.0 / a))
         eps = np.minimum(np.ldexp(1.0, e - 1), 1.0)
+    betas, col = _distinct(b)
     out = np.empty_like(z)
     for rung in sorted(set(eps.tolist())):
-        idx = np.flatnonzero(eps == rung)
-        p, q, bre, bim2 = _contour_rule(a, b, float(rung), residues)
-        rows = min(max(_CONTOUR_CELLS // p.size, 1), idx.size)
-        num, den = np.empty((rows, p.size)), np.empty((rows, p.size))
-        for lo in range(0, idx.size, rows):
-            sel = idx[lo:lo + rows]
-            zc = z[sel][:, None]
-            nu, de = num[:sel.size], den[:sel.size]
-            # (p - q z) / ((bre - z)^2 + bim2), one row per point
-            np.multiply(q, zc, out=nu)
-            np.subtract(p, nu, out=nu)
-            np.subtract(bre, zc, out=de)
-            np.multiply(de, de, out=de)
-            np.add(de, bim2, out=de)
-            np.divide(nu, de, out=nu)
-            out[sel] = nu.sum(axis=1)
+        for j, beta in enumerate(betas):
+            idx = np.flatnonzero((eps == rung) & (col == j))
+            if not idx.size:
+                continue
+            p, q, bre, bim2 = _contour_rule(a, beta, float(rung), residues)
+            rows = min(max(_CONTOUR_CELLS // p.size, 1), idx.size)
+            num, den = np.empty((rows, p.size)), np.empty((rows, p.size))
+            for lo in range(0, idx.size, rows):
+                sel = idx[lo:lo + rows]
+                zc = z[sel][:, None]
+                nu, de = num[:sel.size], den[:sel.size]
+                # (p - q z) / ((bre - z)^2 + bim2), one row per point
+                np.multiply(q, zc, out=nu)
+                np.subtract(p, nu, out=nu)
+                np.subtract(bre, zc, out=de)
+                np.multiply(de, de, out=de)
+                np.add(de, bim2, out=de)
+                np.divide(nu, de, out=nu)
+                out[sel] = nu.sum(axis=1)
     if residues:
         out += _ml_residue(a, b, z)
     return out

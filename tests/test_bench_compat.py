@@ -5,10 +5,12 @@ bench/workloads.py reads their spans by name.  A deleted or renamed
 public function breaks traced benchmark rounds with a KeyError; this
 runs one tiny traced CLI round and reads every per-layer metric that
 BENCHMARK.json declares, for the builtin and the tabulated forcing of
-the CLI workloads.  Nothing under bench/ is written.
+the CLI workloads, and one plain solve-large-n round, whose rate needs
+time traced in mittag_leffler.  Nothing under bench/ is written.
 """
 
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -54,3 +56,29 @@ def test_traced_cli_round_reads_every_layer_metric(workload, tmp_path,
     assert metrics["solver.fk_calls"] == 1
     assert metrics["solver.eval_calls"] > 0
     assert metrics["verify.verify_s"] > 0.0
+
+
+def test_plain_large_n_round_reads_mittag_leffler(tmp_path, monkeypatch):
+    """One plain solve-large-n round, under the tracer that bench/worker.py
+    installs for plain rounds, which wraps mittag_leffler alone.  Every
+    plain round divides its Mittag-Leffler points by the time traced in
+    specfun.mittag_leffler, so a solver path that bypassed that function
+    would make every round raise ZeroDivisionError."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    import spans
+    import worker
+    import workloads
+
+    tracer = spans.Tracer(only=worker.LIGHT, detail=False).install()
+    try:
+        state = workloads.prepare("solve-large-n", 1, tmp_path)
+        workloads.setup(state)
+        result = workloads.run(state, tracer)
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["ml_points"] == 3136
+    # one call per alpha: per side of each evaluation, two per solve step
+    assert tracer.summary()["specfun.mittag_leffler"]["calls"] == 16
+    rate = result["ml_points_per_s"][0]
+    assert math.isfinite(rate) and rate > 0.0

@@ -31,8 +31,8 @@ def G_k(mode, op, t):
     """Forward particular solution G_k(t) of one mode record under the
     operator op: the convolution term that mode_matrix adds to
     tau_k E_{a,1} on t > 0."""
-    return float(solver._forward_particular(op, [mode.ev.lam],
-                                            mode.f_k, t)[0, 0])
+    return float(solver._forward_particular(
+        solver._Kernels(op.alpha1), op.p, [mode.ev.lam], mode.f_k, t)()[0, 0])
 
 
 def mapped_Gk(mode, op, t, rule):
@@ -335,6 +335,83 @@ class TestTimeCoefficientBatch:
         modes = BATCH_MODES[kind]
         got = TimeCoefficient.stack(modes)[1:](0.3)
         assert np.array_equal(got, [m(0.3) for m in modes[1:]])
+
+
+def tabulated_forcing():
+    """x^4 (1-x)^3 (1 + t/2) sampled on a 6 x 7 grid over [0, 1] x [-1, 1]."""
+    xs, ts = np.linspace(0.0, 1.0, 6), np.linspace(-1.0, 1.0, 7)
+    f = xs[:, None] ** 4 * (1.0 - xs[:, None]) ** 3 * (1.0 + 0.5 * ts)
+    return Forcing(kind="tabulated", x_grid=tuple(xs), t_grid=tuple(ts),
+                   samples=tuple(map(tuple, f)))
+
+
+class TestOneCallPerAlpha:
+    """Each evaluation makes one mittag_leffler call per alpha that it
+    needs, with a beta per point, and passes the points that one call per
+    kernel passed: each mode at each argument of each kernel."""
+
+    @pytest.fixture(params=["builtin", "tabulated"])
+    def case(self, request, default_op, monkeypatch):
+        forcing = (DEFAULT_FORCING if request.param == "builtin"
+                   else tabulated_forcing())
+        spec = small_spec(default_op, N=5, forcing=forcing,
+                          points=((0.3, -0.8), (0.6, -0.5), (0.2, 0.0)))
+        # the solve builds the forward hinges' kernel table up to W = T^p,
+        # which covers every later evaluation
+        sol = solve_modes(spec)
+        monkeypatch.setattr(solver._KernelTable, "_grow",
+                            lambda *_: pytest.fail("kernel table grew"))
+        calls = []
+        ml = solver.mittag_leffler
+
+        def counted(p, z):
+            calls.append((p.alpha, np.size(z)))
+            return ml(p, z)
+
+        monkeypatch.setattr(solver, "mittag_leffler", counted)
+        return spec, sol, calls
+
+    @staticmethod
+    def kernels(spec, W):
+        """Kernel arguments per mode of the convolution at each W on the
+        backward side, and the kernels of one W otherwise: a polynomial's
+        non-zero terms, or a tabulated line's two plus one per knot of
+        the negative times below W."""
+        if spec.forcing.is_builtin:
+            return np.count_nonzero(spec.forcing.time_poly), 0
+        knots = -np.array([t for t in spec.forcing.t_grid if t < 0.0])
+        return 2, int(np.count_nonzero(np.asarray(W)[:, None] > knots))
+
+    def test_mode_matrix(self, case):
+        spec, sol, calls = case
+        n, op = spec.N, spec.op
+        ts = np.array([-0.9, -0.45, -0.1, 0.0, 0.2, 0.65, 1.0])
+        for sel, order in ((ts, 0.0), (ts[ts > 0.0], 0.0), (ts[ts < 0.0], 0.0),
+                           (ts[ts <= 0.0], 2.0 - op.gamma2), (ts[:0], 0.0),
+                           (ts[ts == 0.0], 0.0)):
+            calls.clear()
+            solver.mode_matrix(sol, sel, order=order)
+            fwd, bwd = sel[sel > 0.0], -sel[sel < 0.0]
+            terms, kinks = self.kernels(spec, bwd)
+            want = []
+            if fwd.size:
+                want.append((op.alpha1, n * fwd.size * (1 + terms)))
+            if bwd.size:
+                want.append((op.delta2, n * (bwd.size * (2 + terms) + kinks)))
+            assert sorted(calls) == sorted(want)
+
+    def test_delta_and_forcing_terms(self, case):
+        spec, sol, calls = case
+        n, op = spec.N, spec.op
+        compute_Delta_k(sol.modes, spec)
+        assert sorted(calls) == sorted(
+            [(op.delta2, 2 * n * len(spec.nonlocal_points)), (op.alpha1, n)])
+        calls.clear()
+        compute_Fk(sol.modes, spec)
+        W = [-xi for _, xi in spec.nonlocal_points if xi != 0.0]
+        terms, kinks = self.kernels(spec, W)
+        assert sorted(calls) == sorted(
+            [(op.alpha1, n * terms), (op.delta2, n * (len(W) * terms + kinks))])
 
 
 class TestSolveInvariants:

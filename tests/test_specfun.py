@@ -97,6 +97,16 @@ class TestMLParams:
         p = MLParams(alpha=0.5, beta=-1.0)
         assert p.alpha == 0.5 and p.beta == -1.0
 
+    def test_beta_per_point(self):
+        """A beta per point is kept as a read-only copy; every entry
+        must be finite."""
+        b = np.array([1.0, 1.7])
+        p = MLParams(alpha=0.7, beta=b)
+        b[0] = 5.0
+        assert p.beta.tolist() == [1.0, 1.7] and not p.beta.flags.writeable
+        with pytest.raises(ValueError, match="beta must be finite"):
+            MLParams(alpha=0.7, beta=[1.0, np.nan])
+
 
 class TestMittagLefflerFrozenTable:
     def test_reference_sweep(self):
@@ -826,6 +836,122 @@ def test_values_keep_their_bits_in_any_order_and_chunk(a, b):
     for scalar in (z[0], np.float64(z[0]), np.array(z[0])):
         one = mittag_leffler(p, scalar)
         assert type(one) is float and one == got[0]
+
+
+# ---------------------------------------------------------------------------
+# beta per point: one call for the kernels of one alpha gives the bits of
+# a call per beta
+
+
+def _spy_stages(monkeypatch, a):
+    """Wrap the cascade's stages; the returned dict gives, per stage,
+    the most distinct betas one call of it saw (the closed forms, called
+    once per beta, count every beta they saw), and under "rungs" the arc
+    radii of the contour's points."""
+    seen, closed = {}, {}
+
+    def note(key, betas):
+        seen[key] = max(seen.get(key, 0), len(set(betas)))
+
+    def spy(name, pos):
+        fn = getattr(specfun, name)
+
+        def spied(*args, **kwargs):
+            b, z = args[pos], args[pos + 1]
+            betas = np.broadcast_to(b, z.shape).ravel().tolist()
+            if name == "_series_block" and kwargs.get("force", False):
+                note("forced", betas)
+            elif pos == 0:  # a closed form, one beta per call
+                closed.setdefault(name, set()).update(betas)
+                seen[name] = len(closed[name])
+            else:
+                note(name, betas)
+            if name == "_contour_block" and a >= 4.0 / 3.0:
+                _, e = np.frexp(0.5 * (-z) ** (1.0 / a))
+                rungs = np.minimum(np.ldexp(1.0, e - 1), 1.0)
+                note("rungs", rungs.tolist())
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(specfun, name, spied)
+
+    for name in ("_series_block", "_asymp_block", "_contour_block"):
+        spy(name, 1)
+    for name in ("_ml_alpha_one", "_ml_alpha_two_int"):
+        spy(name, 0)
+    return seen
+
+
+@pytest.mark.parametrize("a,betas,lo,hi,sign,near,stages", [
+    # the README's forward kernels, with the contour at alpha < 1
+    (0.7, (1.0, 1.7, 2.7, 0.7), 3.0, 60.0, -1.0, (),
+     ("_series_block", "_asymp_block", "_contour_block")),
+    # its backward kernels, with the contour's residues; next to zeros of
+    # E_{1.35,0.6} and E_{1.35,1} the contour takes arcs of 1/4 and 1/2
+    (1.35, (0.6, 1.6, 2.35, 3.35, 1.0, 2.0), 3.0, 90.0, -1.0,
+     ((0.6, -0.925, -0.915), (1.0, -2.23, -2.2)),
+     ("_series_block", "_asymp_block", "_contour_block", "rungs")),
+    # the forced series next to zeros of E on the positive axis
+    (0.5, (1.0, 0.5), 0.01, 3.0, 1.0,
+     ((-1.0, 0.4512, 0.4522), (-0.5, 0.4512, 0.4522)),
+     ("forced", "_series_block")),
+    # alpha = 1: e^z, (e^z - 1)/z, z^{m+1} e^z and the shifted recurrence
+    (1.0, (1.0, 2.0, 0.5, -1.0, 0.0, -1.3), 30.0, 60.0, -1.0, (),
+     ("_ml_alpha_one",)),
+    # alpha = 2: the trigonometric forms at integer beta, beside the cascade
+    (2.0, (1.0, 2.0, 3.0, 9.0, 0.6), 0.3, 0.7, -1.0, (),
+     ("_ml_alpha_two_int", "_series_block")),
+], ids=["readme-forward", "readme-backward", "forced-series", "alpha-one",
+        "alpha-two"])
+def test_beta_per_point_matches_one_beta_calls(a, betas, lo, hi, sign, near,
+                                               stages, monkeypatch):
+    """A shuffled batch over every regime, z = 0 and z = +-1 among them,
+    with a seeded beta per point from ``betas`` and 20 points of each
+    (beta, zlo, zhi) of ``near``: each value is the very bits of the call
+    with its beta alone, and each stage named in ``stages`` saw several
+    betas in one call (the contour: several arc radii under "rungs")."""
+    rng = np.random.default_rng(53)
+    z = _regime_mix(rng, lo, hi, sign)
+    b = rng.choice(betas, z.size)
+    for beta, zlo, zhi in near:
+        z = np.concatenate([z, np.linspace(zlo, zhi, 20)])
+        b = np.concatenate([b, np.full(20, beta)])
+    betas = sorted(set(b.tolist()))
+    seen = _spy_stages(monkeypatch, a)
+    with np.errstate(over="ignore"):
+        got = mittag_leffler(MLParams(a, b), z)
+        assert all(seen.get(stage, 0) >= 2 for stage in stages), seen
+        for beta in betas:
+            m = b == beta
+            assert np.array_equal(got[m],
+                                  mittag_leffler(MLParams(a, beta), z[m]))
+
+
+def test_beta_per_point_shapes():
+    """A 0-d beta and z give a float, empty batches keep their shape, a
+    column of z against a row of betas gives the grid whose columns are
+    the one-beta calls, and a batch of several chunks matches them too."""
+    one = mittag_leffler(MLParams(0.7, np.array(1.7)), -2.5)
+    assert type(one) is float
+    assert one == mittag_leffler(MLParams(0.7, 1.7), -2.5)
+    assert mittag_leffler(MLParams(0.7, np.empty(0)), []).shape == (0,)
+    assert mittag_leffler(MLParams(0.7, [1.0, 1.7]),
+                          np.empty((0, 2))).shape == (0, 2)
+    betas = np.array([0.6, 1.6, 2.35, 3.35, 1.0, 2.0])
+    z = -np.geomspace(1e-3, 1e6, 50)[:, None]
+    grid = mittag_leffler(MLParams(1.35, betas[None, :]), z)
+    assert grid.shape == (50, 6)
+    for j, beta in enumerate(betas.tolist()):
+        assert np.array_equal(grid[:, j],
+                              mittag_leffler(MLParams(1.35, beta), z[:, 0]))
+    rng = np.random.default_rng(59)
+    z = -np.exp(rng.uniform(np.log(1e-3), np.log(1e7),
+                            2 * specfun._CHUNK + 99))
+    b = rng.choice(betas, z.size)
+    got = mittag_leffler(MLParams(1.35, b), z)
+    for beta in betas.tolist():
+        m = b == beta
+        assert np.array_equal(got[m],
+                              mittag_leffler(MLParams(1.35, beta), z[m]))
 
 
 def _contour_block_expr(a, b, z):

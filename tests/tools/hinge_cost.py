@@ -10,7 +10,8 @@ Each call of ``solver._hinge_quadrature`` prints one line: its modes,
 its W, its quadrature nodes, the kernel values it took from
 ``mittag_leffler`` and from the Mittag-Leffler table (where the package
 has one; its values taken while building or growing the table count
-under mittag_leffler), and its seconds.  The last line gives the
+under mittag_leffler, one per point of a call whose beta may be given
+per point), and its seconds.  The last line gives the
 totals.  The wrappers are installed on the solver module from outside;
 nothing in the package changes.
 """
@@ -53,7 +54,7 @@ class Recorder:
 
         def ml_wrapper(p, z):
             if self.row is not None:
-                size = np.size(z)
+                size = np.broadcast(z, p.beta).size
                 self.row["ml_values"] += size
                 if not self.building:
                     self.row["nodes"] += size

@@ -8,6 +8,11 @@ solve-large-n workload does:
     OPENBLAS_NUM_THREADS=1 python3 tests/tools/ml_calls.py config CONFIG.json
     OPENBLAS_NUM_THREADS=1 python3 tests/tools/ml_calls.py solve 64
 
+The first table gives, per alpha, the ``mittag_leffler`` calls, their
+points, and how many calls passed each number of distinct betas (the
+solver asks for every kernel of one alpha in one call, with a beta per
+point).
+
 Every call of ``specfun._ml_core`` (one per chunk of the sorted
 arguments of a ``mittag_leffler`` call) is timed and put in a group by
 its size: at most 64 points, 65 to 1024, or more.  Each group prints
@@ -33,7 +38,7 @@ each point's terms; the cells computed come from running the block's
 schedule, tiles of _TILE_CELLS // points terms (at most _TILE_TERMS),
 on them.  The replay is left out of the wall time too.  Work inside a
 closed form's own helpers counts towards no table.  The wrappers are
-installed on the module from outside; nothing in the package changes.
+installed on the modules from outside; nothing in the package changes.
 """
 
 import sys
@@ -64,12 +69,15 @@ def _group(size: int) -> str:
     raise AssertionError(size)
 
 
-def asymp_terms(a: float, b: float, z: np.ndarray) -> np.ndarray:
+def asymp_terms(a: float, b, z: np.ndarray) -> np.ndarray:
     """Terms each point takes in specfun._asymp_block, its stopping term
     included (0 for |z| <= 1): the block's stop rule replayed in one
-    masked pass over the points, term by term."""
+    masked pass over the points, term by term; b is one beta or one per
+    point."""
     nmax = specfun._ASYMP_TERMS
-    renv, rg = specfun._asymp_coefs(a, b)
+    betas, col = specfun._distinct(b)
+    renv, rg = (np.stack([specfun._asymp_coefs(a, v)[j] for v in betas])[col].T
+                for j in (0, 1))
     res = specfun._ml_residue(a, b, z)
     zi = 1.0 / z
     p, s = np.ones_like(z), np.zeros_like(z)
@@ -115,9 +123,12 @@ def asymp_cells(z: np.ndarray, terms) -> int:
 
 
 class Recorder:
-    """Wraps _ml_core and its regime helpers on the specfun module."""
+    """Wraps mittag_leffler where the solver calls it, and _ml_core and
+    its regime helpers on the specfun module."""
 
     def __init__(self):
+        # per alpha: calls, points, and calls per count of distinct betas
+        self.by_alpha = defaultdict(lambda: [0, 0, defaultdict(int)])
         self.calls = defaultdict(int)
         self.points = defaultdict(int)
         self.seconds = defaultdict(float)
@@ -129,6 +140,16 @@ class Recorder:
         self._closed = 0  # depth inside a closed form's own helpers
 
     def install(self):
+        ml = specfun.mittag_leffler
+
+        def counted_ml(p, z):
+            rec = self.by_alpha[p.alpha]
+            rec[0] += 1
+            rec[1] += np.broadcast(z, p.beta).size
+            rec[2][np.unique(p.beta).size] += 1
+            return ml(p, z)
+
+        specfun.mittag_leffler = solver.mittag_leffler = counted_ml
         core = specfun._ml_core
 
         def timed_core(a, b, z):
@@ -198,8 +219,10 @@ class Recorder:
             if self._counting():
                 t0 = time.perf_counter()
                 for part, regime in ((ok, "asym_acc"), (~ok, "asym_rej")):
+                    if not part.any():
+                        continue
                     t1 = time.perf_counter()
-                    fn(a, b, z[part], *args)
+                    fn(a, specfun._at(b, part), z[part], *args)
                     self._time(regime, time.perf_counter() - t1)
                 terms = asymp_terms(a, b, z)
                 work = self.work[self._group]
@@ -249,6 +272,11 @@ class Recorder:
         setattr(specfun, name, wrapped)
 
     def report(self, out=sys.stdout):
+        print(f"{'alpha':>8} {'calls':>6} {'pts':>7}  betas per call: calls",
+              file=out)
+        for alpha, (calls, points, betas) in sorted(self.by_alpha.items()):
+            print(f"{alpha:>8g} {calls:>6} {points:>7}  " + " ".join(
+                f"{n}: {betas[n]}" for n in sorted(betas)), file=out)
         head = f"{'points':>8} {'calls':>6} {'pts':>7} {'s':>7}  " + " ".join(
             f"{r:>10}" for r in REGIMES)
         print(head, file=out)
