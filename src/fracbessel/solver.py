@@ -8,7 +8,10 @@ side (t < 0) each mode obeys a right-sided bi-ordinal Hilfer equation
 whose general solution carries two weighted traces phi_k, psi_k plus
 another convolution.  Value gluing forces phi_k = tau_k, the derivative
 trace fixes psi_k proportional to tau_k, and the non-local history
-condition closes the system as tau_k = F_k / Delta_k.
+condition closes the system as tau_k = F_k / Delta_k.  Delta_k is the
+condition's defect of the free mode (tau_k = 1, no forcing) and F_k
+minus its defect of the forced mode (zero traces), both read from the
+one mode evaluator that also gives mode_matrix.
 
 Everything here evaluates the explicit formulas; the independent
 operator oracles live in fracops and never feed back into this module.
@@ -159,9 +162,7 @@ class ProblemSpec:
     nonlocal_points holds (p_i, xi_i) pairs: weights and history times
     of the condition sum_i p_i (I^a u)(x, xi_i) = u(x, T), with the
     xi_i strictly increasing inside [-T, 0].  The modes run over the
-    first N zeros of J0, and Delta_k takes its Mittag-Leffler arguments
-    at -lam^2 (-xi)^{delta2}, the power that the fractional-integral
-    shift identity produces.
+    first N zeros of J0.
     """
 
     op: OperatorParams
@@ -410,12 +411,21 @@ class _Kernels:
         return self._values[n]
 
 
+def _term(ml: _Kernels, beta: float, z, coef):
+    """coef E_{alpha,beta}(z), alpha that of ml, as a function that gives
+    it once ml has its values.  A coef that is 0 for every mode asks for
+    no kernel and gives 0."""
+    if not np.any(coef):
+        return lambda: 0.0
+    E = ml.ask(beta, z)
+    return lambda: coef * E()
+
+
 def _power_kernel(ml: _Kernels, beta: float, c, W, gam: float):
     """Gamma(gam) W^{beta+gam-1} E_{alpha,beta+gam}(c W^alpha), alpha
     that of ml, as a function that gives it once ml has its values."""
-    W = np.asarray(W, dtype=float)
-    E = ml.ask(beta + gam, c * W ** ml.alpha)
-    return lambda: gamma(gam) * W ** (beta + gam - 1.0) * E()
+    return _term(ml, beta + gam, c * W ** ml.alpha,
+                 gamma(gam) * W ** (beta + gam - 1.0))
 
 
 def _hinges(grid, values, sign: float):
@@ -685,16 +695,42 @@ def _conv(ml: _Kernels, beta: float, c, W, f: TimeCoefficient, *,
     return tabulated
 
 
-def _forward_particular(ml: _Kernels, p: float, lams, f: TimeCoefficient,
-                        ts):
-    """G_k(t) on t > 0, as a function that gives it once ml, at
-    a = alpha1, has its values: in w = t^p - tau^p the kernel is
-    w^{a-1} E_{a,a}(-cb w^a) / p^a with cb = lam^2 / p^a."""
-    a = ml.alpha
-    pa = p ** a
-    conv = _conv(ml, a, -np.asarray(lams) ** 2 / pa, np.asarray(ts) ** p, f,
-                 q=1.0 / p)
-    return lambda: conv() / pa
+def _mode_values(op: OperatorParams, lams, taus, phis, psis,
+                 f: TimeCoefficient, ts, order: float = 0.0) -> np.ndarray:
+    """mode_matrix of the modes with these eigenvalues, traces and time
+    coefficients (entries of lams, taus, phis, psis; rows of f).  On
+    t > 0 a mode is tau_k E_{a,1}(-cb t^{pa}) plus its convolution with
+    f_k, a = alpha1 and cb = lam^2 / p^a; on t = -W < 0 the traces phi_k
+    and psi_k sit on W^{g-2} E_{d,g-1} and W^{g-1} E_{d,g} (d = delta2,
+    g = gamma2) beside the resolvent convolution, all shifted by
+    ``order``."""
+    ts = np.asarray(ts, dtype=float).reshape(-1)
+    out = np.empty((lams.size, ts.size))
+    pos, neg = ts > 0.0, ts < 0.0
+    out[:, ~(pos | neg)] = taus[:, None]
+    if pos.any():
+        if order != 0.0:
+            raise ValueError("integrated mode values need t <= 0")
+        a, p = op.alpha1, op.p
+        pa = p ** a
+        c = -lams[:, None] ** 2 / pa
+        forward = _Kernels(a)
+        E = _term(forward, 1.0, c * ts[pos] ** (a * p), taus[:, None])
+        G = _conv(forward, a, c, ts[pos] ** p, f, q=1.0 / p)
+        out[:, pos] = E() + G() / pa
+    if neg.any():
+        d, g = op.delta2, op.gamma2
+        c = -lams[:, None] ** 2
+        W = -ts[neg]
+        z = c * W ** d
+        backward = _Kernels(d)
+        e_phi = _term(backward, g - 1.0 + order, z,
+                      phis[:, None] * W ** (g - 2.0 + order))
+        e_psi = _term(backward, g + order, z,
+                      psis[:, None] * W ** (g - 1.0 + order))
+        conv = _conv(backward, d + order, c, W, f, sign=-1.0)
+        out[:, neg] = e_phi() - e_psi() + conv()
+    return out
 
 
 def _mode_batch(mode):
@@ -705,54 +741,56 @@ def _mode_batch(mode):
     return modes, np.array([m.ev.lam for m in modes]), single
 
 
+def _traces(op: OperatorParams, lams, taus):
+    """Backward traces (phi_k, psi_k) of modes with forward trace tau_k:
+    value gluing gives phi_k = tau_k, and the derivative trace carries
+    psi_k = -lam_k^2 / (p^alpha1 Gamma(alpha1)) tau_k across t = 0."""
+    pa = op.p ** op.alpha1 * gamma(op.alpha1)
+    return taus, -(lams ** 2 / pa) * taus
+
+
+def _defect(spec: ProblemSpec, lams, taus, phis, psis, f):
+    """What the non-local condition leaves of the modes with these traces
+    and time coefficients: sum_i p_i (I^a u_k)(xi_i) - u_k(T), a the
+    Hilfer inner order, one entry per mode.  Points with p_i = 0 are
+    dropped; a point at xi_i = 0 reads the trace tau_k."""
+    op = spec.op
+    pts = [(p_i, xi) for p_i, xi in spec.nonlocal_points if p_i != 0.0]
+    hist = _mode_values(op, lams, taus, phis, psis, f,
+                        [xi for _, xi in pts], op.hilfer_inner_order)
+    total = np.zeros(lams.shape)
+    for j, (p_i, _) in enumerate(pts):
+        total = total + p_i * hist[:, j]
+    return total - _mode_values(op, lams, taus, phis, psis, f, [spec.T])[:, 0]
+
+
 def compute_Fk(mode, spec: ProblemSpec):
-    """Right-hand side F_k of the mode system: the terminal value
-    G_k(T) minus the weighted history convolutions at each xi_i, whose
-    kernel is w^{d2-g2+1} E_{d2,d2-g2+2}(-lam^2 w^{d2}).
+    """Right-hand side F_k of the mode system: minus the non-local
+    condition's defect of the forced mode, the mode with zero traces and
+    the record's time coefficient f_k.
 
     ``mode`` is one ModeRecord (a float is returned) or a sequence of
     them (an array, with one Mittag-Leffler call per side for all).
     """
     modes, lams, single = _mode_batch(mode)
-    op = spec.op
-    f = TimeCoefficient.stack([m.f_k for m in modes])
-    total = _forward_particular(_Kernels(op.alpha1), op.p, lams, f,
-                                spec.T)()[:, 0]
-    pts = [(p_i, xi) for p_i, xi in spec.nonlocal_points
-           if p_i != 0.0 and xi != 0.0]
-    if pts:
-        d2, g2 = op.delta2, op.gamma2
-        hist = _conv(_Kernels(d2), d2 - g2 + 2.0, -lams ** 2,
-                     [-xi for _, xi in pts], f, sign=-1.0)()
-        for j, (p_i, _) in enumerate(pts):
-            total = total - p_i * hist[:, j]
-    return float(total[0]) if single else total
+    zeros = np.zeros(lams.shape)
+    out = -_defect(spec, lams, zeros, *_traces(spec.op, lams, zeros),
+                   TimeCoefficient.stack([m.f_k for m in modes]))
+    return float(out[0]) if single else out
 
 
 def compute_Delta_k(mode, spec: ProblemSpec):
-    """Per-mode solvability determinant Delta_k.
+    """Per-mode solvability determinant Delta_k: the non-local
+    condition's defect of the free mode, the mode with tau_k = 1, its
+    glued backward traces and no forcing.  The record's f_k is not read.
 
-    Bracket terms come from pushing the backward-side representation
-    through the fractional integral of the non-local condition; the
-    final term is the forward-side Mittag-Leffler factor at t = T.
     ``mode`` is one ModeRecord (a float is returned) or a sequence of
     them (an array, with one Mittag-Leffler call per side for all).
     """
-    modes, lams, single = _mode_batch(mode)
-    lam2 = lams ** 2
-    op = spec.op
-    d2 = op.delta2
-    pa = op.p ** op.alpha1 * gamma(op.alpha1)
-    pts = spec.nonlocal_points
-    z = -lam2 * np.array([[(-xi) ** d2] for _, xi in pts])
-    backward = _Kernels(d2)
-    e1, e2 = backward.ask(1.0, z), backward.ask(2.0, z)
-    e1, e2 = e1(), e2()
-    total = np.zeros(lam2.shape)
-    for i, (p_i, xi) in enumerate(pts):
-        total = total + p_i * (e1[i] + lam2 * (-xi) / pa * e2[i])
-    zT = -(lam2 / op.p ** op.alpha1) * spec.T ** (op.alpha1 * op.p)
-    out = total - _Kernels(op.alpha1).ask(1.0, zT)()
+    _, lams, single = _mode_batch(mode)
+    ones = np.ones(lams.shape)
+    out = _defect(spec, lams, ones, *_traces(spec.op, lams, ones),
+                  TimeCoefficient(scale=np.zeros(lams.shape), poly=(0.0,)))
     return float(out[0]) if single else out
 
 
@@ -782,27 +820,6 @@ def delta_limit(spec: ProblemSpec) -> float:
                 "like lambda_k")
         total += p_i * (-xi) ** (1.0 - op.delta2) / denom
     return total
-
-
-def _backward_values(ml: _Kernels, gm: float, lam_coeff, phis, psis,
-                     f: TimeCoefficient, W, order: float = 0.0):
-    """Right-sided integral of order ``order`` of the backward modes at
-    t = -W < 0, as a function that gives it once ml, at d = delta2, has
-    its values: weighted traces phi, psi on the kernels
-    W^{gm-2} E_{d,gm-1} and W^{gm-1} E_{d,gm}, plus the resolvent
-    convolution, each shifted by ``order`` in both the power and beta."""
-    d = ml.alpha
-    c = np.asarray(lam_coeff, dtype=float)[:, None]
-    W = np.asarray(W, dtype=float)
-    z = c * W ** d
-    e_phi = ml.ask(gm - 1.0 + order, z)
-    e_psi = ml.ask(gm + order, z)
-    conv = _conv(ml, d + order, c, W, f, sign=-1.0)
-    return lambda: (np.asarray(phis)[:, None] * W ** (gm - 2.0 + order)
-                    * e_phi()
-                    - np.asarray(psis)[:, None] * W ** (gm - 1.0 + order)
-                    * e_psi()
-                    + conv())
 
 
 # ---------------------------------------------------------------------------
@@ -837,22 +854,21 @@ def solve_modes(spec: ProblemSpec) -> SeriesSolution:
     SolvabilityError at the first k whose determinant falls below
     DELTA_FLOOR, before any F_k is computed.
     """
-    op = spec.op
     eigs = eigenvalue_table(spec.N)
     f_ks = _mode_coefficient_callables(spec, eigs)
-    pa = op.p ** op.alpha1 * gamma(op.alpha1)
     partial = [ModeRecord(ev=ev, f_k=f_k) for ev, f_k in zip(eigs, f_ks)]
     deltas = compute_Delta_k(partial, spec)
     low = np.flatnonzero(np.abs(deltas) < DELTA_FLOOR)
     if low.size:
         raise SolvabilityError(eigs[low[0]].k, float(deltas[low[0]]),
                                DELTA_FLOOR)
-    modes = []
-    for m, d, F in zip(partial, deltas.tolist(),
-                       compute_Fk(partial, spec).tolist()):
-        tau = F / d
-        modes.append(replace(m, Delta_k=d, F_k=F, tau_k=tau, phi_k=tau,
-                             psi_k=-(m.ev.lam ** 2 / pa) * tau))
+    Fs = compute_Fk(partial, spec)
+    taus = Fs / deltas
+    phis, psis = _traces(spec.op, np.array([ev.lam for ev in eigs]), taus)
+    modes = [replace(m, Delta_k=d, F_k=F, tau_k=t, phi_k=ph, psi_k=ps)
+             for m, d, F, t, ph, ps in zip(
+                 partial, *(v.tolist() for v in (deltas, Fs, taus, phis,
+                                                 psis)))]
     tail = abs(modes[-1].tau_k) * math.sqrt(spec.N)
     return SeriesSolution(spec=spec, modes=tuple(modes), tail_estimate=tail)
 
@@ -872,28 +888,10 @@ def mode_matrix(sol: SeriesSolution, ts, *, modes=None,
     phi_k = tau_k.  Each side makes one Mittag-Leffler call, besides
     any growth of the forward hinges' kernel table.
     """
-    ts = np.asarray(ts, dtype=float).reshape(-1)
     sel = slice(None) if modes is None else modes
-    op = sol.spec.op
-    lams, taus = sol.lams[sel], sol.taus[sel]
-    f = sol.time_coefs[sel]
-    out = np.empty((lams.size, ts.size))
-    pos, neg = ts > 0.0, ts < 0.0
-    out[:, ~(pos | neg)] = taus[:, None]
-    if pos.any():
-        if order != 0.0:
-            raise ValueError("integrated mode values need t <= 0")
-        a, p = op.alpha1, op.p
-        forward = _Kernels(a)
-        E = forward.ask(1.0, -(lams[:, None] ** 2 / p ** a)
-                        * ts[pos] ** (a * p))
-        G = _forward_particular(forward, p, lams, f, ts[pos])
-        out[:, pos] = taus[:, None] * E() + G()
-    if neg.any():
-        out[:, neg] = _backward_values(
-            _Kernels(op.delta2), op.gamma2, -lams ** 2, sol.phis[sel],
-            sol.psis[sel], f, -ts[neg], order)()
-    return out
+    return _mode_values(sol.spec.op, sol.lams[sel], sol.taus[sel],
+                        sol.phis[sel], sol.psis[sel], sol.time_coefs[sel],
+                        ts, order)
 
 
 def _check_point(sol: SeriesSolution, x, t: float):

@@ -5,8 +5,10 @@ bench/workloads.py reads their spans by name.  A deleted or renamed
 public function breaks traced benchmark rounds with a KeyError; this
 runs one tiny traced CLI round and reads every per-layer metric that
 BENCHMARK.json declares, for the builtin and the tabulated forcing of
-the CLI workloads, and one plain solve-large-n round, whose rate needs
-time traced in mittag_leffler.  Nothing under bench/ is written.
+the CLI workloads, one plain solve-large-n round, whose rate needs
+time traced in mittag_leffler, and one library solve, whose Delta_k and
+F_k calls must be traced inside solve_modes.  Nothing under bench/ is
+written.
 """
 
 import json
@@ -82,3 +84,31 @@ def test_plain_large_n_round_reads_mittag_leffler(tmp_path, monkeypatch):
     assert tracer.summary()["specfun.mittag_leffler"]["calls"] == 16
     rate = result["ml_points_per_s"][0]
     assert math.isfinite(rate) and rate > 0.0
+
+
+def test_solve_traces_delta_and_fk_inside_solve_modes(monkeypatch):
+    """solver.delta_calls and solver.fk_calls count the spans of
+    compute_Delta_k and compute_Fk; a solve that bypassed either module
+    attribute would read 0 there without any error."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    import spans
+    import workloads
+
+    import fracbessel.solver as solver
+
+    spec = workloads.library_spec(workloads.builtin_forcing(1), 8)
+    tracer = spans.Tracer(only={"solver.solve_modes", "solver.compute_Delta_k",
+                                "solver.compute_Fk"}, detail=False).install()
+    try:
+        solver.solve_modes(spec)
+    finally:
+        tracer.uninstall()
+    label = [tracer.labels[idx] for idx, *_ in tracer.spans]
+    parent = {label[i]: (label[sp[3]] if sp[3] >= 0 else None)
+              for i, sp in enumerate(tracer.spans)}
+    assert sorted(label) == ["solver.compute_Delta_k", "solver.compute_Fk",
+                             "solver.solve_modes"]
+    assert parent["solver.compute_Delta_k"] == "solver.solve_modes"
+    assert parent["solver.compute_Fk"] == "solver.solve_modes"
+    assert parent["solver.solve_modes"] is None

@@ -27,12 +27,18 @@ DEFAULT_FORCING = Forcing(kind="separable_builtin", space_poly=(1.0,),
 ones = TimeCoefficient(poly=(1.0,))
 
 
+def single_mode(spec, ev, f_k, tau, phi, psi):
+    """The one-mode SeriesSolution of spec with these traces."""
+    mode = ModeRecord(ev=ev, f_k=f_k, tau_k=tau, phi_k=phi, psi_k=psi)
+    return SeriesSolution(spec=spec, modes=(mode,), tail_estimate=0.0)
+
+
 def G_k(mode, op, t):
     """Forward particular solution G_k(t) of one mode record under the
-    operator op: the convolution term that mode_matrix adds to
-    tau_k E_{a,1} on t > 0."""
-    return float(solver._forward_particular(
-        solver._Kernels(op.alpha1), op.p, [mode.ev.lam], mode.f_k, t)()[0, 0])
+    operator op: mode_matrix's forward value of the forced mode, the
+    mode with zero traces and the record's f_k."""
+    sol = single_mode(small_spec(op), mode.ev, mode.f_k, 0.0, 0.0, 0.0)
+    return float(solver.mode_matrix(sol, [t])[0, 0])
 
 
 def mapped_Gk(mode, op, t, rule):
@@ -283,9 +289,10 @@ class TestTerminalCondition:
             E = float(mittag_leffler(MLParams(alpha=op.alpha1, beta=1.0),
                                      -cb * spec.T ** (op.p * op.alpha1)))
             assert_allclose(m.Delta_k, -E, rtol=1e-13)
-            # solve_modes integrates F_k on its own panel count, so this
-            # is a two-route comparison, not an identity
-            assert_allclose(m.tau_k, -G_k(m, op, spec.T) / E, rtol=1e-8)
+            # with no weighted history point F_k is the forced mode's
+            # value G_k(T) and Delta_k is -E, each from mode_matrix's
+            # forward kernels, so tau_k is -G_k(T) / E bit for bit
+            assert m.tau_k == -G_k(m, op, spec.T) / E
         scale = abs(eval_u(sol, 0.5, 0.5 * spec.T))
         for x in (0.3, 0.7):
             assert abs(eval_u(sol, x, spec.T)) <= 1e-10 * scale
@@ -403,15 +410,53 @@ class TestOneCallPerAlpha:
     def test_delta_and_forcing_terms(self, case):
         spec, sol, calls = case
         n, op = spec.N, spec.op
+        # a point at xi = 0 reads the trace and asks for no kernel
+        W = [-xi for _, xi in spec.nonlocal_points if xi != 0.0]
         compute_Delta_k(sol.modes, spec)
         assert sorted(calls) == sorted(
-            [(op.delta2, 2 * n * len(spec.nonlocal_points)), (op.alpha1, n)])
+            [(op.delta2, 2 * n * len(W)), (op.alpha1, n)])
         calls.clear()
         compute_Fk(sol.modes, spec)
-        W = [-xi for _, xi in spec.nonlocal_points if xi != 0.0]
         terms, kinks = self.kernels(spec, W)
         assert sorted(calls) == sorted(
             [(op.alpha1, n * terms), (op.delta2, n * (len(W) * terms + kinks))])
+
+
+class TestDefects:
+    """Delta_k and F_k are what the non-local condition
+    sum_i p_i (I^a u)(xi_i) = u(T) leaves of a mode's free part and of
+    its forced part, read bit for bit from mode_matrix of one-mode
+    solutions: Delta_k of the free mode (tau = phi = 1,
+    psi = -lam^2 / (p^a1 Gamma(a1)), no forcing), F_k minus that of the
+    forced mode (zero traces, the mode's f_k)."""
+
+    @pytest.mark.parametrize("kind", ["builtin", "tabulated"])
+    @pytest.mark.parametrize("points", [
+        ((0.3, -0.7), (0.5, -0.25)),
+        ((0.0, -0.6), (0.3, -0.5), (0.4, 0.0))])
+    def test_defect_of_free_and_forced_mode(self, default_op, kind, points):
+        forcing = DEFAULT_FORCING if kind == "builtin" else tabulated_forcing()
+        spec = small_spec(default_op, N=12, points=points, forcing=forcing)
+        op = spec.op
+        a = op.hilfer_inner_order
+        pa = op.p ** op.alpha1 * gamma(op.alpha1)
+        zero = TimeCoefficient(scale=0.0, poly=(0.0,))
+
+        def defect(sol):
+            hist = sum(p_i * solver.mode_matrix(sol, [xi], order=a)[0, 0]
+                       for p_i, xi in points)
+            return hist - solver.mode_matrix(sol, [spec.T])[0, 0]
+
+        eigs = eigenvalue_table(spec.N)
+        f_ks = solver._mode_coefficient_callables(spec, eigs)
+        modes = [ModeRecord(ev=ev, f_k=f_k) for ev, f_k in zip(eigs, f_ks)]
+        deltas = compute_Delta_k(modes, spec)
+        Fs = compute_Fk(modes, spec)
+        for ev, f_k, d, F in zip(eigs, f_ks, deltas, Fs):
+            free = single_mode(spec, ev, zero, 1.0, 1.0, -(ev.lam ** 2 / pa))
+            forced = single_mode(spec, ev, f_k, 0.0, 0.0, 0.0)
+            assert d == defect(free), f"Delta_{ev.k}"
+            assert F == -defect(forced), f"F_{ev.k}"
 
 
 class TestSolveInvariants:

@@ -9,11 +9,12 @@ peak RSS belongs to that solve alone:
 The problem is the README operator, T = 1, one non-local point
 (0.6, -1) and the builtin forcing x^4 (1-x)^3 (1 + 0.45 t), the same as
 the benchmark's solve-large-n workload at its middle slope.  The last
-line of output is one JSON object with N, solve_modes_s, coefficients_s
-and peak_rss_mb.  coefficients_s is the part of the solve spent in
-``solver._mode_coefficient_callables`` (the data projection), timed by a
-wrapper installed on the module from outside; nothing in the package
-changes.
+line of output is one JSON object with N, solve_modes_s, coefficients_s,
+delta_s, fk_s and peak_rss_mb.  coefficients_s, delta_s and fk_s are the
+parts of the solve spent in ``solver._mode_coefficient_callables`` (the
+data projection), ``solver.compute_Delta_k`` and ``solver.compute_Fk``,
+each timed by a wrapper installed on the module from outside; nothing in
+the package changes.
 """
 
 import json
@@ -47,16 +48,20 @@ def main(argv) -> int:
                           mu=0.5),
         T=1.0, nonlocal_points=((0.6, -1.0),),
         forcing=Forcing(space_poly=(1.0,), time_poly=(1.0, 0.45)), N=n)
-    coefficients = [0.0]
-    solver._mode_coefficient_callables = _timed(
-        solver._mode_coefficient_callables, coefficients)
+    spent = {name: [0.0] for name in ("_mode_coefficient_callables",
+                                      "compute_Delta_k", "compute_Fk")}
+    for name, total in spent.items():
+        setattr(solver, name, _timed(getattr(solver, name), total))
     t0 = time.perf_counter()
     sol = solve_modes(spec)
     elapsed = time.perf_counter() - t0
     # ru_maxrss is in KiB on Linux
     rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     print(json.dumps({"N": len(sol.modes), "solve_modes_s": round(elapsed, 3),
-                      "coefficients_s": round(coefficients[0], 4),
+                      "coefficients_s": round(
+                          spent["_mode_coefficient_callables"][0], 4),
+                      "delta_s": round(spent["compute_Delta_k"][0], 4),
+                      "fk_s": round(spent["compute_Fk"][0], 4),
                       "peak_rss_mb": round(rss, 1)}))
     return 0
 
